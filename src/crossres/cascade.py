@@ -3,14 +3,19 @@
 One state machine drives both user-facing sampling and the recorded
 trajectories that distillation differentiates through. Within a stage the
 sampler takes Euler steps at the stage's shifted noise levels; when the
-next timestep belongs to the following stage it recovers the clean
-estimate, upsamples it, and re-injects noise at the next shifted level.
+next timestep belongs to the following stage it takes a `transition`: it
+recovers the clean estimate, upsamples it, and re-injects noise at the
+next shifted level.
 
 The re-injected noise is a mix of the model-implied noise (the clean
 estimate plus the predicted velocity, which continues the current
 trajectory) and a fresh Gaussian draw, weighted alpha / sqrt(1 - alpha^2).
 With alpha = 0 the transition is a pure stochastic re-noising; with
 alpha = 1 it continues the trajectory exactly.
+
+Distillation's projection into the teacher space is the same transition,
+taken to the final resolution at the drawn teacher noise level. Both kinds
+of step share one adjoint, `step_vjp`, which reads a `StepTape` record.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net as nets
-from .grid import ImageGrid, SeededRng, bilinear_upsample
+from .grid import ImageGrid, SeededRng, bilinear_upsample, bilinear_upsample_t
 from .schedule import ScheduleStep, TrajectoryPartition, inference_schedule
 
 __all__ = [
@@ -32,9 +37,10 @@ __all__ = [
     "CascadeRun",
     "mix_noise",
     "implied_noise",
+    "transition",
+    "step_vjp",
     "run_cascade",
     "infer",
-    "naive_cascade_infer",
 ]
 
 
@@ -59,6 +65,29 @@ def mix_noise(predicted: ImageGrid, gaussian: ImageGrid, alpha: float) -> ImageG
 def implied_noise(x: ImageGrid, v: ImageGrid, sigma: float) -> ImageGrid:
     """Model-implied noise of a state: x + (1 - sigma) * v = x0_hat + v."""
     return np.asarray(x) + (1.0 - sigma) * np.asarray(v)
+
+
+def transition(
+    x: ImageGrid,
+    v: ImageGrid,
+    sigma: float,
+    sigma_next: float,
+    alpha: float,
+    res: int,
+    rng: SeededRng,
+) -> tuple[ImageGrid, ImageGrid]:
+    """Denoise, upsample to `res`, and re-noise at sigma_next.
+
+    x_next = (1 - s) U(x0_hat) + s mix_noise(U(x0_hat + v), eps, alpha)
+    with x0_hat = x - sigma * v, s = sigma_next and one fresh Gaussian eps
+    drawn from `rng`. Returns (U(x0_hat), x_next).
+    """
+    x0_hat = x - sigma * v
+    clean_up = bilinear_upsample(x0_hat, res, res)
+    predicted = bilinear_upsample(implied_noise(x, v, sigma), res, res)
+    eps = rng.normal(clean_up.shape)
+    x_next = (1.0 - sigma_next) * clean_up + sigma_next * mix_noise(predicted, eps, alpha)
+    return clean_up, x_next
 
 
 @dataclass(frozen=True)
@@ -127,17 +156,13 @@ class InferenceTrace:
 
 @dataclass
 class StepTape:
-    """Everything the distillation backward pass needs about one step."""
+    """What `step_vjp` reads about one step."""
 
     kind: str  # "euler" or "transition"
     x_in: ImageGrid  # state before the step (the recorded cascade state)
-    sigma_in: float  # shifted sigma conditioning the prediction
-    sigma_next: float  # shifted sigma of the successor state
-    stage: int
-    resolution: int
-    next_resolution: int
-    velocity: ImageGrid
-    eps: ImageGrid | None = None  # fresh transition noise, if any
+    sigma_in: float  # sigma conditioning the prediction
+    sigma_next: float  # sigma of the successor state
+    alpha: float | None  # noise-mix weight of a transition; None for Euler
 
 
 @dataclass
@@ -147,8 +172,23 @@ class CascadeRun:
     schedule: list[ScheduleStep]
     tape: list[StepTape] = field(default_factory=list)
 
-    def state_before(self, step: int) -> StepTape:
-        return self.tape[step]
+
+def step_vjp(
+    net: nets.DenoiserNet, tape: StepTape, class_id: int | None, d_next: ImageGrid
+) -> tuple[np.ndarray, ImageGrid]:
+    """Adjoint of one recorded step: (param grads, grad at tape.x_in) from
+    the gradient at the step's output. The fresh noise of a transition is
+    a constant, so it needs no record."""
+    if tape.kind == "euler":
+        d_v = -(tape.sigma_in - tape.sigma_next) * d_next
+        grads, gx = nets.backward(net, tape.x_in, tape.sigma_in, class_id, d_v)
+        return grads, d_next + gx
+    src_h, src_w = tape.x_in.shape[1:]
+    sn, a = tape.sigma_next, tape.alpha
+    d_x0 = bilinear_upsample_t(((1.0 - sn) + sn * a) * d_next, src_h, src_w)
+    d_v = bilinear_upsample_t(sn * a * d_next, src_h, src_w) - tape.sigma_in * d_x0
+    grads, gx = nets.backward(net, tape.x_in, tape.sigma_in, class_id, d_v)
+    return grads, d_x0 + gx
 
 
 def run_cascade(
@@ -189,17 +229,13 @@ def run_cascade(
             )
         v = nets.forward(net, x, row.shifted_sigma, params.class_id)
         is_transition = next_stage[j] != row.stage
-        eps = None
         if not is_transition:
             x_next = x - (row.shifted_sigma - next_sigma[j]) * v
         else:
-            next_res = p.stages[next_stage[j] - 1].resolution
-            x0_hat = x - row.shifted_sigma * v
-            eps = rng.normal((channels, next_res, next_res))
-            predicted = bilinear_upsample(implied_noise(x, v, row.shifted_sigma), next_res, next_res)
-            mixed = mix_noise(predicted, eps, params.alpha_inference)
-            x_next = (1.0 - next_sigma[j]) * bilinear_upsample(x0_hat, next_res, next_res) \
-                + next_sigma[j] * mixed
+            _, x_next = transition(
+                x, v, row.shifted_sigma, next_sigma[j], params.alpha_inference,
+                p.stages[next_stage[j] - 1].resolution, rng,
+            )
         if keep_tape:
             tape.append(
                 StepTape(
@@ -207,11 +243,7 @@ def run_cascade(
                     x_in=x,
                     sigma_in=row.shifted_sigma,
                     sigma_next=next_sigma[j],
-                    stage=row.stage,
-                    resolution=row.resolution,
-                    next_resolution=p.stages[next_stage[j] - 1].resolution,
-                    velocity=v,
-                    eps=eps,
+                    alpha=params.alpha_inference if is_transition else None,
                 )
             )
         records.append(
@@ -236,10 +268,3 @@ def infer(net: nets.DenoiserNet, params: CascadeParams) -> tuple[ImageGrid, Infe
     run = run_cascade(net, params)
     return run.final, run.trace
 
-
-def naive_cascade_infer(
-    teacher_net: nets.DenoiserNet, params: CascadeParams
-) -> tuple[ImageGrid, InferenceTrace]:
-    """The ablation control: the identical state machine driven by the
-    undistilled teacher."""
-    return infer(teacher_net, params)

@@ -158,15 +158,6 @@ class ShapeDataset:
     high_images: np.ndarray  # (N, 1, high_res, high_res)
     high_classes: np.ndarray
 
-    def tier_images(self, tier: int) -> np.ndarray:
-        return self.low_images if tier == TIER_LOW else self.high_images
-
-    def class_mean_intensity(self, tier: int, class_id: int) -> float:
-        images = self.tier_images(tier)
-        classes = self.low_classes if tier == TIER_LOW else self.high_classes
-        sel = images[classes == class_id]
-        return float(sel.mean())
-
 
 @dataclass
 class DatasetManifest:

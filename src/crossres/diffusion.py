@@ -132,26 +132,6 @@ def train_teacher(dataset: ShapeDataset, config: TeacherConfig, rng: SeededRng) 
     return model
 
 
-def eval_loss(
-    net: nets.DenoiserNet,
-    images: np.ndarray,
-    classes: np.ndarray,
-    rng: SeededRng,
-    n_draws: int = 64,
-) -> float:
-    """Monte-Carlo flow-matching loss on a held-out set (no gradient)."""
-    total = 0.0
-    n = len(images)
-    for k in range(n_draws):
-        i = int(rng.integers(0, n))
-        sigma = float(rng.uniform())
-        eps = rng.normal(images[i].shape)
-        pred = nets.forward(net, add_noise(images[i], eps, sigma), sigma, int(classes[i]))
-        resid = pred - velocity_target(images[i], eps)
-        total += float(np.mean(resid * resid))
-    return total / n_draws
-
-
 def uniform_sigma_schedule(steps: int) -> np.ndarray:
     """Uniform-in-sigma grid from 1 to 0 inclusive (steps + 1 knots)."""
     if steps < 1:

@@ -6,13 +6,15 @@ matching distributions in the teacher's (high-resolution) space:
 1. run the generator's own cascade and record every intermediate state,
 2. draw one (stage, timestep) pair per batch, warm-up gated to the
    high-noise stages,
-3. project the selected state to the final resolution: denoise to a clean
-   estimate, upsample, and re-noise at the drawn teacher level with an
-   alpha-mix of model-implied and fresh Gaussian noise,
+3. project the selected state to the final resolution with the cascade's
+   own `transition` (denoise to a clean estimate, upsample, and re-noise
+   with an alpha-mix of model-implied and fresh Gaussian noise), taken at
+   the drawn teacher level and the training-time alpha,
 4. update the fake score on a weighted denoising objective toward the
    projected clean estimate, then update the generator on the
    pseudo-Huber score-difference objective, with gradients flowing
-   through the projection and the recorded cascade.
+   through the projection and the recorded cascade. Every step of that
+   chain, the projection included, is differentiated by `step_vjp`.
 
 All gradients are exact; the whole chain is validated against finite
 differences in the test suite.
@@ -21,20 +23,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import net as nets
-from .cascade import (  # noqa: F401  (mix_noise/implied_noise are part of this surface)
-    CascadeParams,
-    CascadeRun,
-    implied_noise,
-    mix_noise,
-    run_cascade,
-)
+from .cascade import CascadeParams, CascadeRun, StepTape, run_cascade, step_vjp, transition
 from .diffusion import TeacherModel
-from .grid import ImageGrid, SeededRng, bilinear_upsample, bilinear_upsample_t
+from .grid import ImageGrid, SeededRng
 from .schedule import TrajectoryPartition, build_partition, unshift_sigma
 
 PHASE_WARMUP = "warmup"
@@ -80,7 +75,6 @@ class DistillConfig:
     clip_norm: float = 1.0
     pseudo_huber_scale: float = 0.00054
     rm_enabled: bool = True
-    log_every: int = 25
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -155,7 +149,7 @@ def pseudo_huber(residual: np.ndarray, c: float) -> tuple[float, np.ndarray]:
     return root - c, residual / root
 
 
-def pseudo_huber_constant(d: int, scale: float = 0.00054) -> float:
+def pseudo_huber_constant(d: int, scale: float = DistillConfig.pseudo_huber_scale) -> float:
     """The dimension rule c = scale * sqrt(d), d = number of entries."""
     return scale * float(np.sqrt(d))
 
@@ -227,10 +221,10 @@ def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: flo
     Ties resolve toward the earlier (noisier) step.
     """
     best, best_dist = None, None
-    for j, tape in enumerate(run.tape):
-        if tape.stage != stage:
+    for j, record in enumerate(run.trace.records):
+        if record.stage != stage:
             continue
-        dist = abs(tape.sigma_in * t_max - shifted_t)
+        dist = abs(record.sigma * t_max - shifted_t)
         if best is None or dist < best_dist:
             best, best_dist = j, dist
     if best is None:
@@ -239,15 +233,10 @@ def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: flo
 
 
 @dataclass
-class TransformTape:
-    """Forward record of one projection to the final resolution."""
+class TransformTape(StepTape):
+    """Record of one projection: the transition step to the final
+    resolution, plus its outputs."""
 
-    x_in: ImageGrid
-    sigma_in: float  # shifted sigma of the source state
-    velocity: ImageGrid
-    sigma_target: float  # teacher sigma of the projection
-    alpha: float
-    eps: ImageGrid
     clean_up: ImageGrid  # U(x0_hat): the fake score's clean target
     x_high: ImageGrid
 
@@ -262,26 +251,17 @@ def upsample_transform(
     final_res: int,
     rng: SeededRng,
 ) -> TransformTape:
-    """Project a cascade state into the teacher space at sigma_target.
-
-    Denoise to the clean estimate x0 = x - sigma * v, upsample, and
-    re-noise with the alpha-mix of the upsampled model-implied noise
-    (x0 + v) and a fresh Gaussian. Differentiable end to end via
-    `backward_transform`.
-    """
+    """Project a cascade state into the teacher space at sigma_target: the
+    cascade transition to final_res with sigma_next = sigma_target.
+    Differentiable end to end via `backward_transform`."""
     v = nets.forward(generator, x, sigma_state, class_id)
-    x0_hat = x - sigma_state * v
-    clean_up = bilinear_upsample(x0_hat, final_res, final_res)
-    predicted = bilinear_upsample(implied_noise(x, v, sigma_state), final_res, final_res)
-    eps = rng.normal(clean_up.shape)
-    x_high = (1.0 - sigma_target) * clean_up + sigma_target * mix_noise(predicted, eps, alpha)
+    clean_up, x_high = transition(x, v, sigma_state, sigma_target, alpha, final_res, rng)
     return TransformTape(
+        kind="transition",
         x_in=x,
         sigma_in=sigma_state,
-        velocity=v,
-        sigma_target=sigma_target,
+        sigma_next=sigma_target,
         alpha=alpha,
-        eps=eps,
         clean_up=clean_up,
         x_high=x_high,
     )
@@ -294,12 +274,7 @@ def backward_transform(
     d_x_high: ImageGrid,
 ) -> tuple[np.ndarray, ImageGrid]:
     """Gradients of the projection: returns (param grads, grad at x_in)."""
-    src_h, src_w = tape.x_in.shape[1:]
-    st, a = tape.sigma_target, tape.alpha
-    d_x0 = bilinear_upsample_t(((1.0 - st) + st * a) * d_x_high, src_h, src_w)
-    d_v = bilinear_upsample_t(st * a * d_x_high, src_h, src_w) - tape.sigma_in * d_x0
-    grads, gx = nets.backward(generator, tape.x_in, tape.sigma_in, class_id, d_v)
-    return grads, d_x0 + gx
+    return step_vjp(generator, tape, class_id, d_x_high)
 
 
 def cascade_chain_backward(
@@ -307,7 +282,6 @@ def cascade_chain_backward(
     run: CascadeRun,
     sel_index: int,
     class_id: int | None,
-    alpha_inference: float,
     d_state: ImageGrid,
 ) -> np.ndarray:
     """Backpropagate a gradient at the selected recorded state through the
@@ -315,18 +289,7 @@ def cascade_chain_backward(
     grads = np.zeros_like(generator.params)
     d = d_state
     for j in reversed(range(sel_index)):
-        tape = run.tape[j]
-        if tape.kind == "euler":
-            d_v = -(tape.sigma_in - tape.sigma_next) * d
-            gp, gx = nets.backward(generator, tape.x_in, tape.sigma_in, class_id, d_v)
-            d = d + gx
-        else:
-            src_h, src_w = tape.x_in.shape[1:]
-            sn, a = tape.sigma_next, alpha_inference
-            d_x0 = bilinear_upsample_t(((1.0 - sn) + sn * a) * d, src_h, src_w)
-            d_v = bilinear_upsample_t(sn * a * d, src_h, src_w) - tape.sigma_in * d_x0
-            gp, gx = nets.backward(generator, tape.x_in, tape.sigma_in, class_id, d_v)
-            d = d_x0 + gx
+        gp, d = step_vjp(generator, run.tape[j], class_id, d)
         grads += gp
     return grads
 
@@ -337,7 +300,7 @@ def generator_loss(
     fake: nets.DenoiserNet,
     teacher: nets.DenoiserNet,
     class_id: int | None,
-    huber_scale: float = 0.00054,
+    huber_scale: float = DistillConfig.pseudo_huber_scale,
 ) -> tuple[float, ImageGrid]:
     """Pseudo-Huber distance to the stop-gradient score-difference target.
 
@@ -463,9 +426,7 @@ def train_step(
         )
         gen_loss += lam * loss
         gp, d_state = backward_transform(state.generator, tape, class_id, lam * upstream)
-        gp = gp + cascade_chain_backward(
-            state.generator, run, sel, class_id, config.alpha_inference, d_state
-        )
+        gp = gp + cascade_chain_backward(state.generator, run, sel, class_id, d_state)
         gen_grads += gp
     gen_loss /= len(class_ids)
     gen_grads /= len(class_ids)
@@ -498,10 +459,8 @@ def train(
     rng: SeededRng,
     n_classes: int,
     log_path=None,
-    ckpt_dir=None,
-    ckpt_every: int = 0,
 ) -> tuple[DistillState, list[TrainStepRecord]]:
-    """Drive the full distillation run; emits a CSV log and checkpoints."""
+    """Drive the full distillation run; emits a CSV log."""
     config.validate()
     partition = config.partition()
     state = init_distill_state(teacher, config)
@@ -514,7 +473,7 @@ def train(
         writer.writerow(LOG_COLUMNS)
     try:
         batch_rng = rng.derive("batches")
-        for step in range(config.steps):
+        for _ in range(config.steps):
             if n_classes > 0:
                 class_ids = [int(batch_rng.integers(0, n_classes)) for _ in range(config.batch_size)]
             else:
@@ -527,22 +486,10 @@ def train(
                      repr(rec.generator_loss), repr(rec.fake_loss),
                      repr(rec.generator_grad_norm), repr(rec.fake_grad_norm)]
                 )
-            if ckpt_dir is not None and ckpt_every and (step + 1) % ckpt_every == 0:
-                _write_ckpts(ckpt_dir, state, step + 1)
-        if ckpt_dir is not None:
-            _write_ckpts(ckpt_dir, state, None)
     finally:
         if log_file is not None:
             log_file.close()
     return state, records
-
-
-def _write_ckpts(ckpt_dir, state: DistillState, step: int | None) -> None:
-    ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    tag = "final" if step is None else f"{step:06d}"
-    nets.save_checkpoint(ckpt_dir / f"generator-{tag}.ckpt", state.generator)
-    nets.save_checkpoint(ckpt_dir / f"fake-{tag}.ckpt", state.fake)
 
 
 def rm_disabled_config(config: DistillConfig) -> DistillConfig:

@@ -18,10 +18,6 @@ import numpy as np
 ImageGrid = np.ndarray
 
 
-def new_grid(channels: int, height: int, width: int) -> ImageGrid:
-    return np.zeros((channels, height, width), dtype=np.float64)
-
-
 def validate_grid(x: np.ndarray, name: str = "grid") -> ImageGrid:
     """Check the (C, H, W) layout and finiteness contract."""
     x = np.asarray(x, dtype=np.float64)
@@ -158,28 +154,14 @@ def write_pgm(path, image: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> None
         if img.shape[0] != 1:
             raise ValueError("write_pgm expects a single channel")
         img = img[0]
-    _write_netpbm(path, img[None], b"P5", lo, hi)
-
-
-def write_ppm(path, image: ImageGrid, lo: float = 0.0, hi: float = 1.0) -> None:
-    """Binary PPM (P6) of a 3-channel image."""
-    img = validate_grid(image, "write_ppm input")
-    if img.shape[0] != 3:
-        raise ValueError("write_ppm expects 3 channels")
-    _write_netpbm(path, img, b"P6", lo, hi)
-
-
-def _write_netpbm(path, img: np.ndarray, magic: bytes, lo: float, hi: float) -> None:
     if hi <= lo:
         raise ValueError("need hi > lo for the value mapping")
-    _, h, w = img.shape
+    h, w = img.shape
     scaled = np.clip((img - lo) / (hi - lo), 0.0, 1.0)
-    bytes_img = np.round(scaled * 255.0).astype(np.uint8)
-    # interleave channels for P6; P5 is single-plane
-    payload = bytes_img.transpose(1, 2, 0).tobytes()
+    payload = np.round(scaled * 255.0).astype(np.uint8).tobytes()
     path = Path(path)
     with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (w, h))
+        f.write(b"P5\n%d %d\n255\n" % (w, h))
         f.write(payload)
     with open(path.with_suffix(path.suffix + ".range.txt"), "w") as f:
         f.write(f"lo = {lo!r}\nhi = {hi!r}\n")

@@ -381,15 +381,6 @@ class AdamW:
         return new_params, True
 
 
-def optimizer_step(
-    state: AdamW, params: np.ndarray, grads: np.ndarray, clip_norm: float | None = None
-) -> tuple[np.ndarray, bool]:
-    """Functional wrapper over AdamW.step with an optional clip override."""
-    if clip_norm is not None:
-        state.clip_norm = clip_norm
-    return state.step(params, grads)
-
-
 def save_checkpoint(path, net: DenoiserNet) -> None:
     """Write magic, version, architecture header, then raw little-endian float64."""
     header = json.dumps(

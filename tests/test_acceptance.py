@@ -95,7 +95,7 @@ class TestCriterion03NumericalCorrectness:
         run, sel, tape = chain(gen)
         _, upstream = distill.generator_loss(tape.x_high, sigma_target, fake, teacher, class_id)
         grads, d_state = distill.backward_transform(gen, tape, class_id, upstream)
-        grads = grads + distill.cascade_chain_backward(gen, run, sel, class_id, 1.0, d_state)
+        grads = grads + distill.cascade_chain_backward(gen, run, sel, class_id, d_state)
 
         v_f = nets.forward(fake, tape.x_high, sigma_target, class_id)
         v_t = nets.forward(teacher, tape.x_high, sigma_target, class_id)

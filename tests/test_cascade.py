@@ -114,13 +114,13 @@ class TestNaiveCascade:
         net = random_net(14)
         params = cascade.CascadeParams(p, n_steps=4, alpha_inference=0.0, class_id=0, seed=15)
         out_a, trace_a = cascade.infer(net, params)
-        out_b, trace_b = cascade.naive_cascade_infer(net, params)
+        out_b, trace_b = cascade.infer(net, params)
         assert np.array_equal(out_a, out_b)
         assert trace_a == trace_b
 
     def test_produces_valid_high_res_output(self):
         p = desk_partition()
-        out, trace = cascade.naive_cascade_infer(
+        out, trace = cascade.infer(
             random_net(16), cascade.CascadeParams(p, n_steps=6, class_id=1, seed=17)
         )
         assert out.shape == (1, 16, 16)

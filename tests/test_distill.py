@@ -195,7 +195,7 @@ class TestCascadeStates:
         p = cfg.partition()
         run = distill.generate_cascade_states(tiny_net(20), 0, p, 4, SeededRng(21))
         assert len(run.tape) == 4
-        assert [t.stage for t in run.tape] == [1, 1, 2, 2]
+        assert [r.stage for r in run.trace.records] == [1, 1, 2, 2]
         sigmas = [t.sigma_in for t in run.tape]
         assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
 
@@ -209,7 +209,7 @@ class TestCascadeStates:
     def test_one_state_per_stage_when_n_equals_k(self):
         cfg = desk_config(n_steps=2)
         run = distill.generate_cascade_states(tiny_net(22), 1, cfg.partition(), 2, SeededRng(23))
-        assert [t.stage for t in run.tape] == [1, 2]
+        assert [r.stage for r in run.trace.records] == [1, 2]
 
     def test_select_state_nearest_in_shifted_time(self):
         cfg = desk_config()
@@ -255,20 +255,31 @@ class TestUpsampleTransform:
 
 
 class TestChainGradient:
-    def test_full_chain_matches_finite_differences(self):
+    @pytest.mark.parametrize(
+        "stage, alpha_inference",
+        [
+            pytest.param(1, 1.0, id="stage1-alpha1.0"),
+            pytest.param(2, 1.0, id="stage2-alpha1.0"),
+            pytest.param(2, 0.9, id="stage2-alpha0.9"),
+        ],
+    )
+    def test_full_chain_matches_finite_differences(self, stage, alpha_inference):
         # the end-to-end objective: cascade states -> projection ->
         # pseudo-Huber against the stop-gradient target. The oracle is a
         # central difference of the frozen-difference objective: the
         # target y is pinned at the base evaluation, exactly as the
         # stop-gradient prescribes, while the chain re-runs under the
-        # perturbed generator.
-        cfg = desk_config()
+        # perturbed generator. A stage-2 state is reached through the
+        # cascade's transition, whose adjoint depends on alpha_inference.
+        cfg = desk_config(alpha_inference=alpha_inference)
         p = cfg.partition()
         teacher = tiny_net(33)
         fake = tiny_net(34)
         gen = tiny_net(35)
         class_id = 1
-        stage, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(36))
+        weights = (1.0, 0.0) if stage == 1 else (0.0, 1.0)
+        drawn, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(36), weights)
+        assert drawn == stage
         sigma_target = teacher_t / p.t_max
 
         def x_high_of(g: nets.DenoiserNet):
@@ -281,9 +292,10 @@ class TestChainGradient:
             return run, sel, tape
 
         run, sel, tape = x_high_of(gen)
+        assert any(t.kind == "transition" for t in run.tape[:sel]) == (stage == 2)
         loss, upstream = distill.generator_loss(tape.x_high, sigma_target, fake, teacher, class_id)
         gp, d_state = distill.backward_transform(gen, tape, class_id, upstream)
-        gp = gp + distill.cascade_chain_backward(gen, run, sel, class_id, cfg.alpha_inference, d_state)
+        gp = gp + distill.cascade_chain_backward(gen, run, sel, class_id, d_state)
 
         # frozen stop-gradient target from the base x_high
         v_f = nets.forward(fake, tape.x_high, sigma_target, class_id)
@@ -307,7 +319,9 @@ class TestChainGradient:
             down_params = base.copy()
             down_params[i] -= h
             fd[k] = (loss_of(up_params) - loss_of(down_params)) / (2 * h)
-        assert nets.relative_error(gp[idx], fd) < 1e-3
+        # the exact chain is within 3e-5 of this central difference; recording
+        # alpha 1.0 for a 0.9 transition is off by 8e-4
+        assert nets.relative_error(gp[idx], fd) < 1e-4
 
 
 class TestTrainStep:
@@ -327,7 +341,7 @@ class TestTrainStep:
         for rec in records:
             if rec.step < cfg.warmup_steps:
                 assert rec.phase == "warmup" and rec.stage == 1
-        assert any(rec.stage == 2 for rec in records if rec.step >= cfg.warmup_steps) or True
+        assert any(rec.stage == 2 for rec in records if rec.step >= cfg.warmup_steps)
 
     def test_single_resolution_reduction(self):
         # alpha = 0 and a single stage at the final resolution: the step is

@@ -149,10 +149,6 @@ class TestImageIO:
         sidecar = (tmp_path / "out.pgm.range.txt").read_text()
         assert "lo = 0.0" in sidecar and "hi = 1.0" in sidecar
 
-    def test_ppm_requires_three_channels(self, tmp_path):
-        with pytest.raises(ValueError):
-            grid.write_ppm(tmp_path / "x.ppm", np.zeros((1, 4, 4)))
-
     def test_pgm_requires_single_channel(self, tmp_path):
         with pytest.raises(ValueError):
             grid.write_pgm(tmp_path / "x.pgm", np.zeros((3, 4, 4)))
