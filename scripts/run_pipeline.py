@@ -6,7 +6,9 @@ headline comparison. Expect roughly 10-25 minutes on one CPU core at the
 default budgets; pass --fast for a quick structural smoke run.
 """
 import argparse
+import os
 import sys
+import tempfile
 import time
 
 from crossres.cli import main as cli
@@ -34,14 +36,17 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
 
     common = ["--preset", "toy-default", "--seed", str(args.seed), "--out", args.out]
-    if args.fast:
-        import tempfile
+    if not args.fast:
+        return _run_steps(common)
+    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as cfg_file:
+        cfg_file.write(FAST_OVERRIDES)
+    try:
+        return _run_steps([*common, "--config", cfg_file.name])
+    finally:
+        os.unlink(cfg_file.name)
 
-        cfg_path = tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False)
-        cfg_path.write(FAST_OVERRIDES)
-        cfg_path.close()
-        common += ["--config", cfg_path.name]
 
+def _run_steps(common: list[str]) -> int:
     t0 = time.time()
     for step in (
         ["gen-data", *common],

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import net as nets
 from .grid import ImageGrid, SeededRng, bilinear_upsample, bilinear_upsample_t
-from .schedule import ScheduleStep, TrajectoryPartition, inference_schedule
+from .schedule import TrajectoryPartition, inference_schedule
 
 __all__ = [
     "CascadeParams",
@@ -169,7 +169,6 @@ class StepTape:
 class CascadeRun:
     final: ImageGrid
     trace: InferenceTrace
-    schedule: list[ScheduleStep]
     tape: list[StepTape] = field(default_factory=list)
 
 
@@ -196,7 +195,6 @@ def run_cascade(
     params: CascadeParams,
     rng: SeededRng | None = None,
     keep_tape: bool = False,
-    channels: int = 1,
 ) -> CascadeRun:
     """Execute the cascade; optionally keep the per-step tape.
 
@@ -218,7 +216,7 @@ def run_cascade(
     next_sigma = [r.shifted_sigma for r in rows[1:]] + [0.0]
 
     res0 = p.stages[rows[0].stage - 1].resolution
-    x = rng.normal((channels, res0, res0))
+    x = rng.normal((net.spec.channels[0], res0, res0))
     tape: list[StepTape] = []
     records: list[TraceRecord] = []
     for j, row in enumerate(rows):
@@ -260,7 +258,7 @@ def run_cascade(
         x = x_next
     trace = InferenceTrace(records)
     trace.validate(p)
-    return CascadeRun(final=x, trace=trace, schedule=rows, tape=tape)
+    return CascadeRun(final=x, trace=trace, tape=tape)
 
 
 def infer(net: nets.DenoiserNet, params: CascadeParams) -> tuple[ImageGrid, InferenceTrace]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import cascade, config as cfgmod, data, diffusion, distill, evalsuite, net as nets
 from .grid import SeededRng, write_pgm
-from .schedule import build_partition, inference_schedule, sigma_to_logsnr
+from .schedule import inference_schedule, sigma_to_logsnr
 
 
 class PrerequisiteError(RuntimeError):
@@ -114,9 +114,9 @@ def cmd_sample(args) -> int:
     cfg = _resolve_config(args)
     ckpt = Path(args.checkpoint) if args.checkpoint else _generator_path(cfg)
     net = nets.load_checkpoint(_require(ckpt, "distill"))
-    out_dir = Path(args.out or cfg.out_dir) / "samples"
+    out_dir = Path(cfg.out_dir) / "samples"
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = SeededRng(args.seed if args.seed is not None else cfg.seed)
+    rng = SeededRng(cfg.seed)
     stats_rows = []
     if args.many_step:
         res = cfg.distill.resolutions[-1]
@@ -131,8 +131,8 @@ def cmd_sample(args) -> int:
             class_id = args.class_id if args.class_id is not None else i % cfg.data.n_classes
             params = cascade.CascadeParams(
                 partition=partition,
-                n_steps=args.steps or cfg.distill.n_steps,
-                alpha_inference=args.alpha if args.alpha is not None else cfg.distill.alpha_inference,
+                n_steps=cfg.distill.n_steps,
+                alpha_inference=cfg.distill.alpha_inference,
                 class_id=class_id,
                 seed=rng.derive(f"cascade:{i}").seed,
             )
@@ -160,7 +160,6 @@ def cmd_eval(args) -> int:
     report = evalsuite.evaluate_run(
         student=student,
         teacher=teacher,
-        naive=teacher,
         rm_disabled=rm_net,
         dataset=ds,
         partition=cfg.distill.partition(),
@@ -177,20 +176,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _schedule_partition(args, cfg: cfgmod.RunConfig):
-    d = cfg.distill
-    thresholds = [float(v) for v in args.thresholds.split(",")] if args.thresholds else list(d.thresholds)
-    resolutions = [int(v) for v in args.resolutions.split(",")] if args.resolutions else list(d.resolutions)
-    flow_shift = args.flow_shift if args.flow_shift is not None else d.flow_shift
-    t_max = args.t_max if args.t_max is not None else d.t_max
-    return build_partition(thresholds, resolutions, flow_shift, t_max)
-
-
 def cmd_schedule(args) -> int:
     cfg = _resolve_config(args)
-    partition = _schedule_partition(args, cfg)
-    n = args.steps or cfg.distill.n_steps
-    rows = inference_schedule(n, partition)
+    rows = inference_schedule(cfg.distill.n_steps, cfg.distill.partition())
     header = f"{'step':>4} {'stage':>5} {'res':>5} {'timestep':>9} {'sigma':>8} {'logsnr':>9}"
     print(header)
     for r in rows:
@@ -265,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="net checkpoint (default: distilled generator)")
     p.add_argument("--class-id", type=int, default=None)
     p.add_argument("--count", type=int, default=8)
-    p.add_argument("--steps", type=int, default=None, help="cascade steps (default from config)")
-    p.add_argument("--alpha", type=float, default=None, help="transition noise-mix weight")
     p.add_argument("--many-step", type=int, default=None,
                    help="plain Euler sampling with this many steps instead of the cascade")
     p.set_defaults(func=cmd_sample)
@@ -277,11 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="print a timestep/resolution schedule table")
     common(p)
-    p.add_argument("--thresholds", help="comma-separated logSNR thresholds")
-    p.add_argument("--resolutions", help="comma-separated per-stage resolutions")
-    p.add_argument("--flow-shift", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--csv", help="also write the table to this CSV path")
     p.set_defaults(func=cmd_schedule)
 

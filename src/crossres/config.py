@@ -175,34 +175,31 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
 
 
-def _parse_scalar(text: str, target_type, path: str):
-    text = text.strip()
+def _parse_scalar(text: str, target_type):
     if target_type is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{path}: expected a boolean, got {text!r}")
+        raise ValueError(f"expected a boolean, got {text!r}")
     if target_type is int:
         return int(text)
     if target_type is float:
         return float(text)
     if target_type is str:
         return text
-    raise ConfigError(f"{path}: unsupported scalar type {target_type}")
+    raise ValueError(f"unsupported scalar type {target_type}")
 
 
-def _parse_value(text: str, current, path: str):
+def _parse_value(text: str, current):
     text = text.strip()
-    if isinstance(current, tuple) or (current is None and text.startswith("(")):
-        if text.lower() == "none":
-            return None
-        inner = text.strip()
+    if isinstance(current, tuple):
+        inner = text
         if inner.startswith("(") and inner.endswith(")"):
             inner = inner[1:-1]
         parts = [p for p in (s.strip() for s in inner.split(",")) if p]
         element_type = float
-        if isinstance(current, tuple) and current and isinstance(current[0], int):
+        if current and isinstance(current[0], int):
             element_type = int
         values = []
         for part in parts:
@@ -212,11 +209,7 @@ def _parse_value(text: str, current, path: str):
             else:
                 values.append(as_float)
         return tuple(values)
-    if current is None:
-        if text.lower() == "none":
-            return None
-        return float(text)
-    return _parse_scalar(text, type(current), path)
+    return _parse_scalar(text, type(current))
 
 
 def parse_overrides(text: str) -> dict[str, str]:
@@ -252,7 +245,11 @@ def _apply_one(node, parts: list[str], text: str, full_path: str):
         return replace(node, **{name: _apply_one(current, parts[1:], text, full_path)})
     if dataclasses.is_dataclass(current):
         raise ConfigError(f"{full_path} is a section, not a value")
-    return replace(node, **{name: _parse_value(text, current, full_path)})
+    try:
+        value = _parse_value(text, current)
+    except ValueError as err:
+        raise ConfigError(f"{full_path}: {err}") from err
+    return replace(node, **{name: value})
 
 
 def validate_config(cfg: RunConfig) -> None:

@@ -127,7 +127,6 @@ def _blur3(img: ImageGrid) -> ImageGrid:
 class ShapeSample:
     image: ImageGrid
     class_id: int
-    tier: int
     quality_jitter: float
 
 
@@ -135,7 +134,7 @@ def _make_sample(cfg: DataConfig, class_id: int, tier: int, rng: SeededRng) -> S
     pose = sample_pose(cfg, rng)
     if tier == TIER_HIGH:
         img = render_shape(class_id, pose, cfg.high_res, cfg.supersample)
-        return ShapeSample(img, class_id, TIER_HIGH, 0.0)
+        return ShapeSample(img, class_id, 0.0)
     # Low tier: dim systematically, jitter, optionally blur, add pixel noise.
     jitter = float(rng.uniform(-cfg.intensity_jitter, cfg.intensity_jitter))
     intensity = float(np.clip(pose.intensity - cfg.intensity_shift + jitter, 0.05, 1.0))
@@ -145,7 +144,7 @@ def _make_sample(cfg: DataConfig, class_id: int, tier: int, rng: SeededRng) -> S
         img = _blur3(img)
     noise_std = float(rng.uniform(0.0, cfg.noise_std_max))
     img = img + noise_std * rng.normal(img.shape)
-    return ShapeSample(img, class_id, TIER_LOW, noise_std)
+    return ShapeSample(img, class_id, noise_std)
 
 
 @dataclass
@@ -248,14 +247,20 @@ def gen_dataset(cfg: DataConfig, rng: SeededRng, path) -> DatasetManifest:
 
 
 def load_dataset(path) -> ShapeDataset:
+    """Read a `gen_dataset` file; rejects foreign, truncated or padded files."""
     raw = Path(path).read_bytes()
-    end = raw.index(_HEADER_END.encode()) + len(_HEADER_END)
+    header_len = raw.find(_HEADER_END.encode())
+    if header_len < 0:
+        raise ValueError(f"{path}: not a crossres dataset (no header end marker)")
     fields: dict = {}
-    for line in raw[: end - len(_HEADER_END)].decode().strip().splitlines():
+    for line in raw[:header_len].decode(errors="replace").strip().splitlines():
         key, _, value = line.partition(" = ")
         fields[key.strip()] = value.strip()
     if fields.get("format") != "crossres-shapes-v1":
-        raise ValueError(f"unrecognized dataset format in {path}")
+        raise ValueError(f"{path}: unrecognized dataset format {fields.get('format')!r}")
+    expected = int(fields["high_offset"]) + int(fields["n_high"]) * int(fields["high_record_bytes"])
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes from the header, found {len(raw)}")
     low_res = int(fields["low_res"])
     high_res = int(fields["high_res"])
     n_low = int(fields["n_low"])

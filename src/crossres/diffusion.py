@@ -69,7 +69,8 @@ class TeacherModel:
     log: list[dict] = field(default_factory=list)
 
 
-def _loss_stats(arr: np.ndarray) -> str:
+def tensor_stats(arr: np.ndarray) -> str:
+    """NaN-ignoring mean/std/min/max of a tensor, for divergence messages."""
     return (
         f"mean={np.nanmean(arr):.4g} std={np.nanstd(arr):.4g} "
         f"min={np.nanmin(arr):.4g} max={np.nanmax(arr):.4g}"
@@ -102,7 +103,7 @@ def _run_phase(
         if not np.isfinite(loss_mean):
             raise RuntimeError(
                 f"teacher training diverged at {phase} step {step}: "
-                f"loss {loss_mean}, images {_loss_stats(images[idx])}"
+                f"loss {loss_mean}, images {tensor_stats(images[idx])}"
             )
         model.net.params, _ = opt.step(model.net.params, grads)
         if step % log_every == 0 or step == steps - 1:
@@ -145,18 +146,14 @@ def euler_sample(
     res: int,
     steps: int,
     rng: SeededRng,
-    sigma_schedule: np.ndarray | None = None,
-    channels: int = 1,
 ) -> ImageGrid:
     """Plain Euler ODE sampling at a single resolution.
 
     x <- x - (sigma_j - sigma_{j+1}) * v(x, sigma_j), starting from pure
     noise at sigma = 1 and ending exactly at sigma = 0.
     """
-    sched = uniform_sigma_schedule(steps) if sigma_schedule is None else np.asarray(sigma_schedule)
-    if sched[0] != 1.0 or sched[-1] != 0.0 or np.any(np.diff(sched) >= 0):
-        raise ValueError("sigma schedule must decrease strictly from 1 to 0")
-    x = rng.normal((channels, res, res))
+    sched = uniform_sigma_schedule(steps)
+    x = rng.normal((net.spec.channels[0], res, res))
     for j in range(len(sched) - 1):
         v = nets.forward(net, x, float(sched[j]), class_id)
         x = x - (sched[j] - sched[j + 1]) * v

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import net as nets
 from .cascade import CascadeParams, CascadeRun, StepTape, run_cascade, step_vjp, transition
-from .diffusion import TeacherModel
+from .diffusion import TeacherModel, tensor_stats
 from .grid import ImageGrid, SeededRng
 from .schedule import TrajectoryPartition, build_partition, unshift_sigma
 
@@ -63,8 +63,6 @@ class DistillConfig:
     n_steps: int = 4
     alpha: float = 0.2
     alpha_inference: float = 1.0
-    lambda_stage: tuple[float, ...] | None = None
-    stage_weights: tuple[float, ...] | None = None
     snr_clamp: tuple[float, float] = (0.05, 20.0)
     warmup_steps: int = 100
     steps: int = 800
@@ -81,8 +79,6 @@ class DistillConfig:
             raise ValueError(f"distill.alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.alpha_inference <= 1.0:
             raise ValueError(f"distill.alpha_inference must lie in [0, 1], got {self.alpha_inference}")
-        if self.lambda_stage is not None and any(w <= 0 for w in self.lambda_stage):
-            raise ValueError("distill.lambda_stage entries must be positive")
         if self.warmup_steps < 0 or self.steps < 0:
             raise ValueError("step budgets must be non-negative")
         if not 0.0 < self.lr_final_fraction <= 1.0:
@@ -105,11 +101,6 @@ class DistillConfig:
                 list(self.thresholds), list(self.resolutions), self.flow_shift, self.t_max
             )
         return build_partition([], [self.resolutions[-1]], self.flow_shift, self.t_max)
-
-    def stage_lambda(self, stage: int) -> float:
-        if self.lambda_stage is None:
-            return 1.0
-        return self.lambda_stage[min(stage, len(self.lambda_stage)) - 1]
 
 
 @dataclass
@@ -357,12 +348,9 @@ class TrainStepRecord:
     fake_grad_norm: float
 
 
-def _abort_if_bad(value: float, what: str, ref: np.ndarray) -> None:
+def _abort_if_bad(value: float, what: str, where: str, ref: np.ndarray) -> None:
     if not np.isfinite(value):
-        raise RuntimeError(
-            f"non-finite {what}: {value}; tensor stats mean={np.nanmean(ref):.4g} "
-            f"std={np.nanstd(ref):.4g} min={np.nanmin(ref):.4g} max={np.nanmax(ref):.4g}"
-        )
+        raise RuntimeError(f"non-finite {what} at {where}: {value}; tensor stats {tensor_stats(ref)}")
 
 
 def train_step(
@@ -376,9 +364,8 @@ def train_step(
     """One full update: fake score first, then generator (shared draw)."""
     phase = state.phase
     state.opt_generator.lr = config.lr_generator * config.lr_scale(state.step)
-    stage, shifted_t, teacher_t = sample_stage_and_timestep(
-        partition, phase, rng.derive(f"draw:{state.step}"), config.stage_weights
-    )
+    stage, shifted_t, teacher_t = sample_stage_and_timestep(partition, phase, rng.derive(f"draw:{state.step}"))
+    where = f"step {state.step} phase {phase} stage {stage}"
     sigma_target = teacher_t / partition.t_max
     sigma_stage = shifted_t / partition.t_max
     final_res = partition.final_resolution
@@ -412,11 +399,10 @@ def train_step(
         fake_grads += grads
     fake_loss /= len(class_ids)
     fake_grads /= len(class_ids)
-    _abort_if_bad(fake_loss, "fake-score loss", transforms[0].x_high)
+    _abort_if_bad(fake_loss, "fake-score loss", where, transforms[0].x_high)
     state.fake.params, _ = state.opt_fake.step(state.fake.params, fake_grads)
 
     # generator update against the just-updated fake score
-    lam = config.stage_lambda(stage)
     gen_grads = np.zeros_like(state.generator.params)
     gen_loss = 0.0
     for class_id, run, sel, tape in zip(class_ids, runs, selections, transforms):
@@ -424,13 +410,13 @@ def train_step(
             tape.x_high, sigma_target, state.fake, teacher, class_id,
             config.pseudo_huber_scale,
         )
-        gen_loss += lam * loss
-        gp, d_state = backward_transform(state.generator, tape, class_id, lam * upstream)
+        gen_loss += loss
+        gp, d_state = backward_transform(state.generator, tape, class_id, upstream)
         gp = gp + cascade_chain_backward(state.generator, run, sel, class_id, d_state)
         gen_grads += gp
     gen_loss /= len(class_ids)
     gen_grads /= len(class_ids)
-    _abort_if_bad(gen_loss, "generator loss", transforms[0].x_high)
+    _abort_if_bad(gen_loss, "generator loss", where, transforms[0].x_high)
     state.generator.params, _ = state.opt_generator.step(state.generator.params, gen_grads)
 
     record = TrainStepRecord(

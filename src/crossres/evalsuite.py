@@ -57,7 +57,7 @@ def median_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     return bw if bw > 0 else 1.0
 
 
-def mmd_rbf(a: SampleSet, b: SampleSet, bandwidth: float | None = None) -> float:
+def mmd_rbf(a: SampleSet, b: SampleSet, bandwidth: float) -> float:
     """Unbiased squared MMD estimate with a Gaussian kernel.
 
     The unbiased estimator can be slightly negative on same-distribution
@@ -69,8 +69,6 @@ def mmd_rbf(a: SampleSet, b: SampleSet, bandwidth: float | None = None) -> float
     xa, xb = a.flat(), b.flat()
     if xa.shape[1] != xb.shape[1]:
         raise ValueError(f"sample dimensions differ: {xa.shape[1]} vs {xb.shape[1]}")
-    if bandwidth is None:
-        bandwidth = median_bandwidth(xa, xb)
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     gamma = 1.0 / (2.0 * bandwidth * bandwidth)
@@ -85,13 +83,11 @@ def mmd_rbf(a: SampleSet, b: SampleSet, bandwidth: float | None = None) -> float
 
 
 def permutation_null(
-    a: SampleSet, b: SampleSet, n_perm: int, rng: SeededRng, bandwidth: float | None = None
+    a: SampleSet, b: SampleSet, n_perm: int, rng: SeededRng, bandwidth: float
 ) -> np.ndarray:
     """MMD^2 values under pooled label permutations: the estimator's null."""
     xa, xb = a.flat(), b.flat()
     pooled = np.concatenate([xa, xb])
-    if bandwidth is None:
-        bandwidth = median_bandwidth(xa, xb)
     m = len(xa)
     out = np.zeros(n_perm)
     for k in range(n_perm):
@@ -183,8 +179,6 @@ class EvalConfig:
     n_per_set: int = 256
     teacher_steps: int = 32
     n_permutations: int = 200
-    mmd_bandwidth: float | None = None  # None = median heuristic
-    contact_sheet_cols: int = 16
     contact_sheet_n: int = 64
 
 
@@ -214,11 +208,9 @@ def sample_cascade_set(
     n_classes: int,
     rng: SeededRng,
     tag: str,
-    seed_label: str | None = None,
 ) -> SampleSet:
-    """Cascade samples; seed_label (not the tag) keys the noise streams, so
-    different arms evaluated with the same label share seeds and classes."""
-    seed_label = seed_label or tag
+    """Cascade samples; the index (not the tag) keys the noise streams, so
+    different arms drawn from the same rng share seeds and classes."""
     images = []
     for i in range(n):
         class_id = i % n_classes if n_classes > 0 else None
@@ -227,7 +219,7 @@ def sample_cascade_set(
             n_steps=n_steps,
             alpha_inference=alpha_inference,
             class_id=class_id,
-            seed=rng.derive(f"{seed_label}:{i}").seed,
+            seed=rng.derive(f"arm:{i}").seed,
         )
         out, _ = infer(net, params)
         images.append(out)
@@ -281,7 +273,7 @@ def evaluate_sets(
     """
     ref_a = SampleSet(reference.images[0::2], "reference-a")
     ref_b = SampleSet(reference.images[1::2], "reference-b")
-    bandwidth = cfg.mmd_bandwidth or median_bandwidth(ref_a.flat(), ref_b.flat())
+    bandwidth = median_bandwidth(ref_a.flat(), ref_b.flat())
     null = permutation_null(ref_a, ref_b, cfg.n_permutations, rng.derive("perm"), bandwidth)
     null_width = float(null.std())
 
@@ -302,7 +294,6 @@ def evaluate_sets(
 def evaluate_run(
     student: nets.DenoiserNet,
     teacher: nets.DenoiserNet,
-    naive: nets.DenoiserNet,
     rm_disabled: nets.DenoiserNet | None,
     dataset: ShapeDataset | None,
     partition: TrajectoryPartition,
@@ -330,7 +321,7 @@ def evaluate_run(
     )
     arms = [
         ("student-cascade", student, alpha_inference),
-        ("naive-cascade", naive, 0.0),
+        ("naive-cascade", teacher, 0.0),
     ]
     if rm_disabled is not None:
         arms.append(("rm-disabled-cascade", rm_disabled, 0.0))
@@ -339,7 +330,7 @@ def evaluate_run(
         candidates.append(
             sample_cascade_set(
                 net_, partition, n_steps, arm_alpha, cfg.n_per_set, n_classes,
-                rng.derive("arms"), tag, seed_label="arm",
+                rng.derive("arms"), tag,
             )
         )
     dataset_high = None
@@ -349,7 +340,7 @@ def evaluate_run(
     report = evaluate_sets(reference, candidates, dataset_high, cfg, rng.derive("eval"))
     report.write_csv(out_dir / "report.csv")
     n_sheet = min(cfg.contact_sheet_n, cfg.n_per_set)
-    contact_sheet(out_dir / "reference.pgm", reference.images[:n_sheet], cfg.contact_sheet_cols)
+    contact_sheet(out_dir / "reference.pgm", reference.images[:n_sheet])
     for cand in candidates:
-        contact_sheet(out_dir / f"{cand.tag}.pgm", cand.images[:n_sheet], cfg.contact_sheet_cols)
+        contact_sheet(out_dir / f"{cand.tag}.pgm", cand.images[:n_sheet])
     return report

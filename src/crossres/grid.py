@@ -75,17 +75,6 @@ class SeededRng:
         z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
         return z[:n].reshape(shape)
 
-    def normal_grid(self, channels: int, height: int, width: int) -> ImageGrid:
-        return self.normal((channels, height, width))
-
-
-def gaussian_noise(shape: tuple[int, int, int], rng: SeededRng) -> ImageGrid:
-    """I.i.d. standard normal grid; a pure function of (shape, rng state)."""
-    c, h, w = shape
-    if c <= 0 or h <= 0 or w <= 0:
-        raise ValueError(f"invalid grid shape {shape}")
-    return rng.normal_grid(c, h, w)
-
 
 def _axis_taps(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Half-pixel-center bilinear taps for one axis (align-corners OFF).

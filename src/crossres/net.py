@@ -104,8 +104,8 @@ class DenoiserNet:
         return DenoiserNet(self.spec, params.copy())
 
 
-def init_params(spec: NetSpec, rng: SeededRng, final_scale: float = 0.1) -> np.ndarray:
-    """Fan-in scaled Gaussian init; the last conv is shrunk by final_scale."""
+def init_params(spec: NetSpec, rng: SeededRng) -> np.ndarray:
+    """Fan-in scaled Gaussian init; the last conv is shrunk by 0.1."""
     params = np.zeros(param_count(spec), dtype=np.float64)
     net = DenoiserNet(spec, params)
     for l in range(spec.num_layers):
@@ -113,7 +113,7 @@ def init_params(spec: NetSpec, rng: SeededRng, final_scale: float = 0.1) -> np.n
         fan_in = w.shape[1] * 9
         scale = 1.0 / np.sqrt(fan_in)
         if l == spec.num_layers - 1:
-            scale *= final_scale
+            scale *= 0.1
         w[...] = rng.normal(w.shape) * scale
         if l < spec.num_layers - 1:
             fw = net.view(f"film{l}.weight")
@@ -170,9 +170,8 @@ def _forward_impl(net: DenoiserNet, x: ImageGrid, sigma: float, class_id):
             raise ValueError(f"class_id {class_id} out of range [0, {spec.class_count})")
     feats = time_features(sigma, spec.time_embed_dim)
     h = np.asarray(x, dtype=np.float64)
-    cache = {"inputs": [], "cols": [], "pre": [], "dact": [], "feats": feats}
+    cache = {"cols": [], "pre": [], "dact": [], "feats": feats}
     for l in range(spec.num_layers):
-        cache["inputs"].append(h)
         z, cols = _conv3x3(h, net.view(f"conv{l}.weight"))
         z = z + net.view(f"conv{l}.bias")[:, None, None]
         cache["cols"].append(cols)

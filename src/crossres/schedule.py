@@ -108,7 +108,6 @@ class ResolutionStage:
 @dataclass(frozen=True)
 class TrajectoryPartition:
     stages: tuple[ResolutionStage, ...]
-    thresholds: tuple[float, ...]  # logSNR, strictly increasing
     flow_shift: float
     t_max: float
 
@@ -187,7 +186,6 @@ def build_partition(
         )
     return TrajectoryPartition(
         stages=tuple(stages),
-        thresholds=tuple(thresholds),
         flow_shift=float(flow_shift),
         t_max=float(t_max),
     )

@@ -213,7 +213,6 @@ class TestCriterion07DistilledCascadeWins:
         report = ev.evaluate_run(
             student=state.generator,
             teacher=toy_teacher.net,
-            naive=toy_teacher.net,
             rm_disabled=toy_rm_disabled.generator,
             dataset=None,
             partition=toy_config.distill.partition(),

@@ -1,4 +1,8 @@
-"""RunConfig parsing/serialization, presets, and the CLI surface."""
+"""RunConfig parsing/serialization, presets, the CLI surface, and the
+pipeline script."""
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from crossres import config as cfgmod
@@ -15,8 +19,10 @@ class TestConfig:
         with pytest.raises(cfgmod.ConfigError, match="unknown preset"):
             cfgmod.preset("bogus")
 
-    def test_serialize_round_trip(self):
-        cfg = cfgmod.toy_default()
+    @pytest.mark.parametrize("name", sorted(cfgmod.PRESETS))
+    def test_serialize_round_trip(self, name):
+        # the text alone determines the config, whatever preset it is applied to
+        cfg = cfgmod.preset(name)
         text = cfgmod.serialize_config(cfg)
         overrides = cfgmod.parse_overrides(text)
         rebuilt = cfgmod.apply_overrides(cfgmod.toy_default(), overrides)
@@ -92,8 +98,18 @@ def micro_config(tmp_path):
 
 
 class TestCli:
-    def test_schedule_prints_sd35_row(self, capsys):
-        assert main(["schedule", "--preset", "sd35-like"]) == 0
+    @pytest.mark.parametrize("preset, config_text", [
+        ("sd35-like", None),
+        ("toy-default",
+         "distill.thresholds = (-2.5,)\ndistill.resolutions = (512, 1024)\ndistill.flow_shift = 3.0\n"),
+    ], ids=["preset", "config-file"])
+    def test_schedule_prints_sd35_row(self, tmp_path, capsys, preset, config_text):
+        argv = ["schedule", "--preset", preset]
+        if config_text is not None:
+            cfg_file = tmp_path / "sd35.cfg"
+            cfg_file.write_text(config_text)
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "[1000, 947, 750, 500]" in out
 
@@ -107,12 +123,18 @@ class TestCli:
         assert code == 2
         assert "missing prerequisite" in capsys.readouterr().err
 
-    def test_bad_config_key_is_reported(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, key", [
+        ("distill.nonsense = 1", "distill.nonsense"),
+        ("distill.n_steps = four", "distill.n_steps"),
+        ("distill.resolutions = (8, x)", "distill.resolutions"),
+    ], ids=["unknown-key", "bad-int", "bad-tuple-entry"])
+    def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("distill.nonsense = 1\n")
+        bad.write_text(line + "\n")
         code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "distill.nonsense" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
 
     def test_full_micro_pipeline(self, tmp_path, micro_config, capsys):
         out = str(tmp_path / "run")
@@ -152,3 +174,28 @@ class TestCli:
                   "--count", "2", "--many-step", "4"]) == 0
         )
         assert (tmp_path / "run" / "samples" / "stats.csv").exists()
+
+
+def _load_run_pipeline():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline.py"
+    spec = importlib.util.spec_from_file_location("run_pipeline", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunPipelineScript:
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_fast_config_file_removed(self, tmp_path, monkeypatch, code):
+        script = _load_run_pipeline()
+        seen = []
+
+        def stub_cli(argv):
+            cfg_path = Path(argv[argv.index("--config") + 1])
+            assert cfg_path.read_text() == script.FAST_OVERRIDES
+            seen.append(cfg_path)
+            return code
+
+        monkeypatch.setattr(script, "cli", stub_cli)
+        assert script.run(["--fast", "--out", str(tmp_path / "run")]) == code
+        assert seen and not any(p.exists() for p in seen)

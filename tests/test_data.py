@@ -104,6 +104,23 @@ class TestGenDataset:
             data.DataConfig(blur_prob=-0.5).validate()
 
 
+class TestLoadRejectsBadFiles:
+    @pytest.mark.parametrize("case", ["truncated", "trailing-bytes", "foreign"])
+    def test_error_names_path_and_reason(self, tmp_path, case):
+        path = tmp_path / "shapes.bin"
+        data.gen_dataset(data.DataConfig(n_per_class_low=2, n_per_class_high=2), SeededRng(19), path)
+        raw = path.read_bytes()
+        n = len(raw)
+        bad, reason = {
+            "truncated": (raw[:-1], f"expected {n} bytes from the header, found {n - 1}"),
+            "trailing-bytes": (raw + b"\0", f"expected {n} bytes from the header, found {n + 1}"),
+            "foreign": (b"P5\n4 4\n255\n" + bytes(16), "not a crossres dataset"),
+        }[case]
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=f"shapes.bin: {reason}"):
+            data.load_dataset(path)
+
+
 class TestEngineeredGap:
     def test_upsampled_low_tier_vs_high_tier_mmd(self):
         # two-sample distance between tiers exceeds the within-tier null

@@ -343,6 +343,14 @@ class TestTrainStep:
                 assert rec.phase == "warmup" and rec.stage == 1
         assert any(rec.stage == 2 for rec in records if rec.step >= cfg.warmup_steps)
 
+    def test_non_finite_loss_names_step_phase_stage(self):
+        cfg = desk_config()
+        teacher, state = self.make_state(cfg)
+        state.fake.params[:] = np.nan
+        with pytest.raises(RuntimeError, match=r"non-finite fake-score loss at step 0 phase warmup stage 1: "
+                                               r"nan; tensor stats mean="):
+            distill.train_step(state, teacher.net, cfg.partition(), cfg, [0, 1], SeededRng(45))
+
     def test_single_resolution_reduction(self):
         # alpha = 0 and a single stage at the final resolution: the step is
         # plain distribution matching (transform never changes resolution)

@@ -42,7 +42,7 @@ class TestMmd:
 
     def test_rejects_tiny_sets(self):
         with pytest.raises(ValueError):
-            ev.mmd_rbf(normal_set(9, 1), normal_set(10, 8))
+            ev.mmd_rbf(normal_set(9, 1), normal_set(10, 8), 1.0)
 
 
 class TestSummaryStats:

@@ -112,8 +112,8 @@ class TestAreaDownsample:
 
 class TestSeededRng:
     def test_same_seed_same_stream(self):
-        a = grid.gaussian_noise((1, 8, 8), grid.SeededRng(42))
-        b = grid.gaussian_noise((1, 8, 8), grid.SeededRng(42))
+        a = grid.SeededRng(42).normal((1, 8, 8))
+        b = grid.SeededRng(42).normal((1, 8, 8))
         assert np.array_equal(a, b)
 
     def test_derive_is_stable_and_distinct(self):
@@ -131,10 +131,6 @@ class TestSeededRng:
         a = grid.SeededRng(9).normal(7)
         b = grid.SeededRng(9).normal(7)
         assert np.array_equal(a, b)
-
-    def test_rejects_bad_noise_shape(self):
-        with pytest.raises(ValueError):
-            grid.gaussian_noise((0, 4, 4), grid.SeededRng(1))
 
 
 class TestImageIO:
