@@ -39,6 +39,7 @@ __all__ = [
     "implied_noise",
     "transition",
     "step_vjp",
+    "schedule_trace",
     "run_cascade",
     "infer",
 ]
@@ -167,7 +168,11 @@ class StepTape:
 
 @dataclass
 class CascadeRun:
-    final: ImageGrid
+    """A cascade's final state (the sample, or the state where a cut-short
+    run stopped), its trace and its tape. `final` is None for a plan: the
+    trace of a cascade not run."""
+
+    final: ImageGrid | None
     trace: InferenceTrace
     tape: list[StepTape] = field(default_factory=list)
 
@@ -190,59 +195,27 @@ def step_vjp(
     return grads, d_x0 + gx
 
 
-def run_cascade(
-    net: nets.DenoiserNet,
-    params: CascadeParams,
-    rng: SeededRng | None = None,
-    keep_tape: bool = False,
-) -> CascadeRun:
-    """Execute the cascade; optionally keep the per-step tape.
+def schedule_trace(partition: TrajectoryPartition, n_steps: int) -> InferenceTrace:
+    """The validated trace of an n_steps cascade, read off the schedule alone.
 
-    The noise stream draws, in order: the base noise at the first stage's
-    resolution, then one fresh Gaussian per transition. With a fixed seed
-    the run is bitwise deterministic.
+    Every step's stage, noise level, resolution and kind are fixed before
+    any state exists, so a cascade is checked before its first forward.
     """
-    p = params.partition
-    rng = rng if rng is not None else SeededRng(params.seed)
-    rows = inference_schedule(params.n_steps, p)
+    rows = inference_schedule(n_steps, partition)
     stages_seen = sorted({r.stage for r in rows})
-    if stages_seen != list(range(1, p.num_stages + 1)):
+    if stages_seen != list(range(1, partition.num_stages + 1)):
         raise CascadeError(
-            f"schedule visits stages {stages_seen}; every stage of 1..{p.num_stages} "
+            f"schedule visits stages {stages_seen}; every stage of 1..{partition.num_stages} "
             "needs at least one step"
         )
-    # terminal landing point: sigma = 0 in the final stage
-    next_stage = [r.stage for r in rows[1:]] + [p.num_stages]
-    next_sigma = [r.shifted_sigma for r in rows[1:]] + [0.0]
-
-    res0 = p.stages[rows[0].stage - 1].resolution
-    x = rng.normal((net.spec.channels[0], res0, res0))
-    tape: list[StepTape] = []
+    # terminal landing point: the final stage
+    next_stage = [r.stage for r in rows[1:]] + [partition.num_stages]
     records: list[TraceRecord] = []
     for j, row in enumerate(rows):
         if next_stage[j] not in (row.stage, row.stage + 1):
             raise CascadeError(
                 f"step {j}: stage jumps from {row.stage} to {next_stage[j]}; "
                 "the cascade only advances one stage at a time"
-            )
-        v = nets.forward(net, x, row.shifted_sigma, params.class_id)
-        is_transition = next_stage[j] != row.stage
-        if not is_transition:
-            x_next = x - (row.shifted_sigma - next_sigma[j]) * v
-        else:
-            _, x_next = transition(
-                x, v, row.shifted_sigma, next_sigma[j], params.alpha_inference,
-                p.stages[next_stage[j] - 1].resolution, rng,
-            )
-        if keep_tape:
-            tape.append(
-                StepTape(
-                    kind="transition" if is_transition else "euler",
-                    x_in=x,
-                    sigma_in=row.shifted_sigma,
-                    sigma_next=next_sigma[j],
-                    alpha=params.alpha_inference if is_transition else None,
-                )
             )
         records.append(
             TraceRecord(
@@ -252,12 +225,63 @@ def run_cascade(
                 shifted_t=row.shifted_t,
                 sigma=row.shifted_sigma,
                 resolution=row.resolution,
-                transition=is_transition,
+                transition=next_stage[j] != row.stage,
             )
         )
-        x = x_next
     trace = InferenceTrace(records)
-    trace.validate(p)
+    trace.validate(partition)
+    return trace
+
+
+def run_cascade(
+    net: nets.DenoiserNet,
+    params: CascadeParams,
+    rng: SeededRng | None = None,
+    keep_tape: bool = False,
+    stop: int | None = None,
+) -> CascadeRun:
+    """Execute the cascade; optionally keep the per-step tape.
+
+    The noise stream draws, in order: the base noise at the first stage's
+    resolution, then one fresh Gaussian per transition. With a fixed seed
+    the run is bitwise deterministic. Given `stop`, the run ends before
+    step `stop`: `final` is the state entering it and the tape holds the
+    steps before it. Nothing is evaluated or drawn from that step on, so
+    the state and tape equal those of the full run. The trace is always
+    the full schedule's.
+    """
+    trace = schedule_trace(params.partition, params.n_steps)
+    records = trace.records
+    stop = len(records) if stop is None else stop
+    if not 0 <= stop <= len(records):
+        raise ValueError(f"stop must lie in [0, {len(records)}], got {stop}")
+    # terminal landing point: sigma = 0
+    next_sigma = [r.sigma for r in records[1:]] + [0.0]
+
+    rng = rng if rng is not None else SeededRng(params.seed)
+    res0 = records[0].resolution
+    x = rng.normal((net.spec.channels[0], res0, res0))
+    tape: list[StepTape] = []
+    for j, record in enumerate(records[:stop]):
+        v = nets.forward(net, x, record.sigma, params.class_id)
+        if not record.transition:
+            x_next = x - (record.sigma - next_sigma[j]) * v
+        else:
+            _, x_next = transition(
+                x, v, record.sigma, next_sigma[j], params.alpha_inference,
+                records[j + 1].resolution, rng,
+            )
+        if keep_tape:
+            tape.append(
+                StepTape(
+                    kind="transition" if record.transition else "euler",
+                    x_in=x,
+                    sigma_in=record.sigma,
+                    sigma_next=next_sigma[j],
+                    alpha=params.alpha_inference if record.transition else None,
+                )
+            )
+        x = x_next
     return CascadeRun(final=x, trace=trace, tape=tape)
 
 

@@ -39,11 +39,11 @@ def teacher_loss(
     eps = rng.normal(np.shape(x0))
     x_t = add_noise(x0, eps, sigma)
     target = velocity_target(x0, eps)
-    pred = nets.forward(net, x_t, sigma, class_id)
+    pred, cache = nets.forward(net, x_t, sigma, class_id, keep_cache=True)
     resid = pred - target
     d = resid.size
     loss = float(np.mean(resid * resid))
-    grads, _ = nets.backward(net, x_t, sigma, class_id, 2.0 * resid / d)
+    grads, _ = nets.backward(net, x_t, sigma, class_id, 2.0 * resid / d, cache)
     return loss, grads
 
 

@@ -3,9 +3,10 @@
 Compresses a multi-step teacher into a few-step cascaded generator by
 matching distributions in the teacher's (high-resolution) space:
 
-1. run the generator's own cascade and record every intermediate state,
-2. draw one (stage, timestep) pair per batch, warm-up gated to the
-   high-noise stages,
+1. draw one (stage, timestep) pair per batch, warm-up gated to the
+   high-noise stages, and select the schedule step nearest it,
+2. run the generator's own cascade up to the selected step, recording
+   every state before it,
 3. project the selected state to the final resolution with the cascade's
    own `transition` (denoise to a clean estimate, upsample, and re-noise
    with an alpha-mix of model-implied and fresh Gaussian noise), taken at
@@ -27,7 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import net as nets
-from .cascade import CascadeParams, CascadeRun, StepTape, run_cascade, step_vjp, transition
+from .cascade import (
+    CascadeParams, CascadeRun, StepTape, run_cascade, schedule_trace, step_vjp, transition,
+)
 from .diffusion import TeacherModel, tensor_stats
 from .grid import ImageGrid, SeededRng
 from .schedule import TrajectoryPartition, build_partition, unshift_sigma
@@ -194,8 +197,10 @@ def generate_cascade_states(
     n_steps: int,
     rng: SeededRng,
     alpha_inference: float = 1.0,
+    stop: int | None = None,
 ) -> CascadeRun:
-    """Run the generator's own cascade, recording every pre-step state."""
+    """Run the generator's own cascade, recording every pre-step state;
+    with `stop`, only up to the state entering that step (`run.final`)."""
     params = CascadeParams(
         partition=partition,
         n_steps=n_steps,
@@ -203,11 +208,12 @@ def generate_cascade_states(
         class_id=class_id,
         seed=rng.seed,
     )
-    return run_cascade(generator, params, rng=rng, keep_tape=True)
+    return run_cascade(generator, params, rng=rng, keep_tape=True, stop=stop)
 
 
 def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: float) -> int:
-    """The recorded state of `stage` nearest the sampled shifted timestep.
+    """The step of `stage` whose state is nearest the sampled shifted
+    timestep. Reads only the trace, so a plan serves as well as a run.
 
     Ties resolve toward the earlier (noisier) step.
     """
@@ -326,13 +332,13 @@ def fake_score_loss(
     generator's own clean estimates; clean_target must already be
     detached from the generator."""
     lam = snr_weight(sigma_stage, snr_clamp)
-    v = nets.forward(fake, x_high, sigma_target, class_id)
+    v, cache = nets.forward(fake, x_high, sigma_target, class_id, keep_cache=True)
     x0_pred = x_high - sigma_target * v
     residual = x0_pred - clean_target
     d = residual.size
     loss = lam * float(np.mean(residual * residual))
     upstream_v = lam * (2.0 / d) * residual * (-sigma_target)
-    grads, _ = nets.backward(fake, x_high, sigma_target, class_id, upstream_v)
+    grads, _ = nets.backward(fake, x_high, sigma_target, class_id, upstream_v, cache)
     return loss, grads
 
 
@@ -370,21 +376,23 @@ def train_step(
     sigma_stage = shifted_t / partition.t_max
     final_res = partition.final_resolution
 
-    runs, selections, transforms = [], [], []
+    # Every sample follows the same schedule, so the selected step is
+    # chosen once from the plan, and each cascade runs only up to it.
+    plan = CascadeRun(final=None, trace=schedule_trace(partition, config.n_steps))
+    sel = select_state_index(plan, stage, shifted_t, partition.t_max)
+    sigma_state = plan.trace.records[sel].sigma
+    runs, transforms = [], []
     for i, class_id in enumerate(class_ids):
         run = generate_cascade_states(
             state.generator, class_id, partition, config.n_steps,
-            rng.derive(f"cascade:{state.step}:{i}"), config.alpha_inference,
+            rng.derive(f"cascade:{state.step}:{i}"), config.alpha_inference, stop=sel,
         )
-        sel = select_state_index(run, stage, shifted_t, partition.t_max)
-        src = run.tape[sel]
         tape = upsample_transform(
-            state.generator, src.x_in, src.sigma_in, class_id,
+            state.generator, run.final, sigma_state, class_id,
             sigma_target, config.alpha, final_res,
             rng.derive(f"transform:{state.step}:{i}"),
         )
         runs.append(run)
-        selections.append(sel)
         transforms.append(tape)
 
     # fake score update (clean targets and states are detached values)
@@ -405,7 +413,7 @@ def train_step(
     # generator update against the just-updated fake score
     gen_grads = np.zeros_like(state.generator.params)
     gen_loss = 0.0
-    for class_id, run, sel, tape in zip(class_ids, runs, selections, transforms):
+    for class_id, run, tape in zip(class_ids, runs, transforms):
         loss, upstream = generator_loss(
             tape.x_high, sigma_target, state.fake, teacher, class_id,
             config.pseudo_huber_scale,

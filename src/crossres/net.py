@@ -15,9 +15,11 @@ forward passes into one differentiable pipeline.
 """
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -51,15 +53,20 @@ class NetSpec:
         return len(self.channels) - 1
 
 
-def param_layout(spec: NetSpec) -> list[tuple[str, tuple[int, ...], int]]:
-    """Ordered (name, shape, offset) table for the flat parameter vector."""
-    layout = []
+@functools.cache
+def param_layout(spec: NetSpec) -> dict[str, tuple[tuple[int, ...], slice]]:
+    """name -> (shape, slice of the flat parameter vector), in vector order.
+
+    Built once per spec and shared by every net of that spec; read only.
+    """
+    layout = {}
     offset = 0
 
     def add(name, shape):
         nonlocal offset
-        layout.append((name, shape, offset))
-        offset += int(np.prod(shape))
+        size = int(np.prod(shape))
+        layout[name] = (shape, slice(offset, offset + size))
+        offset += size
 
     for l in range(spec.num_layers):
         c_in, c_out = spec.channels[l], spec.channels[l + 1]
@@ -74,9 +81,7 @@ def param_layout(spec: NetSpec) -> list[tuple[str, tuple[int, ...], int]]:
 
 
 def param_count(spec: NetSpec) -> int:
-    layout = param_layout(spec)
-    name, shape, offset = layout[-1]
-    return offset + int(np.prod(shape))
+    return max(sl.stop for _, sl in param_layout(spec).values())
 
 
 @dataclass
@@ -89,10 +94,7 @@ class DenoiserNet:
         expected = param_count(self.spec)
         if self.params.size != expected:
             raise ValueError(f"params has {self.params.size} entries, spec needs {expected}")
-        self._layout = {
-            name: (shape, slice(offset, offset + int(np.prod(shape))))
-            for name, shape, offset in param_layout(self.spec)
-        }
+        self._layout = param_layout(self.spec)
 
     def view(self, name: str) -> np.ndarray:
         # computed from the current buffer every call, so reassigning
@@ -135,13 +137,19 @@ def time_features(sigma: float, dim: int) -> np.ndarray:
 def _conv3x3(x: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padded 3x3 cross-correlation; x is (C_in, H, W).
 
-    Also returns the im2col matrix, which the weight gradient reuses.
+    Also returns the im2col matrix, which the weight gradient reuses: row
+    i * W + j holds the 3x3 window at pixel (i, j), column c * 9 + 3a + b
+    its tap (a, b) of channel c. It is filled by nine slice copies, one per
+    tap, from a channel-last padded copy of x.
     """
     c_in, h, w = x.shape
-    xp = np.zeros((c_in, h + 2, w + 2), dtype=np.float64)
-    xp[:, 1:-1, 1:-1] = x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h * w, c_in * 9)
+    xp = np.zeros((h + 2, w + 2, c_in), dtype=np.float64)
+    xp[1:-1, 1:-1] = x.transpose(1, 2, 0)
+    cols = np.empty((h * w, c_in * 9), dtype=np.float64)
+    taps = cols.reshape(h, w, c_in, 3, 3)
+    for a in range(3):
+        for b in range(3):
+            taps[:, :, :, a, b] = xp[a : a + h, b : b + w]
     out = cols @ weight.reshape(weight.shape[0], c_in * 9).T
     return out.T.reshape(weight.shape[0], h, w), cols
 
@@ -193,10 +201,20 @@ def _forward_impl(net: DenoiserNet, x: ImageGrid, sigma: float, class_id):
     return h, cache
 
 
-def forward(net: DenoiserNet, x: ImageGrid, sigma: float, class_id: int | None = None) -> ImageGrid:
-    """Velocity prediction with the same shape as x."""
-    out, _ = _forward_impl(net, x, sigma, class_id)
-    return out
+def forward(
+    net: DenoiserNet,
+    x: ImageGrid,
+    sigma: float,
+    class_id: int | None = None,
+    keep_cache: bool = False,
+):
+    """Velocity prediction with the same shape as x.
+
+    With keep_cache=True returns (prediction, cache); passing that cache to
+    `backward` on the same inputs and parameters spares it the forward.
+    """
+    out, cache = _forward_impl(net, x, sigma, class_id)
+    return (out, cache) if keep_cache else out
 
 
 def backward(
@@ -205,16 +223,20 @@ def backward(
     sigma: float,
     class_id: int | None,
     upstream: ImageGrid,
+    cache: dict | None = None,
 ) -> tuple[np.ndarray, ImageGrid]:
     """Exact reverse-mode gradients of sum(forward * upstream).
 
+    `cache` is the one `forward(..., keep_cache=True)` returned for these
+    inputs and parameters; without it the forward is run again.
     Returns (flat parameter gradient, input gradient).
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     out_shape = (net.spec.channels[-1],) + tuple(np.shape(x)[1:])
     if upstream.shape != out_shape:
         raise ValueError(f"upstream shape {upstream.shape} != output shape {out_shape}")
-    _, cache = _forward_impl(net, x, sigma, class_id)
+    if cache is None:
+        _, cache = _forward_impl(net, x, sigma, class_id)
     spec = net.spec
     grads = np.zeros_like(net.params)
     gnet = DenoiserNet(spec, grads)  # reuse the layout views for accumulation
@@ -399,21 +421,29 @@ def save_checkpoint(path, net: DenoiserNet) -> None:
 
 
 def load_checkpoint(path) -> DenoiserNet:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(header_len).decode())
-        spec = NetSpec(
-            channels=tuple(header["channels"]),
-            time_embed_dim=header["time_embed_dim"],
-            class_count=header["class_count"],
+    """Read a `save_checkpoint` file; rejects foreign, truncated or padded files."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file (magic {raw[:4]!r})")
+    if len(raw) < 12:
+        raise ValueError(f"{path}: expected at least 12 bytes of preamble, found {len(raw)}")
+    version, header_len = struct.unpack_from("<II", raw, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    payload_start = 12 + header_len
+    if len(raw) < payload_start:
+        raise ValueError(
+            f"{path}: truncated inside the header: expected at least {payload_start} bytes, "
+            f"found {len(raw)}"
         )
-        params = np.frombuffer(f.read(), dtype="<f8").astype(np.float64)
-    if params.size != header["param_count"]:
-        raise ValueError("checkpoint payload does not match declared parameter count")
+    header = json.loads(raw[12:payload_start].decode())
+    expected = payload_start + 8 * header["param_count"]
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes from the header, found {len(raw)}")
+    spec = NetSpec(
+        channels=tuple(header["channels"]),
+        time_embed_dim=header["time_embed_dim"],
+        class_count=header["class_count"],
+    )
+    params = np.frombuffer(raw, dtype="<f8", offset=payload_start).astype(np.float64)
     return DenoiserNet(spec, params)

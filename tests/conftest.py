@@ -3,10 +3,17 @@
 The acceptance suite and the training smoke tests reuse these artifacts;
 everything derives from one root seed so reruns are identical.
 """
-import pytest
+import os
 
-from crossres import config as cfgmod, data, diffusion, distill
-from crossres.grid import SeededRng
+# one core is the documented target: pin BLAS before numpy loads; a value
+# set in the environment wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from crossres import config as cfgmod, data, diffusion, distill  # noqa: E402
+from crossres.grid import SeededRng  # noqa: E402
 
 ROOT_SEED = 0
 

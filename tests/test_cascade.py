@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from crossres import cascade, net as nets, schedule as sch
+from crossres import cascade, config as cfgmod, net as nets, schedule as sch
 from crossres.grid import SeededRng, bilinear_upsample
 
 
@@ -106,6 +106,48 @@ class TestInfer:
         p = desk_partition()
         with pytest.raises(ValueError):
             cascade.CascadeParams(p, n_steps=1, class_id=0, seed=13)
+
+
+class TestCutShort:
+    def setup_method(self):
+        d = cfgmod.toy_default().distill
+        self.partition, self.n_steps = d.partition(), d.n_steps
+
+    def params(self):
+        return cascade.CascadeParams(self.partition, self.n_steps, 1.0, class_id=2, seed=22)
+
+    def test_equals_prefix_of_full_run(self, monkeypatch):
+        net = random_net(23)
+        full = cascade.run_cascade(net, self.params(), keep_tape=True)
+        forward, calls = cascade.nets.forward, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(cascade.nets, "forward", counted)
+        for stop in range(self.n_steps):
+            calls.clear()
+            cut = cascade.run_cascade(net, self.params(), keep_tape=True, stop=stop)
+            assert len(calls) == stop
+            assert np.array_equal(cut.final, full.tape[stop].x_in)
+            assert len(cut.tape) == stop
+            for a, b in zip(cut.tape, full.tape[:stop]):
+                assert np.array_equal(a.x_in, b.x_in)
+                assert (a.kind, a.sigma_in, a.sigma_next, a.alpha) == (b.kind, b.sigma_in, b.sigma_next, b.alpha)
+            assert cut.trace == full.trace
+            cut.trace.validate(self.partition)
+
+    def test_stop_at_end_is_the_full_run(self):
+        net = random_net(24)
+        full = cascade.run_cascade(net, self.params())
+        cut = cascade.run_cascade(net, self.params(), stop=self.n_steps)
+        assert np.array_equal(cut.final, full.final)
+
+    @pytest.mark.parametrize("stop", [-1, 5])
+    def test_rejects_stop_outside_schedule(self, stop):
+        with pytest.raises(ValueError, match="stop"):
+            cascade.run_cascade(random_net(25), self.params(), stop=stop)
 
 
 class TestNaiveCascade:

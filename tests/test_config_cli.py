@@ -1,10 +1,14 @@
 """RunConfig parsing/serialization, presets, the CLI surface, and the
 pipeline script."""
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import crossres
 from crossres import config as cfgmod
 from crossres.cli import main
 
@@ -199,3 +203,21 @@ class TestRunPipelineScript:
         monkeypatch.setattr(script, "cli", stub_cli)
         assert script.run(["--fast", "--out", str(tmp_path / "run")]) == code
         assert seen and not any(p.exists() for p in seen)
+
+
+class TestBlasThreadPin:
+    THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def pinned(self, **env):
+        base = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
+        base["PYTHONPATH"] = str(Path(crossres.__file__).resolve().parents[1])
+        code = f"import crossres, os; print(*(os.environ[v] for v in {self.THREAD_VARS!r}))"
+        out = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                             capture_output=True, text=True, check=True)
+        return out.stdout.split()
+
+    def test_import_pins_one_thread(self):
+        assert self.pinned() == ["1", "1", "1"]
+
+    def test_explicit_setting_wins(self):
+        assert self.pinned(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]

@@ -50,9 +50,11 @@ class TestTeacherLoss:
         net = nets.DenoiserNet(spec, np.zeros(nets.param_count(spec)))
         x0 = SeededRng(99).normal((1, 8, 8))
 
-        def perfect_forward(net_, x_t, sigma, class_id=None):
-            # reconstruct the true velocity from the interpolation identity
-            return (x_t - x0) / max(sigma, 1e-300)
+        def perfect_forward(net_, x_t, sigma, class_id=None, keep_cache=False):
+            # reconstruct the true velocity from the interpolation identity;
+            # no cache, so backward evaluates the real net itself
+            v = (x_t - x0) / max(sigma, 1e-300)
+            return (v, None) if keep_cache else v
 
         monkeypatch.setattr(diffusion.nets, "forward", perfect_forward)
         loss, grads = diffusion.teacher_loss(net, x0, None, SeededRng(7))

@@ -1,9 +1,11 @@
 """Distillation engine: losses, stop-gradient contract, chain gradients,
 stage sampling, and the training smoke test."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from crossres import data, diffusion, distill, net as nets, schedule as sch
+from crossres import config as cfgmod, data, diffusion, distill, net as nets, schedule as sch
 from crossres.diffusion import TeacherModel
 from crossres.grid import SeededRng
 
@@ -360,6 +362,48 @@ class TestTrainStep:
         assert p.num_stages == 1 and p.final_resolution == 16
         rec = distill.train_step(state, teacher.net, p, cfg, [0], SeededRng(42))
         assert rec.stage == 1
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_net_work_per_step(self, monkeypatch, stage):
+        # Per sample: sel cascade forwards, one projection, two in the
+        # generator loss and one in the fake loss; backwards for the fake
+        # loss, the projection and the sel chain steps. Only the projection
+        # and chain backwards evaluate their forward again: the fake loss
+        # hands its forward's cache to its backward.
+        cfg = replace(cfgmod.toy_default().distill, batch_size=3, warmup_steps=0)
+        p = cfg.partition()
+        spec = nets.NetSpec(channels=(1, 4, 4, 1), time_embed_dim=4, class_count=3)
+        teacher = TeacherModel(net=tiny_net(46, spec), trained_resolutions=[8, 16])
+        state = distill.init_distill_state(teacher, cfg)
+        counts = {"forward": 0, "backward": 0, "impl": 0}
+        selected = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        weights = tuple(1.0 if k == stage else 0.0 for k in (1, 2))
+        draw = distill.sample_stage_and_timestep
+        select = distill.select_state_index
+        monkeypatch.setattr(distill, "sample_stage_and_timestep",
+                            lambda part, phase, rng: draw(part, phase, rng, weights))
+
+        def recording_select(*args):
+            selected.append(select(*args))
+            return selected[-1]
+
+        monkeypatch.setattr(distill, "select_state_index", recording_select)
+        monkeypatch.setattr(nets, "forward", counted("forward", nets.forward))
+        monkeypatch.setattr(nets, "backward", counted("backward", nets.backward))
+        monkeypatch.setattr(nets, "_forward_impl", counted("impl", nets._forward_impl))
+        rec = distill.train_step(state, teacher.net, p, cfg, [0, 1, 2], SeededRng(47))
+        assert rec.stage == stage and len(selected) == 1
+        b, sel = cfg.batch_size, selected[0]
+        assert counts["forward"] == b * (sel + 4)
+        assert counts["backward"] == b * (sel + 2)
+        assert counts["impl"] - counts["forward"] == b * (sel + 1)
 
     @pytest.mark.slow
     def test_training_smoke_loss_drops(self):

@@ -1,4 +1,7 @@
 """Denoiser network: exact gradients, optimizer recurrence, checkpoints."""
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -77,6 +80,45 @@ class TestBackward:
         n = make_net()
         with pytest.raises(ValueError):
             nets.backward(n, np.zeros((1, 8, 8)), 0.5, 0, np.zeros((1, 4, 4)))
+
+    @pytest.mark.parametrize("px", [8, 16])
+    @pytest.mark.parametrize("class_id", [None, 1])
+    def test_forward_cache_reuse_is_bit_identical(self, px, class_id):
+        n = make_net(nets.NetSpec(), seed=17)
+        rng = SeededRng(18)
+        x = rng.normal((1, px, px))
+        up = rng.normal((1, px, px))
+        out, cache = nets.forward(n, x, 0.6, class_id, keep_cache=True)
+        assert np.array_equal(out, nets.forward(n, x, 0.6, class_id))
+        gp, gx = nets.backward(n, x, 0.6, class_id, up)
+        gp_cached, gx_cached = nets.backward(n, x, 0.6, class_id, up, cache)
+        assert np.array_equal(gp_cached, gp)
+        assert np.array_equal(gx_cached, gx)
+
+
+def sliding_window_conv3x3(x, weight):
+    """The reference im2col: reshape of a sliding-window view of the padded input."""
+    c_in, h, w = x.shape
+    xp = np.zeros((c_in, h + 2, w + 2))
+    xp[:, 1:-1, 1:-1] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h * w, c_in * 9)
+    out = cols @ weight.reshape(weight.shape[0], c_in * 9).T
+    return out.T.reshape(weight.shape[0], h, w), cols
+
+
+class TestConv3x3:
+    @pytest.mark.parametrize("c_in", [1, 24])
+    @pytest.mark.parametrize("c_out", [1, 24])
+    @pytest.mark.parametrize("px", [8, 16])
+    def test_matches_sliding_window_im2col(self, c_in, c_out, px):
+        rng = SeededRng(19)
+        x = rng.normal((c_in, px, px))
+        weight = rng.normal((c_out, c_in, 3, 3))
+        out, cols = nets._conv3x3(x, weight)
+        ref_out, ref_cols = sliding_window_conv3x3(x, weight)
+        assert np.array_equal(cols, ref_cols)
+        assert np.array_equal(out, ref_out)
 
 
 class TestGradientCheck:
@@ -174,4 +216,35 @@ class TestCheckpoint:
         raw[4] = 99  # bump the little-endian version field
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
+            nets.load_checkpoint(path)
+
+    @staticmethod
+    def saved(tmp_path):
+        path = tmp_path / "net.ckpt"
+        nets.save_checkpoint(path, make_net(seed=17))
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("missing", [1, 8])
+    def test_refuses_truncated_payload(self, tmp_path, missing):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw[:-missing])
+        expected = re.escape(f"{path}: expected {len(raw)} bytes from the header, found {len(raw) - missing}")
+        with pytest.raises(ValueError, match=expected):
+            nets.load_checkpoint(path)
+
+    def test_refuses_padded_payload(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw + b"\x00" * 8)
+        with pytest.raises(ValueError, match=re.escape(f"expected {len(raw)} bytes from the header")):
+            nets.load_checkpoint(path)
+
+    def test_refuses_file_cut_inside_header(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        path.write_bytes(raw[: 12 + header_len // 2])
+        expected = re.escape(
+            f"{path}: truncated inside the header: expected at least {12 + header_len} bytes, "
+            f"found {12 + header_len // 2}"
+        )
+        with pytest.raises(ValueError, match=expected):
             nets.load_checkpoint(path)
