@@ -16,10 +16,15 @@ alpha = 1 it continues the trajectory exactly.
 Distillation's projection into the teacher space is the same transition,
 taken to the final resolution at the drawn teacher noise level. Both kinds
 of step share one adjoint, `step_vjp`, which reads a `StepTape` record.
+
+States are batches (N, C, H, W): the cascades of a batch share their
+schedule, so they run in lock-step through one net call per step, while
+each sample draws its noise from its own seeded stream.
 """
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,24 +74,25 @@ def implied_noise(x: ImageGrid, v: ImageGrid, sigma: float) -> ImageGrid:
 
 
 def transition(
-    x: ImageGrid,
-    v: ImageGrid,
+    x: np.ndarray,
+    v: np.ndarray,
     sigma: float,
     sigma_next: float,
     alpha: float,
     res: int,
-    rng: SeededRng,
-) -> tuple[ImageGrid, ImageGrid]:
-    """Denoise, upsample to `res`, and re-noise at sigma_next.
+    rngs: Sequence[SeededRng],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Denoise, upsample to `res`, and re-noise at sigma_next, for a batch
+    x of states (N, C, H, W) with predicted velocities v.
 
     x_next = (1 - s) U(x0_hat) + s mix_noise(U(x0_hat + v), eps, alpha)
     with x0_hat = x - sigma * v, s = sigma_next and one fresh Gaussian eps
-    drawn from `rng`. Returns (U(x0_hat), x_next).
+    per image, drawn from that image's rng. Returns (U(x0_hat), x_next).
     """
     x0_hat = x - sigma * v
     clean_up = bilinear_upsample(x0_hat, res, res)
     predicted = bilinear_upsample(implied_noise(x, v, sigma), res, res)
-    eps = rng.normal(clean_up.shape)
+    eps = np.stack([rng.normal(clean_up.shape[1:]) for rng in rngs])
     x_next = (1.0 - sigma_next) * clean_up + sigma_next * mix_noise(predicted, eps, alpha)
     return clean_up, x_next
 
@@ -157,10 +163,10 @@ class InferenceTrace:
 
 @dataclass
 class StepTape:
-    """What `step_vjp` reads about one step."""
+    """What `step_vjp` reads about one step of a batch."""
 
     kind: str  # "euler" or "transition"
-    x_in: ImageGrid  # state before the step (the recorded cascade state)
+    x_in: np.ndarray  # states before the step (the recorded cascade states)
     sigma_in: float  # sigma conditioning the prediction
     sigma_next: float  # sigma of the successor state
     alpha: float | None  # noise-mix weight of a transition; None for Euler
@@ -168,30 +174,30 @@ class StepTape:
 
 @dataclass
 class CascadeRun:
-    """A cascade's final state (the sample, or the state where a cut-short
-    run stopped), its trace and its tape. `final` is None for a plan: the
-    trace of a cascade not run."""
+    """A batch of cascades' final states (the samples, or the states where
+    a cut-short run stopped), their shared trace and their tape. `final` is
+    None for a plan: the trace of a cascade not run."""
 
-    final: ImageGrid | None
+    final: np.ndarray | None
     trace: InferenceTrace
     tape: list[StepTape] = field(default_factory=list)
 
 
 def step_vjp(
-    net: nets.DenoiserNet, tape: StepTape, class_id: int | None, d_next: ImageGrid
-) -> tuple[np.ndarray, ImageGrid]:
-    """Adjoint of one recorded step: (param grads, grad at tape.x_in) from
-    the gradient at the step's output. The fresh noise of a transition is
-    a constant, so it needs no record."""
+    net: nets.DenoiserNet, tape: StepTape, class_ids: Sequence[int | None], d_next: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of one recorded step: (param grads summed over the batch,
+    grad at tape.x_in) from the gradient at the step's output. The fresh
+    noise of a transition is a constant, so it needs no record."""
     if tape.kind == "euler":
         d_v = -(tape.sigma_in - tape.sigma_next) * d_next
-        grads, gx = nets.backward(net, tape.x_in, tape.sigma_in, class_id, d_v)
+        grads, gx = nets.backward(net, tape.x_in, tape.sigma_in, class_ids, d_v)
         return grads, d_next + gx
-    src_h, src_w = tape.x_in.shape[1:]
+    src_h, src_w = tape.x_in.shape[-2:]
     sn, a = tape.sigma_next, tape.alpha
     d_x0 = bilinear_upsample_t(((1.0 - sn) + sn * a) * d_next, src_h, src_w)
     d_v = bilinear_upsample_t(sn * a * d_next, src_h, src_w) - tape.sigma_in * d_x0
-    grads, gx = nets.backward(net, tape.x_in, tape.sigma_in, class_id, d_v)
+    grads, gx = nets.backward(net, tape.x_in, tape.sigma_in, class_ids, d_v)
     return grads, d_x0 + gx
 
 
@@ -235,21 +241,29 @@ def schedule_trace(partition: TrajectoryPartition, n_steps: int) -> InferenceTra
 
 def run_cascade(
     net: nets.DenoiserNet,
-    params: CascadeParams,
-    rng: SeededRng | None = None,
+    batch: Sequence[CascadeParams],
     keep_tape: bool = False,
     stop: int | None = None,
 ) -> CascadeRun:
-    """Execute the cascade; optionally keep the per-step tape.
+    """Execute a batch of cascades in lock-step; optionally keep the
+    per-step tape.
 
-    The noise stream draws, in order: the base noise at the first stage's
-    resolution, then one fresh Gaussian per transition. With a fixed seed
-    the run is bitwise deterministic. Given `stop`, the run ends before
-    step `stop`: `final` is the state entering it and the tape holds the
-    steps before it. Nothing is evaluated or drawn from that step on, so
-    the state and tape equal those of the full run. The trace is always
-    the full schedule's.
+    The batch shares its partition, step count and alpha_inference; each
+    sample brings its class id and seed. Sample i's noise stream is
+    SeededRng(batch[i].seed), which draws, in order: the base noise at the
+    first stage's resolution, then one fresh Gaussian per transition. With
+    fixed seeds the run is bitwise deterministic. Given `stop`, the run
+    ends before step `stop`: `final` holds the states entering it and the
+    tape the steps before it. Nothing is evaluated or drawn from that step
+    on, so the states and tape equal those of the full run. The trace is
+    always the full schedule's.
     """
+    if not batch:
+        raise ValueError("a cascade batch needs at least one sample")
+    params = batch[0]
+    shared = (params.partition, params.n_steps, params.alpha_inference)
+    if any((p.partition, p.n_steps, p.alpha_inference) != shared for p in batch[1:]):
+        raise ValueError("a cascade batch must share partition, n_steps and alpha_inference")
     trace = schedule_trace(params.partition, params.n_steps)
     records = trace.records
     stop = len(records) if stop is None else stop
@@ -258,18 +272,19 @@ def run_cascade(
     # terminal landing point: sigma = 0
     next_sigma = [r.sigma for r in records[1:]] + [0.0]
 
-    rng = rng if rng is not None else SeededRng(params.seed)
+    rngs = [SeededRng(p.seed) for p in batch]
+    class_ids = [p.class_id for p in batch]
     res0 = records[0].resolution
-    x = rng.normal((net.spec.channels[0], res0, res0))
+    x = np.stack([rng.normal((net.spec.channels[0], res0, res0)) for rng in rngs])
     tape: list[StepTape] = []
     for j, record in enumerate(records[:stop]):
-        v = nets.forward(net, x, record.sigma, params.class_id)
+        v = nets.forward(net, x, record.sigma, class_ids)
         if not record.transition:
             x_next = x - (record.sigma - next_sigma[j]) * v
         else:
             _, x_next = transition(
                 x, v, record.sigma, next_sigma[j], params.alpha_inference,
-                records[j + 1].resolution, rng,
+                records[j + 1].resolution, rngs,
             )
         if keep_tape:
             tape.append(
@@ -285,8 +300,9 @@ def run_cascade(
     return CascadeRun(final=x, trace=trace, tape=tape)
 
 
-def infer(net: nets.DenoiserNet, params: CascadeParams) -> tuple[ImageGrid, InferenceTrace]:
-    """Cascaded few-step sampling; returns the clean sample and its trace."""
-    run = run_cascade(net, params)
-    return run.final, run.trace
+def infer(net: nets.DenoiserNet, params: CascadeParams) -> tuple[np.ndarray, InferenceTrace]:
+    """Cascaded few-step sampling of one image (C, H, W); returns the clean
+    sample and its trace."""
+    run = run_cascade(net, [params])
+    return run.final[0], run.trace
 

@@ -112,34 +112,39 @@ def cmd_distill(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _resolve_config(args)
+    if args.count < 1:
+        raise cfgmod.ConfigError(f"--count must be at least 1, got {args.count}")
     ckpt = Path(args.checkpoint) if args.checkpoint else _generator_path(cfg)
     net = nets.load_checkpoint(_require(ckpt, "distill"))
     out_dir = Path(cfg.out_dir) / "samples"
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = SeededRng(cfg.seed)
     stats_rows = []
+    class_ids = [args.class_id if args.class_id is not None else i % cfg.data.n_classes
+                 for i in range(args.count)]
     if args.many_step:
         res = cfg.distill.resolutions[-1]
-        for i in range(args.count):
-            class_id = args.class_id if args.class_id is not None else i % cfg.data.n_classes
-            img = diffusion.euler_sample(net, class_id, res, args.many_step, rng.derive(f"euler:{i}"))
-            write_pgm(out_dir / f"sample-{i:03d}.pgm", img, lo=-0.25, hi=1.25)
-            stats_rows.append((i, class_id, float(img.mean()), float(img.var())))
+        rngs = [rng.derive(f"euler:{i}") for i in range(args.count)]
+        images = diffusion.euler_sample(net, class_ids, res, args.many_step, rngs)
     else:
         partition = cfg.distill.partition()
-        for i in range(args.count):
-            class_id = args.class_id if args.class_id is not None else i % cfg.data.n_classes
-            params = cascade.CascadeParams(
+        batch = [
+            cascade.CascadeParams(
                 partition=partition,
                 n_steps=cfg.distill.n_steps,
                 alpha_inference=cfg.distill.alpha_inference,
                 class_id=class_id,
                 seed=rng.derive(f"cascade:{i}").seed,
             )
-            img, trace = cascade.infer(net, params)
-            write_pgm(out_dir / f"sample-{i:03d}.pgm", img, lo=-0.25, hi=1.25)
-            trace.write_csv(out_dir / f"trace-{i:03d}.csv")
-            stats_rows.append((i, class_id, float(img.mean()), float(img.var())))
+            for i, class_id in enumerate(class_ids)
+        ]
+        run = cascade.run_cascade(net, batch)
+        images = run.final
+        for i in range(args.count):
+            run.trace.write_csv(out_dir / f"trace-{i:03d}.csv")
+    for i, (class_id, img) in enumerate(zip(class_ids, images)):
+        write_pgm(out_dir / f"sample-{i:03d}.pgm", img, lo=-0.25, hi=1.25)
+        stats_rows.append((i, class_id, float(img.mean()), float(img.var())))
     with open(out_dir / "stats.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["index", "class_id", "mean", "variance"])

@@ -9,6 +9,7 @@ distributions observable at all.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,11 +19,13 @@ from .data import ShapeDataset
 from .grid import ImageGrid, SeededRng
 
 
-def add_noise(x0: ImageGrid, eps: ImageGrid, sigma: float) -> ImageGrid:
-    """Rectified-flow interpolation (1 - sigma) * x0 + sigma * eps."""
+def add_noise(x0: ImageGrid, eps: ImageGrid, sigma) -> ImageGrid:
+    """Rectified-flow interpolation (1 - sigma) * x0 + sigma * eps; sigma
+    may be an array that broadcasts against x0, e.g. one per image."""
     if np.shape(x0) != np.shape(eps):
         raise ValueError(f"shape mismatch {np.shape(x0)} vs {np.shape(eps)}")
-    if not 0.0 <= sigma <= 1.0:
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if not np.all((sigma >= 0.0) & (sigma <= 1.0)):
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
     return (1.0 - sigma) * np.asarray(x0) + sigma * np.asarray(eps)
 
@@ -32,19 +35,27 @@ def velocity_target(x0: ImageGrid, eps: ImageGrid) -> ImageGrid:
 
 
 def teacher_loss(
-    net: nets.DenoiserNet, x0: ImageGrid, class_id: int | None, rng: SeededRng
+    net: nets.DenoiserNet,
+    x0: np.ndarray,
+    class_ids: Sequence[int | None],
+    rngs: Sequence[SeededRng],
 ) -> tuple[float, np.ndarray]:
-    """Flow-matching MSE at a random noise level; returns (loss, param grad)."""
-    sigma = float(rng.uniform())
-    eps = rng.normal(np.shape(x0))
-    x_t = add_noise(x0, eps, sigma)
+    """Flow-matching MSE of a batch x0 (N, C, H, W), each image at its own
+    random noise level; returns the batch means of the loss and of its
+    parameter gradient. Image i draws its sigma, then its noise, from rngs[i].
+    """
+    draws = [(float(rng.uniform()), rng.normal(x0.shape[1:])) for rng in rngs]
+    sigma = np.array([s for s, _ in draws])
+    eps = np.stack([e for _, e in draws])
+    x_t = add_noise(x0, eps, sigma[:, None, None, None])
     target = velocity_target(x0, eps)
-    pred, cache = nets.forward(net, x_t, sigma, class_id, keep_cache=True)
-    resid = pred - target
-    d = resid.size
-    loss = float(np.mean(resid * resid))
-    grads, _ = nets.backward(net, x_t, sigma, class_id, 2.0 * resid / d, cache)
-    return loss, grads
+    scale = 1.0 / target.size  # the mean over images of per-image means
+
+    def loss_of(sl, pred):
+        resid = pred - target[sl]
+        return float(np.sum(resid * resid)) * scale, 2.0 * scale * resid
+
+    return nets.loss_and_grad(net, x_t, sigma, class_ids, loss_of)
 
 
 @dataclass(frozen=True)
@@ -91,15 +102,10 @@ def _run_phase(
     n = len(images)
     for step in range(steps):
         idx = rng.choice(n, size=min(batch_size, n), replace=True)
-        grads = np.zeros_like(model.net.params)
-        loss_sum = 0.0
-        for k, i in enumerate(idx):
-            sample_rng = rng.derive(f"{phase}:{step}:{k}")
-            loss, g = teacher_loss(model.net, images[i], int(classes[i]), sample_rng)
-            grads += g
-            loss_sum += loss
-        grads /= len(idx)
-        loss_mean = loss_sum / len(idx)
+        sample_rngs = [rng.derive(f"{phase}:{step}:{k}") for k in range(len(idx))]
+        loss_mean, grads = teacher_loss(
+            model.net, images[idx], [int(c) for c in classes[idx]], sample_rngs
+        )
         if not np.isfinite(loss_mean):
             raise RuntimeError(
                 f"teacher training diverged at {phase} step {step}: "
@@ -142,19 +148,20 @@ def uniform_sigma_schedule(steps: int) -> np.ndarray:
 
 def euler_sample(
     net: nets.DenoiserNet,
-    class_id: int | None,
+    class_ids: Sequence[int | None],
     res: int,
     steps: int,
-    rng: SeededRng,
-) -> ImageGrid:
-    """Plain Euler ODE sampling at a single resolution.
+    rngs: Sequence[SeededRng],
+) -> np.ndarray:
+    """Plain Euler ODE sampling of a batch at a single resolution.
 
     x <- x - (sigma_j - sigma_{j+1}) * v(x, sigma_j), starting from pure
-    noise at sigma = 1 and ending exactly at sigma = 0.
+    noise at sigma = 1 (image i's drawn from rngs[i]) and ending exactly
+    at sigma = 0. Returns (N, C, res, res).
     """
     sched = uniform_sigma_schedule(steps)
-    x = rng.normal((net.spec.channels[0], res, res))
+    x = np.stack([rng.normal((net.spec.channels[0], res, res)) for rng in rngs])
     for j in range(len(sched) - 1):
-        v = nets.forward(net, x, float(sched[j]), class_id)
+        v = nets.forward(net, x, float(sched[j]), class_ids)
         x = x - (sched[j] - sched[j + 1]) * v
     return x

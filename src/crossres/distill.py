@@ -17,12 +17,15 @@ matching distributions in the teacher's (high-resolution) space:
    through the projection and the recorded cascade. Every step of that
    chain, the projection included, is differentiated by `step_vjp`.
 
-All gradients are exact; the whole chain is validated against finite
-differences in the test suite.
+The B samples of a step share the draw, so their cascades, projections,
+losses and chain backward all run as (B, C, H, W) batches; each sample
+still draws its noise from its own stream. All gradients are exact; the
+whole chain is validated against finite differences in the test suite.
 """
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +35,7 @@ from .cascade import (
     CascadeParams, CascadeRun, StepTape, run_cascade, schedule_trace, step_vjp, transition,
 )
 from .diffusion import TeacherModel, tensor_stats
-from .grid import ImageGrid, SeededRng
+from .grid import SeededRng
 from .schedule import TrajectoryPartition, build_partition, unshift_sigma
 
 PHASE_WARMUP = "warmup"
@@ -192,23 +195,21 @@ def sample_stage_and_timestep(
 
 def generate_cascade_states(
     generator: nets.DenoiserNet,
-    class_id: int | None,
+    class_ids: Sequence[int | None],
     partition: TrajectoryPartition,
     n_steps: int,
-    rng: SeededRng,
+    seeds: Sequence[int],
     alpha_inference: float = 1.0,
     stop: int | None = None,
 ) -> CascadeRun:
-    """Run the generator's own cascade, recording every pre-step state;
-    with `stop`, only up to the state entering that step (`run.final`)."""
-    params = CascadeParams(
-        partition=partition,
-        n_steps=n_steps,
-        alpha_inference=alpha_inference,
-        class_id=class_id,
-        seed=rng.seed,
-    )
-    return run_cascade(generator, params, rng=rng, keep_tape=True, stop=stop)
+    """Run the generator's own cascades, one per (class id, seed), in
+    lock-step, recording every pre-step state; with `stop`, only up to the
+    states entering that step (`run.final`)."""
+    batch = [
+        CascadeParams(partition, n_steps, alpha_inference, class_id=class_id, seed=seed)
+        for class_id, seed in zip(class_ids, seeds, strict=True)
+    ]
+    return run_cascade(generator, batch, keep_tape=True, stop=stop)
 
 
 def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: float) -> int:
@@ -231,28 +232,29 @@ def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: flo
 
 @dataclass
 class TransformTape(StepTape):
-    """Record of one projection: the transition step to the final
+    """Record of one batch's projection: the transition step to the final
     resolution, plus its outputs."""
 
-    clean_up: ImageGrid  # U(x0_hat): the fake score's clean target
-    x_high: ImageGrid
+    clean_up: np.ndarray  # U(x0_hat): the fake score's clean targets
+    x_high: np.ndarray
 
 
 def upsample_transform(
     generator: nets.DenoiserNet,
-    x: ImageGrid,
+    x: np.ndarray,
     sigma_state: float,
-    class_id: int | None,
+    class_ids: Sequence[int | None],
     sigma_target: float,
     alpha: float,
     final_res: int,
-    rng: SeededRng,
+    rngs: Sequence[SeededRng],
 ) -> TransformTape:
-    """Project a cascade state into the teacher space at sigma_target: the
-    cascade transition to final_res with sigma_next = sigma_target.
+    """Project a batch of cascade states into the teacher space at
+    sigma_target: the cascade transition to final_res with sigma_next =
+    sigma_target, image i's fresh noise drawn from rngs[i].
     Differentiable end to end via `backward_transform`."""
-    v = nets.forward(generator, x, sigma_state, class_id)
-    clean_up, x_high = transition(x, v, sigma_state, sigma_target, alpha, final_res, rng)
+    v = nets.forward(generator, x, sigma_state, class_ids)
+    clean_up, x_high = transition(x, v, sigma_state, sigma_target, alpha, final_res, rngs)
     return TransformTape(
         kind="transition",
         x_in=x,
@@ -267,39 +269,40 @@ def upsample_transform(
 def backward_transform(
     generator: nets.DenoiserNet,
     tape: TransformTape,
-    class_id: int | None,
-    d_x_high: ImageGrid,
-) -> tuple[np.ndarray, ImageGrid]:
+    class_ids: Sequence[int | None],
+    d_x_high: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the projection: returns (param grads, grad at x_in)."""
-    return step_vjp(generator, tape, class_id, d_x_high)
+    return step_vjp(generator, tape, class_ids, d_x_high)
 
 
 def cascade_chain_backward(
     generator: nets.DenoiserNet,
     run: CascadeRun,
     sel_index: int,
-    class_id: int | None,
-    d_state: ImageGrid,
+    class_ids: Sequence[int | None],
+    d_state: np.ndarray,
 ) -> np.ndarray:
-    """Backpropagate a gradient at the selected recorded state through the
-    cascade steps that produced it (steps sel_index-1 down to 0)."""
+    """Backpropagate a gradient at the selected recorded states through the
+    cascade steps that produced them (steps sel_index-1 down to 0)."""
     grads = np.zeros_like(generator.params)
     d = d_state
     for j in reversed(range(sel_index)):
-        gp, d = step_vjp(generator, run.tape[j], class_id, d)
+        gp, d = step_vjp(generator, run.tape[j], class_ids, d)
         grads += gp
     return grads
 
 
 def generator_loss(
-    x_high: ImageGrid,
+    x_high: np.ndarray,
     sigma_target: float,
     fake: nets.DenoiserNet,
     teacher: nets.DenoiserNet,
-    class_id: int | None,
+    class_ids: Sequence[int | None],
     huber_scale: float = DistillConfig.pseudo_huber_scale,
-) -> tuple[float, ImageGrid]:
-    """Pseudo-Huber distance to the stop-gradient score-difference target.
+) -> tuple[float, np.ndarray]:
+    """Pseudo-Huber distance to the stop-gradient score-difference target,
+    averaged over the images of the batch x_high.
 
     The score surrogate is the denoising displacement, so the difference
     of fake and teacher scores reduces to the difference of their clean
@@ -307,39 +310,44 @@ def generator_loss(
     y = sg(x_high + x0_teacher - x0_fake): descending the loss moves the
     sample along the teacher's denoising direction relative to the fake's,
     which realizes the reverse-KL score-difference gradient. Only x_high
-    carries gradient; the returned upstream is d loss / d x_high.
+    carries gradient; the returned upstream is d loss / d x_high. The
+    pseudo-Huber constant follows the size of one image.
     """
-    v_fake = nets.forward(fake, x_high, sigma_target, class_id)
-    v_teacher = nets.forward(teacher, x_high, sigma_target, class_id)
+    v_fake = nets.forward(fake, x_high, sigma_target, class_ids)
+    v_teacher = nets.forward(teacher, x_high, sigma_target, class_ids)
     x0_fake = x_high - sigma_target * v_fake
     x0_teacher = x_high - sigma_target * v_teacher
     residual = x0_fake - x0_teacher  # x_high - y
-    c = pseudo_huber_constant(x_high.size, huber_scale)
-    loss, d_residual = pseudo_huber(residual, c)
-    return loss, d_residual
+    c = pseudo_huber_constant(x_high[0].size, huber_scale)
+    n = len(x_high)
+    loss, d_residual = 0.0, np.empty_like(residual)
+    for i in range(n):
+        loss_i, d_residual[i] = pseudo_huber(residual[i], c)
+        loss += loss_i
+    return loss / n, d_residual / n
 
 
 def fake_score_loss(
     fake: nets.DenoiserNet,
-    x_high: ImageGrid,
+    x_high: np.ndarray,
     sigma_target: float,
-    clean_target: ImageGrid,
+    clean_target: np.ndarray,
     sigma_stage: float,
-    class_id: int | None,
+    class_ids: Sequence[int | None],
     snr_clamp: tuple[float, float] = DistillConfig.snr_clamp,
 ) -> tuple[float, np.ndarray]:
     """SNR-weighted denoising objective tying the fake score to the
-    generator's own clean estimates; clean_target must already be
-    detached from the generator."""
+    generator's own clean estimates, averaged over the batch; clean_target
+    must already be detached from the generator. Returns the loss and its
+    parameter gradient."""
     lam = snr_weight(sigma_stage, snr_clamp)
-    v, cache = nets.forward(fake, x_high, sigma_target, class_id, keep_cache=True)
-    x0_pred = x_high - sigma_target * v
-    residual = x0_pred - clean_target
-    d = residual.size
-    loss = lam * float(np.mean(residual * residual))
-    upstream_v = lam * (2.0 / d) * residual * (-sigma_target)
-    grads, _ = nets.backward(fake, x_high, sigma_target, class_id, upstream_v, cache)
-    return loss, grads
+    scale = lam / x_high.size  # the mean over images of per-image means
+
+    def loss_of(sl, v):
+        residual = x_high[sl] - sigma_target * v - clean_target[sl]
+        return scale * float(np.sum(residual * residual)), 2.0 * scale * residual * (-sigma_target)
+
+    return nets.loss_and_grad(fake, x_high, sigma_target, class_ids, loss_of)
 
 
 @dataclass
@@ -381,50 +389,32 @@ def train_step(
     plan = CascadeRun(final=None, trace=schedule_trace(partition, config.n_steps))
     sel = select_state_index(plan, stage, shifted_t, partition.t_max)
     sigma_state = plan.trace.records[sel].sigma
-    runs, transforms = [], []
-    for i, class_id in enumerate(class_ids):
-        run = generate_cascade_states(
-            state.generator, class_id, partition, config.n_steps,
-            rng.derive(f"cascade:{state.step}:{i}"), config.alpha_inference, stop=sel,
-        )
-        tape = upsample_transform(
-            state.generator, run.final, sigma_state, class_id,
-            sigma_target, config.alpha, final_res,
-            rng.derive(f"transform:{state.step}:{i}"),
-        )
-        runs.append(run)
-        transforms.append(tape)
+    run = generate_cascade_states(
+        state.generator, class_ids, partition, config.n_steps,
+        [rng.derive(f"cascade:{state.step}:{i}").seed for i in range(len(class_ids))],
+        config.alpha_inference, stop=sel,
+    )
+    tape = upsample_transform(
+        state.generator, run.final, sigma_state, class_ids,
+        sigma_target, config.alpha, final_res,
+        [rng.derive(f"transform:{state.step}:{i}") for i in range(len(class_ids))],
+    )
 
     # fake score update (clean targets and states are detached values)
-    fake_grads = np.zeros_like(state.fake.params)
-    fake_loss = 0.0
-    for class_id, tape in zip(class_ids, transforms):
-        loss, grads = fake_score_loss(
-            state.fake, tape.x_high, sigma_target, tape.clean_up,
-            sigma_stage, class_id, config.snr_clamp,
-        )
-        fake_loss += loss
-        fake_grads += grads
-    fake_loss /= len(class_ids)
-    fake_grads /= len(class_ids)
-    _abort_if_bad(fake_loss, "fake-score loss", where, transforms[0].x_high)
+    fake_loss, fake_grads = fake_score_loss(
+        state.fake, tape.x_high, sigma_target, tape.clean_up,
+        sigma_stage, class_ids, config.snr_clamp,
+    )
+    _abort_if_bad(fake_loss, "fake-score loss", where, tape.x_high)
     state.fake.params, _ = state.opt_fake.step(state.fake.params, fake_grads)
 
     # generator update against the just-updated fake score
-    gen_grads = np.zeros_like(state.generator.params)
-    gen_loss = 0.0
-    for class_id, run, tape in zip(class_ids, runs, transforms):
-        loss, upstream = generator_loss(
-            tape.x_high, sigma_target, state.fake, teacher, class_id,
-            config.pseudo_huber_scale,
-        )
-        gen_loss += loss
-        gp, d_state = backward_transform(state.generator, tape, class_id, upstream)
-        gp = gp + cascade_chain_backward(state.generator, run, sel, class_id, d_state)
-        gen_grads += gp
-    gen_loss /= len(class_ids)
-    gen_grads /= len(class_ids)
-    _abort_if_bad(gen_loss, "generator loss", where, transforms[0].x_high)
+    gen_loss, upstream = generator_loss(
+        tape.x_high, sigma_target, state.fake, teacher, class_ids, config.pseudo_huber_scale,
+    )
+    _abort_if_bad(gen_loss, "generator loss", where, tape.x_high)
+    gen_grads, d_state = backward_transform(state.generator, tape, class_ids, upstream)
+    gen_grads += cascade_chain_backward(state.generator, run, sel, class_ids, d_state)
     state.generator.params, _ = state.opt_generator.step(state.generator.params, gen_grads)
 
     record = TrainStepRecord(

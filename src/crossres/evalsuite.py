@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import net as nets
-from .cascade import CascadeParams, infer
+from .cascade import CascadeParams, run_cascade
 from .data import ShapeDataset
 from .diffusion import euler_sample
 from .grid import SeededRng, write_pgm
@@ -182,6 +182,17 @@ class EvalConfig:
     contact_sheet_n: int = 64
 
 
+# Sample sets are drawn this many images at a time: one batch of states.
+SAMPLE_CHUNK = 32
+
+
+def _sample_chunks(n: int, n_classes: int):
+    """Index ranges of the sample batches, each with its round-robin classes."""
+    for start in range(0, n, SAMPLE_CHUNK):
+        idx = range(start, min(start + SAMPLE_CHUNK, n))
+        yield idx, [i % n_classes if n_classes > 0 else None for i in idx]
+
+
 def sample_teacher_set(
     teacher_net: nets.DenoiserNet,
     res: int,
@@ -192,11 +203,11 @@ def sample_teacher_set(
     tag: str,
 ) -> SampleSet:
     """Matched-seed Euler samples: index i fixes (class, noise stream)."""
-    images = []
-    for i in range(n):
-        class_id = i % n_classes if n_classes > 0 else None
-        images.append(euler_sample(teacher_net, class_id, res, steps, rng.derive(f"{tag}:{i}")))
-    return SampleSet(np.stack(images), tag)
+    images = [
+        euler_sample(teacher_net, class_ids, res, steps, [rng.derive(f"{tag}:{i}") for i in idx])
+        for idx, class_ids in _sample_chunks(n, n_classes)
+    ]
+    return SampleSet(np.concatenate(images), tag)
 
 
 def sample_cascade_set(
@@ -212,18 +223,14 @@ def sample_cascade_set(
     """Cascade samples; the index (not the tag) keys the noise streams, so
     different arms drawn from the same rng share seeds and classes."""
     images = []
-    for i in range(n):
-        class_id = i % n_classes if n_classes > 0 else None
-        params = CascadeParams(
-            partition=partition,
-            n_steps=n_steps,
-            alpha_inference=alpha_inference,
-            class_id=class_id,
-            seed=rng.derive(f"arm:{i}").seed,
-        )
-        out, _ = infer(net, params)
-        images.append(out)
-    return SampleSet(np.stack(images), tag)
+    for idx, class_ids in _sample_chunks(n, n_classes):
+        batch = [
+            CascadeParams(partition, n_steps, alpha_inference, class_id=class_id,
+                          seed=rng.derive(f"arm:{i}").seed)
+            for i, class_id in zip(idx, class_ids)
+        ]
+        images.append(run_cascade(net, batch).final)
+    return SampleSet(np.concatenate(images), tag)
 
 
 def contact_sheet(path, images: np.ndarray, cols: int = 16, lo: float = -0.25, hi: float = 1.25) -> None:

@@ -8,6 +8,7 @@ stream is reproducible bit-for-bit from its seed.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,49 +77,59 @@ class SeededRng:
         return z[:n].reshape(shape)
 
 
-def _axis_taps(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.cache
+def _axis_taps(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Half-pixel-center bilinear taps for one axis (align-corners OFF).
 
-    Returns (lo index, hi index, hi weight); indices are clamped to the
-    source range so edges replicate.
+    Returns (lo index, hi index, lo weight, hi weight); indices are clamped
+    to the source range so edges replicate. Built once per (src, dst) and
+    shared by every caller, so the arrays are read-only.
     """
     coords = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
     lo = np.floor(coords).astype(np.int64)
     w_hi = coords - lo
-    lo_c = np.clip(lo, 0, src - 1)
-    hi_c = np.clip(lo + 1, 0, src - 1)
-    return lo_c, hi_c, w_hi
+    taps = (np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), 1 - w_hi, w_hi)
+    for t in taps:
+        t.flags.writeable = False
+    return taps
 
 
-def bilinear_upsample(x: ImageGrid, target_h: int, target_w: int) -> ImageGrid:
-    """Per-channel bilinear interpolation to (target_h, target_w).
+def bilinear_upsample(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
+    """Per-channel bilinear interpolation of the last two axes to
+    (target_h, target_w); x is (C, H, W) or has more leading batch axes.
 
     Half-pixel-center convention, which preserves the mean under integer
     scale factors. This is a linear operator; `bilinear_upsample_t` is its
     exact transpose (the gradient-propagation contract).
     """
-    x = validate_grid(x, "bilinear_upsample input")
-    _, h, w = x.shape
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 3:
+        raise ValueError(f"bilinear_upsample input: expected (..., channels, height, width), got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("bilinear_upsample input: contains non-finite entries")
+    h, w = x.shape[-2:]
     if target_h < h or target_w < w:
         raise ValueError(f"target ({target_h},{target_w}) smaller than source ({h},{w})")
-    y0, y1, wy = _axis_taps(h, target_h)
-    x0, x1, wx = _axis_taps(w, target_w)
-    top = x[:, y0][:, :, x0] * (1 - wx) + x[:, y0][:, :, x1] * wx
-    bot = x[:, y1][:, :, x0] * (1 - wx) + x[:, y1][:, :, x1] * wx
-    return top * (1 - wy)[None, :, None] + bot * wy[None, :, None]
+    y0, y1, wy0, wy1 = _axis_taps(h, target_h)
+    x0, x1, wx0, wx1 = _axis_taps(w, target_w)
+    top, bot = x[..., y0, :], x[..., y1, :]
+    top = top[..., x0] * wx0 + top[..., x1] * wx1
+    bot = bot[..., x0] * wx0 + bot[..., x1] * wx1
+    return top * wy0[:, None] + bot * wy1[:, None]
 
 
-def bilinear_upsample_t(y: ImageGrid, source_h: int, source_w: int) -> ImageGrid:
-    """Transpose of `bilinear_upsample` back onto a (source_h, source_w) grid."""
+def bilinear_upsample_t(y: np.ndarray, source_h: int, source_w: int) -> np.ndarray:
+    """Transpose of `bilinear_upsample` back onto a (source_h, source_w)
+    grid, over the last two axes of y."""
     y = np.asarray(y, dtype=np.float64)
-    c, th, tw = y.shape
-    y0, y1, wy = _axis_taps(source_h, th)
-    x0, x1, wx = _axis_taps(source_w, tw)
-    out = np.zeros((c, source_h, source_w), dtype=np.float64)
-    for rows, rw in ((y0, 1 - wy), (y1, wy)):
-        for cols, cw in ((x0, 1 - wx), (x1, wx)):
-            contrib = y * rw[None, :, None] * cw[None, None, :]
-            np.add.at(out, (slice(None), rows[:, None], cols[None, :]), contrib)
+    th, tw = y.shape[-2:]
+    y0, y1, wy0, wy1 = _axis_taps(source_h, th)
+    x0, x1, wx0, wx1 = _axis_taps(source_w, tw)
+    out = np.zeros(y.shape[:-2] + (source_h, source_w), dtype=np.float64)
+    for rows, rw in ((y0, wy0), (y1, wy1)):
+        for cols, cw in ((x0, wx0), (x1, wx1)):
+            contrib = y * rw[:, None] * cw
+            np.add.at(out, (..., rows[:, None], cols[None, :]), contrib)
     return out
 
 

@@ -12,6 +12,12 @@ Reverse-mode gradients are written by hand and validated against central
 finite differences (`gradient_check`); `backward` returns both the
 parameter gradient and the input gradient so callers can chain several
 forward passes into one differentiable pipeline.
+
+`forward` and `backward` take batches (N, C, H, W) with one sigma and one
+class id per image, and run them in chunks of bounded pixel count with
+activations laid out channel-major (C, n, H, W). A conv with several
+input channels is a shifted GEMM over one zero-padded buffer of the whole
+chunk; a conv with one input channel uses a 9-row im2col.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import ImageGrid, SeededRng
+from .grid import SeededRng
 
 CHECKPOINT_MAGIC = b"XRDN"
 CHECKPOINT_VERSION = 1
@@ -126,144 +132,283 @@ def init_params(spec: NetSpec, rng: SeededRng) -> np.ndarray:
     return net.params
 
 
-def time_features(sigma: float, dim: int) -> np.ndarray:
-    """Sinusoidal features of sigma at geometric frequencies 1, 2, 4, ..."""
+# A batch runs through the net CHUNK_PIXELS // (H * W) images at a time (4 at
+# 16 px, 16 at 8 px), so the forward cache a backward reads, about 0.32 MB
+# per 16 px image, stays a few chunks' worth whatever the batch size.
+CHUNK_PIXELS = 1024
+
+
+def chunks(x: np.ndarray) -> list[slice]:
+    """The image slices of batch x that the net processes one at a time."""
+    n, _, h, w = np.shape(x)
+    size = max(1, CHUNK_PIXELS // (h * w))
+    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
+def time_features(sigma, dim: int) -> np.ndarray:
+    """Sinusoidal features of sigma at geometric frequencies 1, 2, 4, ...;
+    one row per entry of an array of sigmas."""
     half = dim // 2
     freqs = 2.0 ** np.arange(half)
-    phase = 2.0 * np.pi * freqs * sigma
-    return np.concatenate([np.sin(phase), np.cos(phase)])
+    phase = 2.0 * np.pi * freqs * np.asarray(sigma, dtype=np.float64)[..., None]
+    return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
-def _conv3x3(x: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded 3x3 cross-correlation; x is (C_in, H, W).
+def _tap_offsets(w: int) -> list[int]:
+    # flat offset of tap (a, b), in order 3a + b, inside a zero-bordered
+    # row of width w + 2
+    return [a * (w + 2) + b for a in range(3) for b in range(3)]
 
-    Also returns the im2col matrix, which the weight gradient reuses: row
-    i * W + j holds the 3x3 window at pixel (i, j), column c * 9 + 3a + b
-    its tap (a, b) of channel c. It is filled by nine slice copies, one per
-    tap, from a channel-last padded copy of x.
+
+def _pad(h: np.ndarray) -> np.ndarray:
+    """Channel-major zero-bordered copy of h (C, n, H, W), flattened to
+    (C, n (H+2)(W+2) + 2W + 6): the tail lets every tap slice of length
+    n (H+2)(W+2) stay in bounds."""
+    c, n, hh, ww = h.shape
+    flat = n * (hh + 2) * (ww + 2)
+    xp = np.zeros((c, flat + 2 * ww + 6), dtype=np.float64)
+    xp[:, :flat].reshape(c, n, hh + 2, ww + 2)[:, :, 1:-1, 1:-1] = h
+    return xp
+
+
+def _shifted_gemm(xp: np.ndarray, weight: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """Same-padded 3x3 cross-correlation of the padded buffer `xp`: the sum
+    over taps of W[:, :, a, b] @ xp[:, off:off+L], each tap a shifted slice.
+    Column p of the sum is the output at the window whose top-left corner
+    is padded position p; the border columns are dropped.
+
+    With fewer output than input channels the nine thin GEMMs cost more
+    than one GEMM of all taps over the whole buffer, whose nine row blocks
+    are then summed at their shifts.
     """
-    c_in, h, w = x.shape
-    xp = np.zeros((h + 2, w + 2, c_in), dtype=np.float64)
-    xp[1:-1, 1:-1] = x.transpose(1, 2, 0)
-    cols = np.empty((h * w, c_in * 9), dtype=np.float64)
-    taps = cols.reshape(h, w, c_in, 3, 3)
+    flat = n * (h + 2) * (w + 2)
+    c_out, c_in = weight.shape[:2]
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
+    offsets = _tap_offsets(w)
+    if c_out < c_in:
+        products = (taps.reshape(9 * c_out, c_in) @ xp).reshape(9, c_out, -1)
+        out = products[0, :, :flat].copy()
+        for k, off in enumerate(offsets[1:], start=1):
+            out += products[k, :, off : off + flat]
+    else:
+        out = taps[0] @ xp[:, :flat]
+        for tap, off in zip(taps[1:], offsets[1:]):
+            out += tap @ xp[:, off : off + flat]
+    return out.reshape(c_out, n, h + 2, w + 2)[:, :, :h, :w]
+
+
+def _im2col(h: np.ndarray) -> np.ndarray:
+    """Channel-major im2col of h (C, n, H, W): row 9c + 3a + b holds tap
+    (a, b) of channel c at every pixel, filled by nine slice copies."""
+    c, n, hh, ww = h.shape
+    hp = np.zeros((c, n, hh + 2, ww + 2), dtype=np.float64)
+    hp[:, :, 1:-1, 1:-1] = h
+    cols = np.empty((c, 3, 3, n, hh, ww), dtype=np.float64)
     for a in range(3):
         for b in range(3):
-            taps[:, :, :, a, b] = xp[a : a + h, b : b + w]
-    out = cols @ weight.reshape(weight.shape[0], c_in * 9).T
-    return out.T.reshape(weight.shape[0], h, w), cols
+            cols[:, a, b] = hp[:, :, a : a + hh, b : b + ww]
+    return cols.reshape(c * 9, n * hh * ww)
 
 
-def _conv3x3_input_grad(upstream: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    # Input gradient of a same-padded 3x3 conv: convolve the upstream with
-    # the spatially flipped, channel-transposed kernel.
-    flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    out, _ = _conv3x3(upstream, np.ascontiguousarray(flipped))
-    return out
+def _conv(h: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded 3x3 cross-correlation of h (C_in, n, H, W), channel-major.
+
+    Returns the output (C_out, n, H, W) and what the weight gradient reads:
+    the padded buffer of a shifted-GEMM conv, or, for one input channel
+    (where nine K = 1 GEMMs would be slow), the 9-row im2col matrix.
+    """
+    c_in, n, hh, ww = h.shape
+    if c_in == 1:
+        cols = _im2col(h)
+        out = weight.reshape(weight.shape[0], 9) @ cols
+        return out.reshape(-1, n, hh, ww), cols
+    xp = _pad(h)
+    return _shifted_gemm(xp, weight, n, hh, ww), xp
 
 
-def _silu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sig = 1.0 / (1.0 + np.exp(-z))
-    return z * sig, sig * (1.0 + z * (1.0 - sig))
+def _conv_backward(d: np.ndarray, saved: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weight gradient, input gradient) of `_conv` for upstream d (C_out,
+    n, H, W), given what the forward saved."""
+    c_out, n, hh, ww = d.shape
+    c_in = weight.shape[1]
+    # the input gradient convolves d with the flipped, channel-transposed kernel
+    d_in, d_saved = _conv(d, weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    if c_in == 1:
+        return (d.reshape(c_out, -1) @ saved.T).reshape(weight.shape), d_in
+    # tap (a, b) pairs d at padded position p + (W + 3) with the input at p + off
+    dp = d_saved if c_out > 1 else _pad(d)
+    flat, centre = n * (hh + 2) * (ww + 2), ww + 3
+    d_flat = dp[:, centre : centre + flat]
+    dw = np.empty((c_out, c_in, 9), dtype=np.float64)
+    for k, off in enumerate(_tap_offsets(ww)):
+        dw[:, :, k] = d_flat @ saved[:, off : off + flat].T
+    return dw.reshape(weight.shape), d_in
 
 
-def _forward_impl(net: DenoiserNet, x: ImageGrid, sigma: float, class_id):
+def _silu(z: np.ndarray, with_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """SiLU of z and, if asked, its derivative."""
+    sig = np.exp(-z)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    return z * sig, sig * (1.0 + z * (1.0 - sig)) if with_grad else None
+
+
+def _batch_inputs(net: DenoiserNet, x, sigma, class_ids) -> tuple[np.ndarray, np.ndarray, list]:
+    """Check a batch: x (N, C, H, W), one sigma in [0, 1] per image (a
+    scalar serves all), class ids as a length-N sequence or None."""
     spec = net.spec
-    if not 0.0 <= sigma <= 1.0:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4 or x.shape[1] != spec.channels[0] or x.shape[0] == 0:
+        raise ValueError(f"expected a non-empty (N, {spec.channels[0]}, H, W) batch, got shape {x.shape}")
+    n = x.shape[0]
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))
+    if not np.all((sigma >= 0.0) & (sigma <= 1.0)):
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
-    if class_id is not None:
+    class_ids = [None] * n if class_ids is None else list(class_ids)
+    if len(class_ids) != n:
+        raise ValueError(f"{len(class_ids)} class ids for {n} images")
+    for class_id in class_ids:
+        if class_id is None:
+            continue
         if spec.class_count == 0:
             raise ValueError("net is unconditional but class_id was given")
         if not 0 <= class_id < spec.class_count:
             raise ValueError(f"class_id {class_id} out of range [0, {spec.class_count})")
+    return x, sigma, class_ids
+
+
+def _forward_chunk(net: DenoiserNet, x: np.ndarray, sigma: np.ndarray, class_ids: list, keep: bool):
+    """One chunk of a checked batch; activations run channel-major (C, n, H, W).
+
+    Returns the output and, if `keep`, the cache its backward reads."""
+    spec = net.spec
     feats = time_features(sigma, spec.time_embed_dim)
-    h = np.asarray(x, dtype=np.float64)
-    cache = {"cols": [], "pre": [], "dact": [], "feats": feats}
+    labelled = [i for i, c in enumerate(class_ids) if c is not None]
+    ids = [class_ids[i] for i in labelled]
+    if len(labelled) == len(class_ids):
+        labelled = slice(None)  # a basic index: no gather, no scatter
+    cache = {"saved": [], "pre": [], "dact": [], "scale": [], "feats": feats,
+             "labelled": labelled, "ids": ids}
+    h = x.transpose(1, 0, 2, 3)
     for l in range(spec.num_layers):
-        z, cols = _conv3x3(h, net.view(f"conv{l}.weight"))
-        z = z + net.view(f"conv{l}.bias")[:, None, None]
-        cache["cols"].append(cols)
+        z, saved = _conv(h, net.view(f"conv{l}.weight"))
+        z += net.view(f"conv{l}.bias")[:, None, None, None]
+        cache["saved"].append(saved)
         if l == spec.num_layers - 1:
-            cache["pre"].append(None)
-            cache["dact"].append(None)
             h = z
             break
-        if l == 0 and spec.class_count > 0 and class_id is not None:
-            z = z + net.view("class_embed")[class_id][:, None, None]
-        film = net.view(f"film{l}.weight") @ feats + net.view(f"film{l}.bias")
+        if l == 0 and ids:
+            z[:, labelled] += net.view("class_embed")[ids].T[:, :, None, None]
+        film = feats @ net.view(f"film{l}.weight").T + net.view(f"film{l}.bias")
         c_out = spec.channels[l + 1]
-        scale, offset = film[:c_out], film[c_out:]
+        scale, offset = film[:, :c_out].T, film[:, c_out:].T  # (C, n)
         cache["pre"].append(z)
-        z = z * (1.0 + scale)[:, None, None] + offset[:, None, None]
-        h, dact = _silu(z)
+        cache["scale"].append(scale)
+        z = z * (1.0 + scale)[:, :, None, None]
+        z += offset[:, :, None, None]
+        h, dact = _silu(z, keep)
         cache["dact"].append(dact)
-        cache.setdefault("film", []).append((scale, offset))
-    return h, cache
+    return h.transpose(1, 0, 2, 3), cache if keep else None
+
+
+def _backward_chunk(net: DenoiserNet, cache: dict, upstream: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Add one chunk's parameter gradient to `grads`; return its input gradient."""
+    spec = net.spec
+    gnet = DenoiserNet(spec, grads)  # reuse the layout views for accumulation
+    d = upstream.transpose(1, 0, 2, 3)
+    for l in reversed(range(spec.num_layers)):
+        if l < spec.num_layers - 1:
+            d = d * cache["dact"][l]  # through SiLU
+            d_offset = np.sum(d, axis=(2, 3))  # (C, n)
+            d_film = np.concatenate([np.sum(d * cache["pre"][l], axis=(2, 3)), d_offset])
+            gnet.view(f"film{l}.weight")[...] += d_film @ cache["feats"]
+            gnet.view(f"film{l}.bias")[...] += d_film.sum(axis=1)
+            scale = 1.0 + cache["scale"][l]
+            d = d * scale[:, :, None, None]
+            d_shift = d_offset * scale  # per-image gradient of an additive shift
+            if l == 0 and cache["ids"]:
+                np.add.at(gnet.view("class_embed"), cache["ids"], d_shift[:, cache["labelled"]].T)
+            gnet.view(f"conv{l}.bias")[...] += d_shift.sum(axis=1)
+        else:
+            gnet.view(f"conv{l}.bias")[...] += np.sum(d, axis=(1, 2, 3))
+        dw, d = _conv_backward(d, cache["saved"][l], net.view(f"conv{l}.weight"))
+        gnet.view(f"conv{l}.weight")[...] += dw
+    return d.transpose(1, 0, 2, 3)
 
 
 def forward(
     net: DenoiserNet,
-    x: ImageGrid,
-    sigma: float,
-    class_id: int | None = None,
+    x: np.ndarray,
+    sigma,
+    class_ids=None,
     keep_cache: bool = False,
 ):
-    """Velocity prediction with the same shape as x.
+    """Velocity predictions for a batch x (N, C, H, W), same shape as x.
 
+    `sigma` holds one noise level per image (a scalar serves all);
+    `class_ids` one class id per image, each possibly None, or is None.
     With keep_cache=True returns (prediction, cache); passing that cache to
     `backward` on the same inputs and parameters spares it the forward.
+    The cache holds every chunk of the batch.
     """
-    out, cache = _forward_impl(net, x, sigma, class_id)
-    return (out, cache) if keep_cache else out
+    x, sigma, class_ids = _batch_inputs(net, x, sigma, class_ids)
+    outs, caches = [], []
+    for sl in chunks(x):
+        out, cache = _forward_chunk(net, x[sl], sigma[sl], class_ids[sl], keep_cache)
+        outs.append(out)
+        caches.append(cache)
+    out = np.concatenate(outs) if len(outs) > 1 else np.ascontiguousarray(outs[0])
+    return (out, caches) if keep_cache else out
 
 
 def backward(
     net: DenoiserNet,
-    x: ImageGrid,
-    sigma: float,
-    class_id: int | None,
-    upstream: ImageGrid,
-    cache: dict | None = None,
-) -> tuple[np.ndarray, ImageGrid]:
-    """Exact reverse-mode gradients of sum(forward * upstream).
+    x: np.ndarray,
+    sigma,
+    class_ids,
+    upstream: np.ndarray,
+    cache: list | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact reverse-mode gradients of sum(forward * upstream) over a batch.
 
     `cache` is the one `forward(..., keep_cache=True)` returned for these
-    inputs and parameters; without it the forward is run again.
-    Returns (flat parameter gradient, input gradient).
+    inputs and parameters; without it each chunk's forward is run again
+    just before its backward, so at most one chunk's cache is alive.
+    Returns (flat parameter gradient summed over the batch, input gradient
+    per image).
     """
+    x, sigma, class_ids = _batch_inputs(net, x, sigma, class_ids)
     upstream = np.asarray(upstream, dtype=np.float64)
-    out_shape = (net.spec.channels[-1],) + tuple(np.shape(x)[1:])
+    out_shape = (x.shape[0], net.spec.channels[-1]) + x.shape[2:]
     if upstream.shape != out_shape:
         raise ValueError(f"upstream shape {upstream.shape} != output shape {out_shape}")
-    if cache is None:
-        _, cache = _forward_impl(net, x, sigma, class_id)
-    spec = net.spec
     grads = np.zeros_like(net.params)
-    gnet = DenoiserNet(spec, grads)  # reuse the layout views for accumulation
-    feats = cache["feats"]
+    d_x = np.empty_like(x)
+    for k, sl in enumerate(chunks(x)):
+        chunk_cache = cache[k] if cache is not None else (
+            _forward_chunk(net, x[sl], sigma[sl], class_ids[sl], keep=True)[1])
+        d_x[sl] = _backward_chunk(net, chunk_cache, upstream[sl], grads)
+    return grads, d_x
 
-    d = upstream
-    for l in reversed(range(spec.num_layers)):
-        c_out = spec.channels[l + 1]
-        if l < spec.num_layers - 1:
-            d = d * cache["dact"][l]  # through SiLU
-            scale, _ = cache["film"][l]
-            pre = cache["pre"][l]
-            d_scale = np.sum(d * pre, axis=(1, 2))
-            d_offset = np.sum(d, axis=(1, 2))
-            d_film = np.concatenate([d_scale, d_offset])
-            gnet.view(f"film{l}.weight")[...] += np.outer(d_film, feats)
-            gnet.view(f"film{l}.bias")[...] += d_film
-            d = d * (1.0 + scale)[:, None, None]
-            if l == 0 and spec.class_count > 0 and class_id is not None:
-                gnet.view("class_embed")[class_id] += np.sum(d, axis=(1, 2))
-        h, w = d.shape[1:]
-        cols = cache["cols"][l]
-        dw = d.reshape(c_out, h * w) @ cols
-        gnet.view(f"conv{l}.weight")[...] += dw.reshape(c_out, -1, 3, 3)
-        gnet.view(f"conv{l}.bias")[...] += np.sum(d, axis=(1, 2))
-        d = _conv3x3_input_grad(d, net.view(f"conv{l}.weight"))
-    return grads, d
+
+def loss_and_grad(net: DenoiserNet, x: np.ndarray, sigma, class_ids, loss_of) -> tuple[float, np.ndarray]:
+    """A loss of the net's outputs on batch x, summed over chunks, and its
+    parameter gradient.
+
+    `loss_of(sl, out)` returns the loss of the images `sl` of the batch,
+    given their outputs, and its gradient in those outputs. Each chunk's
+    backward runs right after its forward, so one chunk's cache is alive at
+    a time.
+    """
+    x, sigma, class_ids = _batch_inputs(net, x, sigma, class_ids)
+    loss, grads = 0.0, np.zeros_like(net.params)
+    for sl in chunks(x):
+        out, cache = forward(net, x[sl], sigma[sl], class_ids[sl], keep_cache=True)
+        part, upstream = loss_of(sl, out)
+        g, _ = backward(net, x[sl], sigma[sl], class_ids[sl], upstream, cache)
+        loss += part
+        grads += g
+    return loss, grads
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -278,10 +423,10 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 
 def finite_difference_param_grad(
     net: DenoiserNet,
-    x: ImageGrid,
-    sigma: float,
-    class_id: int | None,
-    upstream: ImageGrid,
+    x: np.ndarray,
+    sigma,
+    class_ids,
+    upstream: np.ndarray,
     indices: np.ndarray,
     h: float = 1e-4,
 ) -> np.ndarray:
@@ -291,9 +436,9 @@ def finite_difference_param_grad(
     for k, idx in enumerate(indices):
         saved = params[idx]
         params[idx] = saved + h
-        up = float(np.sum(forward(net, x, sigma, class_id) * upstream))
+        up = float(np.sum(forward(net, x, sigma, class_ids) * upstream))
         params[idx] = saved - h
-        down = float(np.sum(forward(net, x, sigma, class_id) * upstream))
+        down = float(np.sum(forward(net, x, sigma, class_ids) * upstream))
         params[idx] = saved
         out[k] = (up - down) / (2.0 * h)
     return out
@@ -319,25 +464,23 @@ def gradient_check(
     net: DenoiserNet,
     tolerance: float,
     rng: SeededRng,
-    input_shape: tuple[int, int, int] | None = None,
     n_param_probes: int = 200,
     fd_step: float = 1e-4,
 ) -> GradientCheckReport:
-    """Compare `backward` against central finite differences on random probes."""
+    """Compare `backward` against central finite differences on random
+    probes of an 8 px batch of three images, each with its own sigma."""
     if net.params.size > 10_000:
         raise ValueError("gradient_check is meant for small nets (<= 1e4 params)")
     spec = net.spec
-    if input_shape is None:
-        input_shape = (spec.channels[0], 8, 8)
-    x = rng.normal(input_shape)
-    upstream = rng.normal(input_shape)
-    sigma = float(rng.uniform(0.1, 0.9))
-    class_id = 0 if spec.class_count > 0 else None
+    x = rng.normal((3, spec.channels[0], 8, 8))
+    upstream = rng.normal((3, spec.channels[-1], 8, 8))
+    sigma = rng.uniform(0.1, 0.9, size=3)
+    class_ids = [k % spec.class_count for k in range(3)] if spec.class_count > 0 else None
 
-    analytic_p, analytic_x = backward(net, x, sigma, class_id, upstream)
+    analytic_p, analytic_x = backward(net, x, sigma, class_ids, upstream)
     n = min(n_param_probes, net.params.size)
     indices = np.sort(rng.choice(net.params.size, size=n))
-    fd_p = finite_difference_param_grad(net, x, sigma, class_id, upstream, indices, fd_step)
+    fd_p = finite_difference_param_grad(net, x, sigma, class_ids, upstream, indices, fd_step)
     p_err = relative_error(analytic_p[indices], fd_p)
 
     fd_x = np.zeros_like(analytic_x)
@@ -345,9 +488,9 @@ def gradient_check(
     for idx in range(flat.size):
         saved = flat[idx]
         flat[idx] = saved + fd_step
-        up = float(np.sum(forward(net, x, sigma, class_id) * upstream))
+        up = float(np.sum(forward(net, x, sigma, class_ids) * upstream))
         flat[idx] = saved - fd_step
-        down = float(np.sum(forward(net, x, sigma, class_id) * upstream))
+        down = float(np.sum(forward(net, x, sigma, class_ids) * upstream))
         flat[idx] = saved
         fd_x.ravel()[idx] = (up - down) / (2.0 * fd_step)
     x_err = relative_error(analytic_x, fd_x)

@@ -81,24 +81,24 @@ class TestCriterion03NumericalCorrectness:
         p = sch.build_partition([sch.sigma_to_logsnr(0.6)], [8, 16])
         stage, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(16))
         sigma_target = teacher_t / p.t_max
-        class_id = 0
+        class_ids = [0]
 
         def chain(g):
-            run = distill.generate_cascade_states(g, class_id, p, 4, SeededRng(17), 1.0)
+            run = distill.generate_cascade_states(g, class_ids, p, 4, [17], 1.0)
             sel = distill.select_state_index(run, stage, shifted_t, p.t_max)
             src = run.tape[sel]
             tape = distill.upsample_transform(
-                g, src.x_in, src.sigma_in, class_id, sigma_target, 0.2, 16, SeededRng(18)
+                g, src.x_in, src.sigma_in, class_ids, sigma_target, 0.2, 16, [SeededRng(18)]
             )
             return run, sel, tape
 
         run, sel, tape = chain(gen)
-        _, upstream = distill.generator_loss(tape.x_high, sigma_target, fake, teacher, class_id)
-        grads, d_state = distill.backward_transform(gen, tape, class_id, upstream)
-        grads = grads + distill.cascade_chain_backward(gen, run, sel, class_id, d_state)
+        _, upstream = distill.generator_loss(tape.x_high, sigma_target, fake, teacher, class_ids)
+        grads, d_state = distill.backward_transform(gen, tape, class_ids, upstream)
+        grads = grads + distill.cascade_chain_backward(gen, run, sel, class_ids, d_state)
 
-        v_f = nets.forward(fake, tape.x_high, sigma_target, class_id)
-        v_t = nets.forward(teacher, tape.x_high, sigma_target, class_id)
+        v_f = nets.forward(fake, tape.x_high, sigma_target, class_ids)
+        v_t = nets.forward(teacher, tape.x_high, sigma_target, class_ids)
         y0 = tape.x_high + sigma_target * (v_f - v_t)
         c = distill.pseudo_huber_constant(tape.x_high.size)
 

@@ -118,7 +118,7 @@ class TestCutShort:
 
     def test_equals_prefix_of_full_run(self, monkeypatch):
         net = random_net(23)
-        full = cascade.run_cascade(net, self.params(), keep_tape=True)
+        full = cascade.run_cascade(net, [self.params()], keep_tape=True)
         forward, calls = cascade.nets.forward, []
 
         def counted(*args, **kwargs):
@@ -128,7 +128,7 @@ class TestCutShort:
         monkeypatch.setattr(cascade.nets, "forward", counted)
         for stop in range(self.n_steps):
             calls.clear()
-            cut = cascade.run_cascade(net, self.params(), keep_tape=True, stop=stop)
+            cut = cascade.run_cascade(net, [self.params()], keep_tape=True, stop=stop)
             assert len(calls) == stop
             assert np.array_equal(cut.final, full.tape[stop].x_in)
             assert len(cut.tape) == stop
@@ -140,14 +140,37 @@ class TestCutShort:
 
     def test_stop_at_end_is_the_full_run(self):
         net = random_net(24)
-        full = cascade.run_cascade(net, self.params())
-        cut = cascade.run_cascade(net, self.params(), stop=self.n_steps)
+        full = cascade.run_cascade(net, [self.params()])
+        cut = cascade.run_cascade(net, [self.params()], stop=self.n_steps)
         assert np.array_equal(cut.final, full.final)
 
     @pytest.mark.parametrize("stop", [-1, 5])
     def test_rejects_stop_outside_schedule(self, stop):
         with pytest.raises(ValueError, match="stop"):
-            cascade.run_cascade(random_net(25), self.params(), stop=stop)
+            cascade.run_cascade(random_net(25), [self.params()], stop=stop)
+
+
+class TestBatch:
+    def test_lock_step_batch_matches_single_samples(self):
+        # Each sample keeps its own noise stream; the batched net sums in
+        # another order, so the samples agree to rounding.
+        p = desk_partition()
+        net = random_net(26)
+        batch = [cascade.CascadeParams(p, 4, 0.5, class_id=k % 3, seed=30 + k) for k in range(5)]
+        run = cascade.run_cascade(net, batch)
+        assert run.final.shape == (5, 1, 16, 16)
+        for params, image in zip(batch, run.final):
+            single, trace = cascade.infer(net, params)
+            assert nets.relative_error(image, single) <= 1e-12
+            assert trace == run.trace
+
+    def test_rejects_mixed_batches(self):
+        p = desk_partition()
+        with pytest.raises(ValueError, match="share"):
+            cascade.run_cascade(random_net(27), [cascade.CascadeParams(p, 4, 0.5, 0, 1),
+                                                 cascade.CascadeParams(p, 4, 1.0, 0, 2)])
+        with pytest.raises(ValueError, match="at least one"):
+            cascade.run_cascade(random_net(27), [])
 
 
 class TestNaiveCascade:

@@ -48,27 +48,37 @@ class TestTeacherLoss:
     def test_perfect_predictor_zero_loss(self, monkeypatch):
         spec = nets.NetSpec(channels=(1, 1), time_embed_dim=4, class_count=0)
         net = nets.DenoiserNet(spec, np.zeros(nets.param_count(spec)))
-        x0 = SeededRng(99).normal((1, 8, 8))
+        x0 = SeededRng(99).normal((3, 1, 8, 8))
 
-        def perfect_forward(net_, x_t, sigma, class_id=None, keep_cache=False):
+        def perfect_forward(net_, x_t, sigma, class_ids=None, keep_cache=False):
             # reconstruct the true velocity from the interpolation identity;
             # no cache, so backward evaluates the real net itself
-            v = (x_t - x0) / max(sigma, 1e-300)
+            v = (x_t - x0) / np.maximum(sigma, 1e-300)[:, None, None, None]
             return (v, None) if keep_cache else v
 
         monkeypatch.setattr(diffusion.nets, "forward", perfect_forward)
-        loss, grads = diffusion.teacher_loss(net, x0, None, SeededRng(7))
+        rngs = [SeededRng(7 + k) for k in range(3)]
+        loss, grads = diffusion.teacher_loss(net, x0, [None] * 3, rngs)
         assert loss == pytest.approx(0.0, abs=1e-18)
 
     def test_zero_net_unit_expected_loss(self):
         spec = nets.NetSpec(channels=(1, 1), time_embed_dim=4, class_count=0)
         zero = nets.DenoiserNet(spec, np.zeros(nets.param_count(spec)))
-        x0 = np.zeros((1, 8, 8))
-        losses = [
-            diffusion.teacher_loss(zero, x0, None, SeededRng(1000 + k))[0] for k in range(500)
-        ]
+        x0 = np.zeros((500, 1, 8, 8))
+        loss, _ = diffusion.teacher_loss(zero, x0, [None] * 500, [SeededRng(1000 + k) for k in range(500)])
         # E mean(eps^2) = 1; Monte-Carlo within 2%
-        assert abs(np.mean(losses) - 1.0) < 0.02
+        assert abs(loss - 1.0) < 0.02
+
+    def test_batch_is_the_mean_of_single_images(self):
+        spec = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=2)
+        net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(20)))
+        x0 = SeededRng(21).normal((5, 1, 16, 16))
+        ids = [0, 1, 1, 0, 1]
+        loss, grads = diffusion.teacher_loss(net, x0, ids, [SeededRng(22 + k) for k in range(5)])
+        singles = [diffusion.teacher_loss(net, x0[k : k + 1], ids[k : k + 1], [SeededRng(22 + k)])
+                   for k in range(5)]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12)
+        assert nets.relative_error(grads, np.mean([g for _, g in singles], axis=0)) <= 1e-12
 
     def test_divergence_aborts_with_diagnostics(self):
         cfg = data.DataConfig(n_per_class_low=4, n_per_class_high=6)
@@ -130,6 +140,7 @@ class TestEulerSampler:
     def test_sampling_deterministic(self):
         spec = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=2)
         net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(15)))
-        a = diffusion.euler_sample(net, 0, 8, 4, SeededRng(16))
-        b = diffusion.euler_sample(net, 0, 8, 4, SeededRng(16))
+        a = diffusion.euler_sample(net, [0, 1], 8, 4, [SeededRng(16), SeededRng(17)])
+        b = diffusion.euler_sample(net, [0, 1], 8, 4, [SeededRng(16), SeededRng(17)])
+        assert a.shape == (2, 1, 8, 8)
         assert np.array_equal(a, b)

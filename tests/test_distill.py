@@ -77,18 +77,18 @@ class TestSnrWeight:
 class TestGeneratorLoss:
     def test_identical_fake_and_teacher_zero(self):
         net = tiny_net(3)
-        x = SeededRng(4).normal((1, 16, 16))
-        loss, upstream = distill.generator_loss(x, 0.7, net, net, 0)
+        x = SeededRng(4).normal((2, 1, 16, 16))
+        loss, upstream = distill.generator_loss(x, 0.7, net, net, [0, 1])
         assert loss == 0.0
         assert not upstream.any()
 
     def test_quadratic_for_small_difference(self):
         teacher = tiny_net(5)
         fake = teacher.with_params(teacher.params + 1e-7)
-        x = SeededRng(6).normal((1, 16, 16))
-        loss, _ = distill.generator_loss(x, 0.7, fake, teacher, 0)
-        v_f = nets.forward(fake, x, 0.7, 0)
-        v_t = nets.forward(teacher, x, 0.7, 0)
+        x = SeededRng(6).normal((1, 1, 16, 16))
+        loss, _ = distill.generator_loss(x, 0.7, fake, teacher, [0])
+        v_f = nets.forward(fake, x, 0.7, [0])
+        v_t = nets.forward(teacher, x, 0.7, [0])
         r = 0.7 * (v_f - v_t)
         c = distill.pseudo_huber_constant(x.size)
         assert np.linalg.norm(r) < c / 10
@@ -96,44 +96,47 @@ class TestGeneratorLoss:
 
     def test_stop_gradient_contract(self):
         # the upstream gradient must equal that of the frozen-difference
-        # objective: r / sqrt(||r||^2 + c^2) with r evaluated at the
-        # current fake/teacher values
+        # objective averaged over the batch: r_i / sqrt(||r_i||^2 + c^2) / N
+        # with r evaluated at the current fake/teacher values, c from the
+        # size of one image
         teacher, fake = tiny_net(7), tiny_net(8)
-        x = SeededRng(9).normal((1, 16, 16))
-        loss, upstream = distill.generator_loss(x, 0.6, fake, teacher, 1)
-        v_f = nets.forward(fake, x, 0.6, 1)
-        v_t = nets.forward(teacher, x, 0.6, 1)
+        x = SeededRng(9).normal((2, 1, 16, 16))
+        loss, upstream = distill.generator_loss(x, 0.6, fake, teacher, [1, 0])
+        v_f = nets.forward(fake, x, 0.6, [1, 0])
+        v_t = nets.forward(teacher, x, 0.6, [1, 0])
         r = 0.6 * (v_t - v_f)  # x0_fake - x0_teacher
-        c = distill.pseudo_huber_constant(x.size)
-        expected = r / np.sqrt(np.sum(r * r) + c * c)
+        c = distill.pseudo_huber_constant(x[0].size)
+        roots = np.sqrt(np.sum(r * r, axis=(1, 2, 3)) + c * c)
+        expected = r / roots[:, None, None, None] / 2
         assert np.allclose(upstream, expected, atol=1e-12)
+        assert loss == pytest.approx(np.mean(roots - c), rel=1e-12)
 
 
 class TestFakeScoreLoss:
     def test_perfect_predictor_zero(self):
         fake = tiny_net(10)
-        x = SeededRng(11).normal((1, 16, 16))
-        v = nets.forward(fake, x, 0.5, 0)
+        x = SeededRng(11).normal((2, 1, 16, 16))
+        v = nets.forward(fake, x, 0.5, [0, 1])
         target = x - 0.5 * v
-        loss, grads = distill.fake_score_loss(fake, x, 0.5, target, 0.5, 0)
+        loss, grads = distill.fake_score_loss(fake, x, 0.5, target, 0.5, [0, 1])
         assert loss == pytest.approx(0.0, abs=1e-24)
         assert np.allclose(grads, 0.0, atol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         fake = tiny_net(12)
         rng = SeededRng(13)
-        x = rng.normal((1, 8, 8))
-        target = rng.normal((1, 8, 8))
-        _, grads = distill.fake_score_loss(fake, x, 0.7, target, 0.8, 1)
+        x = rng.normal((3, 1, 8, 8))
+        target = rng.normal((3, 1, 8, 8))
+        _, grads = distill.fake_score_loss(fake, x, 0.7, target, 0.8, [1, 0, 1])
         idx = rng.choice(fake.params.size, size=40)
         h = 1e-5
         fd = np.zeros(len(idx))
         for k, i in enumerate(idx):
             saved = fake.params[i]
             fake.params[i] = saved + h
-            up = distill.fake_score_loss(fake, x, 0.7, target, 0.8, 1)[0]
+            up = distill.fake_score_loss(fake, x, 0.7, target, 0.8, [1, 0, 1])[0]
             fake.params[i] = saved - h
-            down = distill.fake_score_loss(fake, x, 0.7, target, 0.8, 1)[0]
+            down = distill.fake_score_loss(fake, x, 0.7, target, 0.8, [1, 0, 1])[0]
             fake.params[i] = saved
             fd[k] = (up - down) / (2 * h)
         assert nets.relative_error(grads[idx], fd) < 1e-6
@@ -142,10 +145,10 @@ class TestFakeScoreLoss:
         # perturbing generator parameters must not change the fake gradient
         # once the projected values are fixed
         fake = tiny_net(14)
-        x = SeededRng(15).normal((1, 16, 16))
-        target = SeededRng(16).normal((1, 16, 16))
-        _, g1 = distill.fake_score_loss(fake, x, 0.5, target, 0.6, 0)
-        _, g2 = distill.fake_score_loss(fake, x, 0.5, target, 0.6, 0)
+        x = SeededRng(15).normal((1, 1, 16, 16))
+        target = SeededRng(16).normal((1, 1, 16, 16))
+        _, g1 = distill.fake_score_loss(fake, x, 0.5, target, 0.6, [0])
+        _, g2 = distill.fake_score_loss(fake, x, 0.5, target, 0.6, [0])
         assert np.array_equal(g1, g2)
 
 
@@ -195,7 +198,7 @@ class TestCascadeStates:
     def test_states_match_schedule(self):
         cfg = desk_config()
         p = cfg.partition()
-        run = distill.generate_cascade_states(tiny_net(20), 0, p, 4, SeededRng(21))
+        run = distill.generate_cascade_states(tiny_net(20), [0], p, 4, [21])
         assert len(run.tape) == 4
         assert [r.stage for r in run.trace.records] == [1, 1, 2, 2]
         sigmas = [t.sigma_in for t in run.tape]
@@ -205,18 +208,18 @@ class TestCascadeStates:
         # desk transposition of the 4-step 512->1024 schedule: recorded
         # states sit at shifted timesteps [1000, 857, 500, 250]
         p = sch.build_partition([sch.sigma_to_logsnr(0.502)], [8, 16])
-        run = distill.generate_cascade_states(tiny_net(21), 1, p, 4, SeededRng(22))
+        run = distill.generate_cascade_states(tiny_net(21), [1], p, 4, [22])
         assert [round(t.sigma_in * 1000) for t in run.tape] == [1000, 857, 500, 250]
 
     def test_one_state_per_stage_when_n_equals_k(self):
         cfg = desk_config(n_steps=2)
-        run = distill.generate_cascade_states(tiny_net(22), 1, cfg.partition(), 2, SeededRng(23))
+        run = distill.generate_cascade_states(tiny_net(22), [1], cfg.partition(), 2, [23])
         assert [r.stage for r in run.trace.records] == [1, 2]
 
     def test_select_state_nearest_in_shifted_time(self):
         cfg = desk_config()
         p = cfg.partition()
-        run = distill.generate_cascade_states(tiny_net(24), 0, p, 4, SeededRng(25))
+        run = distill.generate_cascade_states(tiny_net(24), [0], p, 4, [25])
         t0 = run.tape[0].sigma_in * 1000
         t1 = run.tape[1].sigma_in * 1000
         assert distill.select_state_index(run, 1, t0, 1000.0) == 0
@@ -229,17 +232,17 @@ class TestCascadeStates:
 class TestUpsampleTransform:
     def test_sigma_zero_returns_clean_upsample(self):
         gen = tiny_net(26)
-        x = SeededRng(27).normal((1, 8, 8))
-        tape = distill.upsample_transform(gen, x, 0.7, 0, 0.0, 0.2, 16, SeededRng(28))
+        x = SeededRng(27).normal((1, 1, 8, 8))
+        tape = distill.upsample_transform(gen, x, 0.7, [0], 0.0, 0.2, 16, [SeededRng(28)])
         assert np.allclose(tape.x_high, tape.clean_up, atol=1e-14)
 
     def test_alpha_one_at_final_resolution_renoises_own_trajectory(self):
         # U = identity at the final resolution; with alpha = 1 the output is
         # the state's own straight-line point at the target noise level
         gen = tiny_net(29)
-        x = SeededRng(30).normal((1, 16, 16))
-        tape = distill.upsample_transform(gen, x, 0.5, 1, 0.8, 1.0, 16, SeededRng(31))
-        v = nets.forward(gen, x, 0.5, 1)
+        x = SeededRng(30).normal((1, 1, 16, 16))
+        tape = distill.upsample_transform(gen, x, 0.5, [1], 0.8, 1.0, 16, [SeededRng(31)])
+        v = nets.forward(gen, x, 0.5, [1])
         x0 = x - 0.5 * v
         assert np.allclose(tape.x_high, x0 + 0.8 * v, atol=1e-12)
 
@@ -248,12 +251,10 @@ class TestUpsampleTransform:
         # (1 - sigma_t) * mean(clean estimate) up to Monte-Carlo error
         spec = nets.NetSpec(channels=(1, 1), time_embed_dim=4, class_count=0)
         gen = nets.DenoiserNet(spec, np.zeros(nets.param_count(spec)))
-        x = np.full((1, 8, 8), 0.5)
-        means = []
-        for k in range(200):
-            tape = distill.upsample_transform(gen, x, 0.3, None, 0.6, 0.0, 16, SeededRng(32 + k))
-            means.append(tape.x_high.mean())
-        assert np.mean(means) == pytest.approx((1 - 0.6) * 0.5, abs=0.01)
+        x = np.full((200, 1, 8, 8), 0.5)
+        rngs = [SeededRng(32 + k) for k in range(200)]
+        tape = distill.upsample_transform(gen, x, 0.3, [None] * 200, 0.6, 0.0, 16, rngs)
+        assert tape.x_high.mean() == pytest.approx((1 - 0.6) * 0.5, abs=0.01)
 
 
 class TestChainGradient:
@@ -278,36 +279,37 @@ class TestChainGradient:
         teacher = tiny_net(33)
         fake = tiny_net(34)
         gen = tiny_net(35)
-        class_id = 1
+        class_ids = [1, 0]
         weights = (1.0, 0.0) if stage == 1 else (0.0, 1.0)
         drawn, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(36), weights)
         assert drawn == stage
         sigma_target = teacher_t / p.t_max
 
         def x_high_of(g: nets.DenoiserNet):
-            run = distill.generate_cascade_states(g, class_id, p, cfg.n_steps, SeededRng(37), cfg.alpha_inference)
+            run = distill.generate_cascade_states(g, class_ids, p, cfg.n_steps, [37, 137], cfg.alpha_inference)
             sel = distill.select_state_index(run, stage, shifted_t, p.t_max)
             src = run.tape[sel]
             tape = distill.upsample_transform(
-                g, src.x_in, src.sigma_in, class_id, sigma_target, cfg.alpha, 16, SeededRng(38)
+                g, src.x_in, src.sigma_in, class_ids, sigma_target, cfg.alpha, 16,
+                [SeededRng(38), SeededRng(138)],
             )
             return run, sel, tape
 
         run, sel, tape = x_high_of(gen)
         assert any(t.kind == "transition" for t in run.tape[:sel]) == (stage == 2)
-        loss, upstream = distill.generator_loss(tape.x_high, sigma_target, fake, teacher, class_id)
-        gp, d_state = distill.backward_transform(gen, tape, class_id, upstream)
-        gp = gp + distill.cascade_chain_backward(gen, run, sel, class_id, d_state)
+        loss, upstream = distill.generator_loss(tape.x_high, sigma_target, fake, teacher, class_ids)
+        gp, d_state = distill.backward_transform(gen, tape, class_ids, upstream)
+        gp = gp + distill.cascade_chain_backward(gen, run, sel, class_ids, d_state)
 
         # frozen stop-gradient target from the base x_high
-        v_f = nets.forward(fake, tape.x_high, sigma_target, class_id)
-        v_t = nets.forward(teacher, tape.x_high, sigma_target, class_id)
+        v_f = nets.forward(fake, tape.x_high, sigma_target, class_ids)
+        v_t = nets.forward(teacher, tape.x_high, sigma_target, class_ids)
         y0 = tape.x_high + sigma_target * (v_f - v_t)  # x_high + x0_teacher - x0_fake
-        c = distill.pseudo_huber_constant(tape.x_high.size)
+        c = distill.pseudo_huber_constant(tape.x_high[0].size)
 
         def loss_of(params: np.ndarray) -> float:
             _, _, t = x_high_of(gen.with_params(params))
-            return distill.pseudo_huber(t.x_high - y0, c)[0]
+            return np.mean([distill.pseudo_huber(r, c)[0] for r in t.x_high - y0])
 
         assert loss_of(gen.params) == pytest.approx(loss, rel=1e-12)
         rng = SeededRng(39)
@@ -365,23 +367,38 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_net_work_per_step(self, monkeypatch, stage):
-        # Per sample: sel cascade forwards, one projection, two in the
+        # Per image: sel cascade forwards, one projection, two in the
         # generator loss and one in the fake loss; backwards for the fake
         # loss, the projection and the sel chain steps. Only the projection
         # and chain backwards evaluate their forward again: the fake loss
-        # hands its forward's cache to its backward.
-        cfg = replace(cfgmod.toy_default().distill, batch_size=3, warmup_steps=0)
+        # hands its forward's cache to its backward. The batch runs through
+        # each of these as one call per chunk, so the number of calls does
+        # not grow with B while B fits one chunk (four 16 px images).
+        counts = {}
+        for b in (1, 3):
+            cfg = replace(cfgmod.toy_default().distill, batch_size=b, warmup_steps=0)
+            counts[b], sel = self.count_net_work(monkeypatch, cfg, stage)
+            images = counts[b]["images"]
+            assert images["forward"] == b * (sel + 4)
+            assert images["backward"] == b * (sel + 2)
+            assert images["reforward"] == b * (sel + 1)
+        assert counts[1]["calls"] == counts[3]["calls"]
+
+    def count_net_work(self, monkeypatch, cfg, stage):
         p = cfg.partition()
         spec = nets.NetSpec(channels=(1, 4, 4, 1), time_embed_dim=4, class_count=3)
         teacher = TeacherModel(net=tiny_net(46, spec), trained_resolutions=[8, 16])
         state = distill.init_distill_state(teacher, cfg)
-        counts = {"forward": 0, "backward": 0, "impl": 0}
+        counts = {"calls": {"forward": 0, "backward": 0}, "images": {"forward": 0, "backward": 0, "reforward": 0}}
         selected = []
 
         def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
+            def wrapper(net, x, *args, **kwargs):
+                counts["calls"][name] += 1
+                counts["images"][name] += len(x)
+                if name == "backward" and kwargs.get("cache", args[3] if len(args) > 3 else None) is None:
+                    counts["images"]["reforward"] += len(x)
+                return fn(net, x, *args, **kwargs)
             return wrapper
 
         weights = tuple(1.0 if k == stage else 0.0 for k in (1, 2))
@@ -397,13 +414,11 @@ class TestTrainStep:
         monkeypatch.setattr(distill, "select_state_index", recording_select)
         monkeypatch.setattr(nets, "forward", counted("forward", nets.forward))
         monkeypatch.setattr(nets, "backward", counted("backward", nets.backward))
-        monkeypatch.setattr(nets, "_forward_impl", counted("impl", nets._forward_impl))
-        rec = distill.train_step(state, teacher.net, p, cfg, [0, 1, 2], SeededRng(47))
+        class_ids = [k % 3 for k in range(cfg.batch_size)]
+        rec = distill.train_step(state, teacher.net, p, cfg, class_ids, SeededRng(47))
+        monkeypatch.undo()
         assert rec.stage == stage and len(selected) == 1
-        b, sel = cfg.batch_size, selected[0]
-        assert counts["forward"] == b * (sel + 4)
-        assert counts["backward"] == b * (sel + 2)
-        assert counts["impl"] - counts["forward"] == b * (sel + 1)
+        return counts, selected[0]
 
     @pytest.mark.slow
     def test_training_smoke_loss_drops(self):

@@ -89,6 +89,29 @@ class TestBilinearUpsample:
         assert abs(lhs - rhs) < 1e-10
 
 
+    def test_leading_batch_axes_match_single_images(self):
+        rng = grid.SeededRng(17)
+        x = rng.normal((3, 2, 5, 7))
+        y = rng.normal((3, 2, 11, 13))
+        up = grid.bilinear_upsample(x, 11, 13)
+        back = grid.bilinear_upsample_t(y, 5, 7)
+        for i in range(3):
+            assert np.array_equal(up[i], grid.bilinear_upsample(x[i], 11, 13))
+            assert np.array_equal(back[i], grid.bilinear_upsample_t(y[i], 5, 7))
+
+    def test_rejects_non_finite_batch(self):
+        x = np.zeros((2, 1, 4, 4))
+        x[1, 0, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            grid.bilinear_upsample(x, 8, 8)
+
+    def test_taps_are_shared_and_read_only(self):
+        taps = grid._axis_taps(8, 16)
+        assert grid._axis_taps(8, 16) is taps
+        with pytest.raises(ValueError):
+            taps[0][0] = 1
+
+
 class TestAreaDownsample:
     def test_identity_factor_one(self):
         x = grid.SeededRng(5).normal((1, 4, 4))

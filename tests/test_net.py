@@ -19,27 +19,38 @@ def make_net(spec=TINY, seed=0):
 class TestForward:
     def test_zero_params_zero_output(self):
         n = nets.DenoiserNet(TINY, np.zeros(nets.param_count(TINY)))
-        x = SeededRng(1).normal((1, 8, 8))
-        assert np.array_equal(nets.forward(n, x, 0.5, 0), np.zeros_like(x))
+        x = SeededRng(1).normal((2, 1, 8, 8))
+        assert np.array_equal(nets.forward(n, x, 0.5, [0, 1]), np.zeros_like(x))
 
     def test_resolution_agnostic_shapes(self):
         n = make_net()
         for size in (8, 16):
-            x = SeededRng(2).normal((1, size, size))
-            out = nets.forward(n, x, 0.3, 1)
+            x = SeededRng(2).normal((3, 1, size, size))
+            out = nets.forward(n, x, 0.3, [1, 1, 1])
             assert out.shape == x.shape
             assert np.all(np.isfinite(out))
 
     def test_class_id_out_of_range(self):
         n = make_net()
         with pytest.raises(ValueError):
-            nets.forward(n, np.zeros((1, 8, 8)), 0.5, 3)
+            nets.forward(n, np.zeros((1, 1, 8, 8)), 0.5, [3])
+
+    def test_rejects_malformed_batches(self):
+        n = make_net()
+        with pytest.raises(ValueError, match="batch"):
+            nets.forward(n, np.zeros((1, 8, 8)), 0.5, [0])
+        with pytest.raises(ValueError, match="non-empty"):
+            nets.forward(n, np.zeros((0, 1, 8, 8)), 0.5, [])
+        with pytest.raises(ValueError, match="2 class ids for 3 images"):
+            nets.forward(n, np.zeros((3, 1, 8, 8)), 0.5, [0, 1])
+        with pytest.raises(ValueError, match="sigma"):
+            nets.forward(n, np.zeros((2, 1, 8, 8)), [0.5, 1.5], [0, 1])
 
     def test_deterministic(self):
         n = make_net()
-        x = SeededRng(3).normal((1, 8, 8))
-        a = nets.forward(n, x, 0.7, 2)
-        b = nets.forward(n, x, 0.7, 2)
+        x = SeededRng(3).normal((2, 1, 8, 8))
+        a = nets.forward(n, x, 0.7, [2, 0])
+        b = nets.forward(n, x, 0.7, [2, 0])
         assert np.array_equal(a, b)
 
     def test_param_count_is_function_of_spec(self):
@@ -49,26 +60,26 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         n = make_net()
-        x = SeededRng(4).normal((1, 8, 8))
-        gp, gx = nets.backward(n, x, 0.5, 0, np.zeros_like(x))
+        x = SeededRng(4).normal((2, 1, 8, 8))
+        gp, gx = nets.backward(n, x, 0.5, [0, 2], np.zeros_like(x))
         assert not gp.any() and not gx.any()
 
     def test_linear_conv_weight_grad_is_correlation(self):
-        # One plain conv layer: dW[o,c,a,b] = sum_ij up[o,i,j] * xpad[c,i+a,j+b]
+        # One plain conv layer: dW[o,c,a,b] = sum_nij up[n,o,i,j] * xpad[n,c,i+a,j+b]
         spec = nets.NetSpec(channels=(2, 3), time_embed_dim=4, class_count=0)
         n = make_net(spec, seed=5)
         rng = SeededRng(6)
-        x = rng.normal((2, 5, 5))
-        up = rng.normal((3, 5, 5))
+        x = rng.normal((2, 2, 5, 5))
+        up = rng.normal((2, 3, 5, 5))
         gp, _ = nets.backward(n, x, 0.5, None, up)
-        xp = np.zeros((2, 7, 7))
-        xp[:, 1:-1, 1:-1] = x
+        xp = np.zeros((2, 2, 7, 7))
+        xp[:, :, 1:-1, 1:-1] = x
         expected = np.zeros((3, 2, 3, 3))
         for o in range(3):
             for c in range(2):
                 for a in range(3):
                     for b in range(3):
-                        expected[o, c, a, b] = np.sum(up[o] * xp[c, a : a + 5, b : b + 5])
+                        expected[o, c, a, b] = np.sum(up[:, o] * xp[:, c, a : a + 5, b : b + 5])
         got = nets.DenoiserNet(spec, gp).view("conv0.weight")
         assert np.allclose(got, expected, atol=1e-12)
 
@@ -79,32 +90,60 @@ class TestBackward:
     def test_shape_mismatch_rejected(self):
         n = make_net()
         with pytest.raises(ValueError):
-            nets.backward(n, np.zeros((1, 8, 8)), 0.5, 0, np.zeros((1, 4, 4)))
+            nets.backward(n, np.zeros((1, 1, 8, 8)), 0.5, [0], np.zeros((1, 1, 4, 4)))
 
     @pytest.mark.parametrize("px", [8, 16])
     @pytest.mark.parametrize("class_id", [None, 1])
     def test_forward_cache_reuse_is_bit_identical(self, px, class_id):
+        # five images: at 16 px the batch spans two chunks
         n = make_net(nets.NetSpec(), seed=17)
+        class_ids = None if class_id is None else [class_id, 0, 2, class_id, 1]
         rng = SeededRng(18)
-        x = rng.normal((1, px, px))
-        up = rng.normal((1, px, px))
-        out, cache = nets.forward(n, x, 0.6, class_id, keep_cache=True)
-        assert np.array_equal(out, nets.forward(n, x, 0.6, class_id))
-        gp, gx = nets.backward(n, x, 0.6, class_id, up)
-        gp_cached, gx_cached = nets.backward(n, x, 0.6, class_id, up, cache)
+        x = rng.normal((5, 1, px, px))
+        up = rng.normal((5, 1, px, px))
+        sigma = rng.uniform(0.0, 1.0, size=5)
+        out, cache = nets.forward(n, x, sigma, class_ids, keep_cache=True)
+        assert np.array_equal(out, nets.forward(n, x, sigma, class_ids))
+        gp, gx = nets.backward(n, x, sigma, class_ids, up)
+        gp_cached, gx_cached = nets.backward(n, x, sigma, class_ids, up, cache)
         assert np.array_equal(gp_cached, gp)
         assert np.array_equal(gx_cached, gx)
 
+    @pytest.mark.parametrize("px", [8, 16])
+    @pytest.mark.parametrize("class_count", [3, 0])
+    def test_batch_equals_stack_of_single_images(self, px, class_count):
+        # The batch sums over chunks and images in another order than N
+        # single-image calls do, so the two agree to rounding, not bit for bit.
+        n = make_net(nets.NetSpec(class_count=class_count), seed=20)
+        rng = SeededRng(21)
+        x = rng.normal((6, 1, px, px))
+        up = rng.normal((6, 1, px, px))
+        sigma = rng.uniform(0.0, 1.0, size=6)
+        ids = [k % 3 for k in range(6)] if class_count else [None] * 6
+        out = nets.forward(n, x, sigma, ids)
+        gp, gx = nets.backward(n, x, sigma, ids, up)
+        singles = [nets.backward(n, x[i : i + 1], sigma[i], ids[i : i + 1], up[i : i + 1]) for i in range(6)]
+        ref_out = np.concatenate([nets.forward(n, x[i : i + 1], sigma[i], ids[i : i + 1]) for i in range(6)])
+        assert nets.relative_error(out, ref_out) <= 1e-12
+        assert nets.relative_error(gp, sum(g for g, _ in singles)) <= 1e-12
+        assert nets.relative_error(gx, np.concatenate([g for _, g in singles])) <= 1e-12
+
+    def test_chunks_bound_the_pixels_per_call(self):
+        assert [s.stop - s.start for s in nets.chunks(np.zeros((5, 1, 16, 16)))] == [4, 1]
+        assert [s.stop - s.start for s in nets.chunks(np.zeros((20, 1, 8, 8)))] == [16, 4]
+        assert [s.stop - s.start for s in nets.chunks(np.zeros((2, 1, 64, 64)))] == [1, 1]
+
 
 def sliding_window_conv3x3(x, weight):
-    """The reference im2col: reshape of a sliding-window view of the padded input."""
+    """The reference per-image conv: an im2col built as a reshape of a
+    sliding-window view of the padded input, times the flattened kernel."""
     c_in, h, w = x.shape
     xp = np.zeros((c_in, h + 2, w + 2))
     xp[:, 1:-1, 1:-1] = x
     windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
     cols = windows.transpose(1, 2, 0, 3, 4).reshape(h * w, c_in * 9)
     out = cols @ weight.reshape(weight.shape[0], c_in * 9).T
-    return out.T.reshape(weight.shape[0], h, w), cols
+    return out.T.reshape(weight.shape[0], h, w)
 
 
 class TestConv3x3:
@@ -112,13 +151,35 @@ class TestConv3x3:
     @pytest.mark.parametrize("c_out", [1, 24])
     @pytest.mark.parametrize("px", [8, 16])
     def test_matches_sliding_window_im2col(self, c_in, c_out, px):
+        # The net convolves channel-major (C, n, H, W) chunks: a shifted-GEMM
+        # conv for C_in > 1, a 9-row im2col for C_in = 1. Both sum in another
+        # order than the oracle. Five images at 16 px span two chunks.
         rng = SeededRng(19)
-        x = rng.normal((c_in, px, px))
         weight = rng.normal((c_out, c_in, 3, 3))
-        out, cols = nets._conv3x3(x, weight)
-        ref_out, ref_cols = sliding_window_conv3x3(x, weight)
-        assert np.array_equal(cols, ref_cols)
-        assert np.array_equal(out, ref_out)
+        for n in (1, 5):
+            x = rng.normal((n, c_in, px, px))
+            ref = np.stack([sliding_window_conv3x3(img, weight) for img in x])
+            out = np.concatenate([nets._conv(x[sl].transpose(1, 0, 2, 3), weight)[0].transpose(1, 0, 2, 3)
+                                  for sl in nets.chunks(x)])
+            assert nets.relative_error(out, ref) <= 1e-12, n
+
+    @pytest.mark.parametrize("c_in", [1, 24])
+    @pytest.mark.parametrize("c_out", [1, 24])
+    def test_backward_matches_oracle(self, c_in, c_out):
+        # weight gradient: correlation of the upstream with the padded input;
+        # input gradient: the adjoint identity <conv(x), u> = <x, conv^T(u)>
+        rng = SeededRng(22)
+        x = rng.normal((3, c_in, 8, 8))
+        weight = rng.normal((c_out, c_in, 3, 3))
+        up = rng.normal((c_out, 3, 8, 8))
+        out, saved = nets._conv(x.transpose(1, 0, 2, 3), weight)
+        dw, dx = nets._conv_backward(up, saved, weight)
+        xp = np.zeros((3, c_in, 10, 10))
+        xp[:, :, 1:-1, 1:-1] = x
+        ref_dw = np.einsum("onij,ncabij->ocab", up,
+                           np.lib.stride_tricks.sliding_window_view(xp, (8, 8), axis=(2, 3)))
+        assert nets.relative_error(dw, ref_dw) <= 1e-12
+        assert abs(np.sum(out * up) - np.sum(x.transpose(1, 0, 2, 3) * dx)) <= 1e-10 * np.sum(np.abs(out * up))
 
 
 class TestGradientCheck:
@@ -135,11 +196,11 @@ class TestGradientCheck:
         # negative control: a perturbed analytic gradient must fail the check
         n = make_net(seed=13)
         rng = SeededRng(14)
-        x = rng.normal((1, 8, 8))
-        up = rng.normal((1, 8, 8))
-        gp, _ = nets.backward(n, x, 0.4, 0, up)
+        x = rng.normal((2, 1, 8, 8))
+        up = rng.normal((2, 1, 8, 8))
+        gp, _ = nets.backward(n, x, [0.4, 0.6], [0, 1], up)
         idx = np.sort(rng.choice(n.params.size, size=100))
-        fd = nets.finite_difference_param_grad(n, x, 0.4, 0, up, idx)
+        fd = nets.finite_difference_param_grad(n, x, [0.4, 0.6], [0, 1], up, idx)
         assert nets.relative_error(gp[idx], fd) < 1e-6
         corrupted = gp[idx] * 1.05 + 0.01
         assert nets.relative_error(corrupted, fd) > 1e-4
