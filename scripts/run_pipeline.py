@@ -5,19 +5,14 @@ Runs the full desk-scale experiment into one run directory and prints the
 headline comparison. Expect roughly 10-25 minutes on one CPU core at the
 default budgets; pass --fast for a quick structural smoke run.
 """
+import argparse
 import os
+import sys
+import tempfile
+import time
 
-# one core is the documented target: pin BLAS before numpy loads; a value
-# set in the environment wins
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import argparse  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-
-from crossres.cli import main as cli  # noqa: E402
+# importing crossres (before numpy) pins BLAS to one thread and settles the heap
+from crossres.cli import main as cli
 
 
 FAST_OVERRIDES = """

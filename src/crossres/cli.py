@@ -61,6 +61,11 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
+def _print_optimizer(name: str, opt: nets.AdamW) -> None:
+    print(f"{name} optimizer: {opt.step_count} steps taken, {opt.clipped} clipped, "
+          f"{opt.skipped} skipped")
+
+
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
     run = cfgmod.RunDirectory(cfg.out_dir, cfg)
@@ -85,6 +90,7 @@ def cmd_train_teacher(args) -> int:
     run.record_time("train-teacher")
     run.finalize()
     print(f"teacher checkpoint at {run.file('teacher.ckpt')}")
+    _print_optimizer("teacher", model.opt)
     return 0
 
 
@@ -107,6 +113,8 @@ def cmd_distill(args) -> int:
     run.record_time("distill")
     run.finalize()
     print(f"distilled checkpoints in {ckpt_dir}")
+    _print_optimizer("generator", state.opt_generator)
+    _print_optimizer("fake score", state.opt_fake)
     return 0
 
 
@@ -114,15 +122,21 @@ def cmd_sample(args) -> int:
     cfg = _resolve_config(args)
     if args.count < 1:
         raise cfgmod.ConfigError(f"--count must be at least 1, got {args.count}")
+    if args.many_step is not None and args.many_step < 1:
+        raise cfgmod.ConfigError(f"--many-step must be at least 1, got {args.many_step}")
     ckpt = Path(args.checkpoint) if args.checkpoint else _generator_path(cfg)
     net = nets.load_checkpoint(_require(ckpt, "distill"))
+    n_classes = net.spec.class_count
+    if args.class_id is not None and not 0 <= args.class_id < n_classes:
+        raise cfgmod.ConfigError(
+            f"--class-id must be in [0, {n_classes}) for {ckpt}, got {args.class_id}")
     out_dir = Path(cfg.out_dir) / "samples"
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = SeededRng(cfg.seed)
     stats_rows = []
     class_ids = [args.class_id if args.class_id is not None else i % cfg.data.n_classes
                  for i in range(args.count)]
-    if args.many_step:
+    if args.many_step is not None:
         res = cfg.distill.resolutions[-1]
         rngs = [rng.derive(f"euler:{i}") for i in range(args.count)]
         images = diffusion.euler_sample(net, class_ids, res, args.many_step, rngs)

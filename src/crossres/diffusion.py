@@ -78,6 +78,7 @@ class TeacherModel:
     net: nets.DenoiserNet
     trained_resolutions: list[int]
     log: list[dict] = field(default_factory=list)
+    opt: nets.AdamW | None = None  # the optimizer that trained it; None when loaded
 
 
 def tensor_stats(arr: np.ndarray) -> str:
@@ -120,8 +121,8 @@ def train_teacher(dataset: ShapeDataset, config: TeacherConfig, rng: SeededRng) 
     """Curriculum training: low-tier phase, then high-tier fine-tune."""
     spec = config.net_spec(dataset.config.n_classes)
     params = nets.init_params(spec, rng.derive("teacher-init"))
-    model = TeacherModel(net=nets.DenoiserNet(spec, params), trained_resolutions=[])
     opt = nets.AdamW(lr=config.lr, clip_norm=config.clip_norm)
+    model = TeacherModel(net=nets.DenoiserNet(spec, params), trained_resolutions=[], opt=opt)
     if config.phase1_steps > 0:
         _run_phase(
             model, opt, dataset.low_images, dataset.low_classes,

@@ -498,6 +498,7 @@ def gradient_check(
 
 
 def clip_global_norm(grads: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale grads to global norm clip_norm if above it; else return grads itself."""
     norm = float(np.linalg.norm(grads))
     if norm > clip_norm > 0:
         return grads * (clip_norm / norm)
@@ -520,12 +521,14 @@ class AdamW:
     weight_decay: float = 0.0
     clip_norm: float = 1.0
     step_count: int = 0
+    clipped: int = 0
     skipped: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, bool]:
-        """One update; skips (and counts) steps with non-finite gradients."""
+        """One update; counts clipped steps, and skips (and counts) steps
+        with non-finite gradients."""
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
@@ -533,6 +536,8 @@ class AdamW:
             self.skipped += 1
             return params, False
         g = clip_global_norm(grads, self.clip_norm)
+        if g is not grads:
+            self.clipped += 1
         self.step_count += 1
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g

@@ -2,6 +2,8 @@
 pipeline script."""
 import importlib.util
 import os
+import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import crossres
-from crossres import config as cfgmod
+from crossres import config as cfgmod, net as nets
 from crossres.cli import main
+from crossres.grid import SeededRng
 
 
 class TestConfig:
@@ -145,7 +148,13 @@ class TestCli:
         common = ["--config", str(micro_config), "--seed", "3", "--out", out]
         assert main(["gen-data", *common]) == 0
         assert main(["train-teacher", *common]) == 0
+        # each optimizer's counts, micro config: 12 + 12 teacher steps, 6 distill steps
+        assert re.search(r"^teacher optimizer: 24 steps taken, \d+ clipped, 0 skipped$",
+                         capsys.readouterr().out, re.M)
         assert main(["distill", *common]) == 0
+        out_text = capsys.readouterr().out
+        for name in ("generator", "fake score"):
+            assert re.search(rf"^{name} optimizer: 6 steps taken, \d+ clipped, 0 skipped$", out_text, re.M)
         assert main(["distill", *common, "--rm-disabled"]) == 0
         assert main(["sample", *common, "--count", "2"]) == 0
         assert main(["eval", *common]) == 0
@@ -178,6 +187,23 @@ class TestCli:
                   "--count", "2", "--many-step", "4"]) == 0
         )
         assert (tmp_path / "run" / "samples" / "stats.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--many-step", "0"], "--many-step must be at least 1, got 0"),
+        (["--many-step", "-2"], "--many-step must be at least 1, got -2"),
+        (["--class-id", "9"], "--class-id must be in [0, 3)"),
+        (["--class-id", "-1"], "--class-id must be in [0, 3)"),
+    ], ids=["many-step-zero", "many-step-negative", "class-id-too-large", "class-id-negative"])
+    def test_sample_rejects_bad_flag(self, tmp_path, capsys, flags, message):
+        spec = nets.NetSpec(channels=(1, 4, 1))
+        ckpt = tmp_path / "net.ckpt"
+        nets.save_checkpoint(ckpt, nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
+        out = tmp_path / "run"
+        code = main(["sample", "--out", str(out), "--checkpoint", str(ckpt), "--count", "2", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (out / "samples").exists()
 
 
 def _load_run_pipeline():
@@ -221,3 +247,55 @@ class TestBlasThreadPin:
 
     def test_explicit_setting_wins(self):
         assert self.pinned(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
+
+
+FAULT_PROBE = """
+import resource
+
+import crossres
+import numpy as np
+from crossres import net as nets
+from crossres.grid import SeededRng
+
+spec = nets.NetSpec()
+net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0)))
+x = SeededRng(1).normal((16, 1, 16, 16))
+class_ids = [k % spec.class_count for k in range(16)]
+
+
+def call():
+    nets.loss_and_grad(net, x, 0.5, class_ids, lambda sl, out: (float(np.sum(out * out)), 2.0 * out))
+
+
+call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    call()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds are glibc's")
+class TestSettledHeap:
+    """`import crossres` fixes glibc's malloc thresholds, so the batched net
+    stops page-faulting its temporaries back in on every call."""
+
+    MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+    def minor_faults(self, **env):
+        base = {k: v for k, v in os.environ.items() if k not in self.MALLOC_VARS}
+        base["PYTHONPATH"] = str(Path(crossres.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env={**base, **env},
+                             capture_output=True, text=True, check=True)
+        return int(out.stdout)
+
+    def test_net_calls_stop_faulting(self):
+        assert self.minor_faults() <= 100
+
+    @pytest.mark.parametrize("env", [
+        {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"},
+        {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
+    ], ids=["malloc-vars", "glibc-tunables"])
+    def test_malloc_setting_in_environment_wins(self, env):
+        # crossres leaves these small thresholds in place, so the net faults as under glibc's defaults
+        assert self.minor_faults(**env) >= 10 * max(self.minor_faults(), 100)

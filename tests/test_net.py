@@ -240,6 +240,14 @@ class TestOptimizer:
             assert ok
             assert p[0] == pytest.approx(expected, rel=1e-14)
 
+    def test_clipped_and_skipped_steps_counted(self):
+        opt = nets.AdamW(lr=1e-3, clip_norm=1.0)
+        params = np.zeros(2)
+        for g in ([6.0, 8.0], [0.3, 0.4], [np.nan, 0.0], [0.0, 2.0], [0.0, 1.0]):
+            params, _ = opt.step(params, np.array(g))
+        # norms 10, 0.5, nan, 2, 1: clipping only acts above clip_norm
+        assert (opt.step_count, opt.clipped, opt.skipped) == (4, 2, 1)
+
     def test_non_finite_gradient_skipped(self):
         opt = nets.AdamW(lr=1.0)
         params = np.array([1.0])
