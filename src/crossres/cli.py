@@ -134,12 +134,12 @@ def cmd_sample(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = SeededRng(cfg.seed)
     stats_rows = []
-    class_ids = [args.class_id if args.class_id is not None else i % cfg.data.n_classes
+    class_ids = [args.class_id if args.class_id is not None else (i % n_classes if n_classes else None)
                  for i in range(args.count)]
     if args.many_step is not None:
         res = cfg.distill.resolutions[-1]
-        rngs = [rng.derive(f"euler:{i}") for i in range(args.count)]
-        images = diffusion.euler_sample(net, class_ids, res, args.many_step, rngs)
+        seeds = [rng.derive(f"euler:{i}").seed for i in range(args.count)]
+        images = diffusion.euler_sample(net, class_ids, res, args.many_step, seeds)
     else:
         partition = cfg.distill.partition()
         batch = [

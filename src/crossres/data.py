@@ -10,12 +10,11 @@ trains against and measures.
 
 Poses live in unit coordinates so the same pose renders consistently at
 any resolution. Dataset files are a text ``key = value`` manifest header
-followed by fixed-size binary records per tier (class byte, tier byte,
-jitter float64, raster float64s).
+followed by fixed-size binary records per tier, laid out by
+`record_dtype` (class byte, tier byte, jitter float64, raster float64s).
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -190,19 +189,27 @@ def generate_samples(cfg: DataConfig, rng: SeededRng) -> ShapeDataset:
     )
 
 
-def _record_bytes(class_id: int, tier: int, jitter: float, image: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    buf.write(bytes([class_id, tier]))
-    buf.write(np.float64(jitter).tobytes())
-    buf.write(image.astype("<f8").tobytes())
-    return buf.getvalue()
+def record_dtype(res: int) -> np.dtype:
+    """The fixed-size record of one res x res sample in a dataset file."""
+    return np.dtype(
+        [("class_id", "u1"), ("tier", "u1"), ("jitter", "<f8"), ("image", "<f8", (1, res, res))]
+    )
+
+
+def _records(classes: np.ndarray, tier: int, jitter, images: np.ndarray) -> np.ndarray:
+    records = np.zeros(len(classes), record_dtype(images.shape[-1]))
+    records["class_id"] = classes
+    records["tier"] = tier
+    records["jitter"] = jitter
+    records["image"] = images
+    return records
 
 
 def gen_dataset(cfg: DataConfig, rng: SeededRng, path) -> DatasetManifest:
     """Generate and write the dataset file; byte-identical given the seed."""
     ds = generate_samples(cfg, rng)
-    low_record = 2 + 8 + 8 * cfg.low_res**2
-    high_record = 2 + 8 + 8 * cfg.high_res**2
+    low_record = record_dtype(cfg.low_res).itemsize
+    high_record = record_dtype(cfg.high_res).itemsize
     n_low = len(ds.low_classes)
     n_high = len(ds.high_classes)
     manifest = DatasetManifest(
@@ -239,10 +246,8 @@ def gen_dataset(cfg: DataConfig, rng: SeededRng, path) -> DatasetManifest:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(final_header)
-        for i in range(n_low):
-            f.write(_record_bytes(int(ds.low_classes[i]), TIER_LOW, float(ds.low_jitter[i]), ds.low_images[i]))
-        for i in range(n_high):
-            f.write(_record_bytes(int(ds.high_classes[i]), TIER_HIGH, 0.0, ds.high_images[i]))
+        f.write(_records(ds.low_classes, TIER_LOW, ds.low_jitter, ds.low_images).tobytes())
+        f.write(_records(ds.high_classes, TIER_HIGH, 0.0, ds.high_images).tobytes())
     return manifest
 
 
@@ -278,17 +283,9 @@ def load_dataset(path) -> ShapeDataset:
     )
 
     def read_tier(offset: int, count: int, res: int):
-        record = 2 + 8 + 8 * res * res
-        classes = np.zeros(count, dtype=np.int64)
-        jitter = np.zeros(count)
-        images = np.zeros((count, 1, res, res))
-        for i in range(count):
-            base = offset + i * record
-            classes[i] = raw[base]
-            jitter[i] = np.frombuffer(raw, dtype="<f8", count=1, offset=base + 2)[0]
-            flat = np.frombuffer(raw, dtype="<f8", count=res * res, offset=base + 10)
-            images[i, 0] = flat.reshape(res, res)
-        return images, classes, jitter
+        records = np.frombuffer(raw, record_dtype(res), count=count, offset=offset)
+        return (records["image"].astype(np.float64), records["class_id"].astype(np.int64),
+                records["jitter"].astype(np.float64))
 
     low_images, low_classes, low_jitter = read_tier(int(fields["low_offset"]), n_low, low_res)
     high_images, high_classes, _ = read_tier(int(fields["high_offset"]), n_high, high_res)

@@ -1,4 +1,5 @@
-"""Rectified-flow forward process, teacher training, and Euler sampling.
+"""Rectified-flow forward process, teacher training, and the many-step
+reference sampler.
 
 The teacher is the multi-step model that distillation later compresses.
 It trains in two phases that mirror a curriculum: first on the
@@ -15,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net as nets
+from .cascade import CascadeParams, run_cascade
 from .data import ShapeDataset
 from .grid import ImageGrid, SeededRng
+from .schedule import build_partition
 
 
 def add_noise(x0: ImageGrid, eps: ImageGrid, sigma) -> ImageGrid:
@@ -140,29 +143,18 @@ def train_teacher(dataset: ShapeDataset, config: TeacherConfig, rng: SeededRng) 
     return model
 
 
-def uniform_sigma_schedule(steps: int) -> np.ndarray:
-    """Uniform-in-sigma grid from 1 to 0 inclusive (steps + 1 knots)."""
-    if steps < 1:
-        raise ValueError("need at least one step")
-    return np.linspace(1.0, 0.0, steps + 1)
-
-
 def euler_sample(
     net: nets.DenoiserNet,
     class_ids: Sequence[int | None],
     res: int,
     steps: int,
-    rngs: Sequence[SeededRng],
+    seeds: Sequence[int],
 ) -> np.ndarray:
-    """Plain Euler ODE sampling of a batch at a single resolution.
-
-    x <- x - (sigma_j - sigma_{j+1}) * v(x, sigma_j), starting from pure
-    noise at sigma = 1 (image i's drawn from rngs[i]) and ending exactly
-    at sigma = 0. Returns (N, C, res, res).
+    """Many-step Euler sampling of a batch at a single resolution: the
+    one-stage cascade, whose flow shift is 1, so its `steps` Euler steps
+    run down a uniform sigma grid from 1 to 0. Image i draws its noise
+    from SeededRng(seeds[i]). Returns (N, C, res, res).
     """
-    sched = uniform_sigma_schedule(steps)
-    x = np.stack([rng.normal((net.spec.channels[0], res, res)) for rng in rngs])
-    for j in range(len(sched) - 1):
-        v = nets.forward(net, x, float(sched[j]), class_ids)
-        x = x - (sched[j] - sched[j + 1]) * v
-    return x
+    partition = build_partition([], [res])
+    batch = [CascadeParams(partition, steps, class_id=c, seed=s) for c, s in zip(class_ids, seeds)]
+    return run_cascade(net, batch).final

@@ -143,18 +143,6 @@ def _pixels(res) -> float:
     return float(res) * float(res)
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Analytic per-step cost rule cost(step) = pixels(resolution)^gamma."""
-
-    gamma: float = 1.0
-
-    def cost(self, steps: int, res, reference_pixels: float) -> float:
-        if steps <= 0:
-            raise ValueError("step counts must be positive")
-        return steps * (_pixels(res) / reference_pixels) ** self.gamma
-
-
 def cost_model_speedup(
     base: tuple[int, object, float],
     method: list[tuple[int, object]],
@@ -163,15 +151,19 @@ def cost_model_speedup(
     """Speedup of a multi-resolution schedule over a CFG-multiplied base.
 
     ``base`` is (steps, resolution, cfg_multiplier); ``method`` lists
-    (steps, resolution) per stage. Costs normalize to the base resolution,
-    so the ratio is invariant to rescaling all pixel counts.
+    (steps, resolution) per stage. A step costs pixels(resolution)^gamma;
+    costs normalize to the base resolution, so the ratio is invariant to
+    rescaling all pixel counts.
     """
     base_steps, base_res, cfg = base
-    model = CostModel(gamma)
     ref = _pixels(base_res)
-    base_cost = model.cost(base_steps, base_res, ref) * cfg
-    method_cost = sum(model.cost(s, r, ref) for s, r in method)
-    return base_cost / method_cost
+
+    def cost(steps: int, res) -> float:
+        if steps <= 0:
+            raise ValueError("step counts must be positive")
+        return steps * (_pixels(res) / ref) ** gamma
+
+    return cost(base_steps, base_res) * cfg / sum(cost(s, r) for s, r in method)
 
 
 @dataclass
@@ -202,9 +194,9 @@ def sample_teacher_set(
     rng: SeededRng,
     tag: str,
 ) -> SampleSet:
-    """Matched-seed Euler samples: index i fixes (class, noise stream)."""
+    """Matched-seed many-step samples: index i fixes (class, noise stream)."""
     images = [
-        euler_sample(teacher_net, class_ids, res, steps, [rng.derive(f"{tag}:{i}") for i in idx])
+        euler_sample(teacher_net, class_ids, res, steps, [rng.derive(f"{tag}:{i}").seed for i in idx])
         for idx, class_ids in _sample_chunks(n, n_classes)
     ]
     return SampleSet(np.concatenate(images), tag)

@@ -1,22 +1,26 @@
-"""The traced benchmark run wraps package functions by name; every name it
-lists must exist, or only a traced run finds out (with an AttributeError)."""
+"""The benchmark calls the package by name: the traced run wraps functions
+listed in `perfbench/tracing.py`, and the workloads in `perfbench/workloads.py`
+call the package's API. A break in either must show here, not first as a
+failed benchmark run."""
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
 HOOKS = [(m, a) for m, a, *_ in tracing.TARGETS] + [(m, a) for m, a, _ in tracing.COUNTED]
 
 
@@ -26,3 +30,14 @@ def test_traced_hook_resolves(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_workloads_build_and_run_a_round(tmp_path):
+    workloads = load_perfbench("workloads")
+    built = {name: workloads.build(name, 11, tmp_path) for name in workloads.WORKLOADS}
+    # pipeline-fast runs its rounds in child interpreters; building it loads the script it mirrors
+    for name in ("distill-train", "sample-eval"):
+        tally = workloads.Tally()
+        built[name].round(0, tally, workloads.Null())
+        assert tally.attempted > 0 and tally.failed == 0, name
+        assert tally.digest, name

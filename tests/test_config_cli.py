@@ -1,5 +1,6 @@
 """RunConfig parsing/serialization, presets, the CLI surface, and the
 pipeline script."""
+import csv
 import importlib.util
 import os
 import platform
@@ -204,6 +205,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (out / "samples").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--many-step", "4"]], ids=["cascade", "many-step"])
+    def test_sample_cycles_the_checkpoint_classes(self, tmp_path, flags):
+        # the config has 3 classes, the checkpoint 2: the default ids follow the checkpoint
+        spec = nets.NetSpec(channels=(1, 4, 1), class_count=2)
+        ckpt = tmp_path / "two.ckpt"
+        nets.save_checkpoint(ckpt, nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
+        out = tmp_path / "run"
+        assert main(["sample", "--out", str(out), "--checkpoint", str(ckpt), "--count", "3", *flags]) == 0
+        with open(out / "samples" / "stats.csv", newline="") as f:
+            assert [row["class_id"] for row in csv.DictReader(f)] == ["0", "1", "0"]
 
 
 def _load_run_pipeline():

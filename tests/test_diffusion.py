@@ -140,7 +140,42 @@ class TestEulerSampler:
     def test_sampling_deterministic(self):
         spec = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=2)
         net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(15)))
-        a = diffusion.euler_sample(net, [0, 1], 8, 4, [SeededRng(16), SeededRng(17)])
-        b = diffusion.euler_sample(net, [0, 1], 8, 4, [SeededRng(16), SeededRng(17)])
+        a = diffusion.euler_sample(net, [0, 1], 8, 4, [16, 17])
+        b = diffusion.euler_sample(net, [0, 1], 8, 4, [16, 17])
         assert a.shape == (2, 1, 8, 8)
         assert np.array_equal(a, b)
+
+
+def linspace_euler(net, class_ids, res, steps, seeds):
+    """The plain Euler loop on a uniform sigma grid np.linspace(1, 0, N + 1),
+    independent of the cascade's schedule: the oracle of `euler_sample`."""
+    sched = np.linspace(1.0, 0.0, steps + 1)
+    x = np.stack([SeededRng(seed).normal((net.spec.channels[0], res, res)) for seed in seeds])
+    for j in range(steps):
+        x = x - (sched[j] - sched[j + 1]) * nets.forward(net, x, float(sched[j]), class_ids)
+    return x
+
+
+class TestEulerSampleIsTheOneStageCascade:
+    SPEC = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=3)
+    CLASS_IDS = [0, 1, 2, 2, 0, 1]
+    SEEDS = [40 + k for k in range(6)]
+
+    def net(self):
+        return nets.DenoiserNet(self.SPEC, nets.init_params(self.SPEC, SeededRng(41)))
+
+    @pytest.mark.parametrize("res", [8, 16])
+    @pytest.mark.parametrize("steps", [8, 32])
+    def test_bitwise_equal_to_linspace_loop(self, res, steps):
+        # with one stage and flow shift 1, the schedule's knots are linspace's
+        net = self.net()
+        got = diffusion.euler_sample(net, self.CLASS_IDS, res, steps, self.SEEDS)
+        assert np.array_equal(got, linspace_euler(net, self.CLASS_IDS, res, steps, self.SEEDS))
+
+    @pytest.mark.parametrize("res", [8, 16])
+    def test_within_an_ulp_of_linspace_loop_off_powers_of_two(self, res):
+        # for N not a power of two the knots can differ from linspace's by an ulp
+        net = self.net()
+        got = diffusion.euler_sample(net, self.CLASS_IDS, res, 10, self.SEEDS)
+        want = linspace_euler(net, self.CLASS_IDS, res, 10, self.SEEDS)
+        assert np.max(np.abs(got - want)) <= 1e-15
