@@ -17,9 +17,10 @@ Distillation's projection into the teacher space is the same transition,
 taken to the final resolution at the drawn teacher noise level. Both kinds
 of step share one adjoint, `step_vjp`, which reads a `StepTape` record.
 
-States are batches (N, C, H, W): the cascades of a batch share their
-schedule, so they run in lock-step through one net call per step, while
-each sample draws its noise from its own seeded stream.
+A batch of cascades is one partition, step count and alpha_inference
+with one (class id, seed) per sample: the states (N, C, H, W) run in
+lock-step through one net call per step, while each sample draws its
+noise from its own seeded stream. The trace is the schedule's rows.
 """
 from __future__ import annotations
 
@@ -31,12 +32,11 @@ import numpy as np
 
 from . import net as nets
 from .grid import ImageGrid, SeededRng, bilinear_upsample, bilinear_upsample_t
-from .schedule import TrajectoryPartition, inference_schedule
+from .schedule import ScheduleStep, TrajectoryPartition, inference_schedule
 
 __all__ = [
     "CascadeParams",
     "CascadeError",
-    "TraceRecord",
     "InferenceTrace",
     "StepTape",
     "CascadeRun",
@@ -114,20 +114,9 @@ class CascadeParams:
             raise ValueError(f"alpha_inference must lie in [0, 1], got {self.alpha_inference}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    step: int
-    stage: int
-    teacher_t: float
-    shifted_t: float
-    sigma: float
-    resolution: int
-    transition: bool
-
-
 @dataclass
 class InferenceTrace:
-    records: list[TraceRecord]
+    records: list[ScheduleStep]
 
     def transitions(self) -> int:
         return sum(r.transition for r in self.records)
@@ -144,7 +133,7 @@ class InferenceTrace:
         for a, b in zip(self.records, self.records[1:]):
             if (a.resolution != b.resolution) != a.transition:
                 raise CascadeError("resolution must change exactly at transition steps")
-        sigmas = [r.teacher_t / partition.t_max for r in self.records]
+        sigmas = [r.teacher_sigma for r in self.records]
         if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
             raise CascadeError("teacher-equivalent logSNR must increase strictly")
 
@@ -156,7 +145,7 @@ class InferenceTrace:
             )
             for r in self.records:
                 writer.writerow(
-                    [r.step, r.stage, repr(r.teacher_t), repr(r.shifted_t), repr(r.sigma),
+                    [r.step, r.stage, repr(r.teacher_t), repr(r.shifted_t), repr(r.shifted_sigma),
                      r.resolution, int(r.transition)]
                 )
 
@@ -202,7 +191,7 @@ def step_vjp(
 
 
 def schedule_trace(partition: TrajectoryPartition, n_steps: int) -> InferenceTrace:
-    """The validated trace of an n_steps cascade, read off the schedule alone.
+    """The validated trace of an n_steps cascade: the schedule's rows.
 
     Every step's stage, noise level, resolution and kind are fixed before
     any state exists, so a cascade is checked before its first forward.
@@ -214,86 +203,71 @@ def schedule_trace(partition: TrajectoryPartition, n_steps: int) -> InferenceTra
             f"schedule visits stages {stages_seen}; every stage of 1..{partition.num_stages} "
             "needs at least one step"
         )
-    # terminal landing point: the final stage
-    next_stage = [r.stage for r in rows[1:]] + [partition.num_stages]
-    records: list[TraceRecord] = []
-    for j, row in enumerate(rows):
-        if next_stage[j] not in (row.stage, row.stage + 1):
+    for a, b in zip(rows, rows[1:]):
+        if b.stage not in (a.stage, a.stage + 1):
             raise CascadeError(
-                f"step {j}: stage jumps from {row.stage} to {next_stage[j]}; "
+                f"step {a.step}: stage jumps from {a.stage} to {b.stage}; "
                 "the cascade only advances one stage at a time"
             )
-        records.append(
-            TraceRecord(
-                step=j,
-                stage=row.stage,
-                teacher_t=row.teacher_t,
-                shifted_t=row.shifted_t,
-                sigma=row.shifted_sigma,
-                resolution=row.resolution,
-                transition=next_stage[j] != row.stage,
-            )
-        )
-    trace = InferenceTrace(records)
+    trace = InferenceTrace(rows)
     trace.validate(partition)
     return trace
 
 
 def run_cascade(
     net: nets.DenoiserNet,
-    batch: Sequence[CascadeParams],
+    partition: TrajectoryPartition,
+    n_steps: int,
+    alpha_inference: float,
+    class_ids: Sequence[int | None],
+    seeds: Sequence[int],
     keep_tape: bool = False,
     stop: int | None = None,
 ) -> CascadeRun:
-    """Execute a batch of cascades in lock-step; optionally keep the
-    per-step tape.
+    """Execute a batch of cascades in lock-step, one per (class id, seed);
+    optionally keep the per-step tape.
 
-    The batch shares its partition, step count and alpha_inference; each
-    sample brings its class id and seed. Sample i's noise stream is
-    SeededRng(batch[i].seed), which draws, in order: the base noise at the
-    first stage's resolution, then one fresh Gaussian per transition. With
-    fixed seeds the run is bitwise deterministic. Given `stop`, the run
-    ends before step `stop`: `final` holds the states entering it and the
-    tape the steps before it. Nothing is evaluated or drawn from that step
-    on, so the states and tape equal those of the full run. The trace is
-    always the full schedule's.
+    Sample i's noise stream is SeededRng(seeds[i]), which draws, in order:
+    the base noise at the first stage's resolution, then one fresh
+    Gaussian per transition. With fixed seeds the run is bitwise
+    deterministic. Given `stop`, the run ends before step `stop`: `final`
+    holds the states entering it and the tape the steps before it. Nothing
+    is evaluated or drawn from that step on, so the states and tape equal
+    those of the full run. The trace is always the full schedule's.
     """
-    if not batch:
-        raise ValueError("a cascade batch needs at least one sample")
-    params = batch[0]
-    shared = (params.partition, params.n_steps, params.alpha_inference)
-    if any((p.partition, p.n_steps, p.alpha_inference) != shared for p in batch[1:]):
-        raise ValueError("a cascade batch must share partition, n_steps and alpha_inference")
-    trace = schedule_trace(params.partition, params.n_steps)
+    if len(class_ids) != len(seeds):
+        raise ValueError(f"a cascade batch needs one class id per seed, got {len(class_ids)} and {len(seeds)}")
+    if len(seeds) == 0:
+        raise ValueError("a cascade batch needs at least one seed")
+    trace = schedule_trace(partition, n_steps)
     records = trace.records
     stop = len(records) if stop is None else stop
     if not 0 <= stop <= len(records):
         raise ValueError(f"stop must lie in [0, {len(records)}], got {stop}")
     # terminal landing point: sigma = 0
-    next_sigma = [r.sigma for r in records[1:]] + [0.0]
+    next_sigma = [r.shifted_sigma for r in records[1:]] + [0.0]
 
-    rngs = [SeededRng(p.seed) for p in batch]
-    class_ids = [p.class_id for p in batch]
+    rngs = [SeededRng(seed) for seed in seeds]
     res0 = records[0].resolution
     x = np.stack([rng.normal((net.spec.channels[0], res0, res0)) for rng in rngs])
     tape: list[StepTape] = []
     for j, record in enumerate(records[:stop]):
-        v = nets.forward(net, x, record.sigma, class_ids)
+        sigma = record.shifted_sigma
+        v = nets.forward(net, x, sigma, class_ids)
         if not record.transition:
-            x_next = x - (record.sigma - next_sigma[j]) * v
+            x_next = x - (sigma - next_sigma[j]) * v
         else:
             _, x_next = transition(
-                x, v, record.sigma, next_sigma[j], params.alpha_inference,
-                records[j + 1].resolution, rngs,
+                x, v, sigma, next_sigma[j], alpha_inference, records[j + 1].resolution, rngs,
             )
         if keep_tape:
             tape.append(
                 StepTape(
                     kind="transition" if record.transition else "euler",
                     x_in=x,
-                    sigma_in=record.sigma,
+                    sigma_in=sigma,
                     sigma_next=next_sigma[j],
-                    alpha=params.alpha_inference if record.transition else None,
+                    alpha=alpha_inference if record.transition else None,
                 )
             )
         x = x_next
@@ -303,6 +277,7 @@ def run_cascade(
 def infer(net: nets.DenoiserNet, params: CascadeParams) -> tuple[np.ndarray, InferenceTrace]:
     """Cascaded few-step sampling of one image (C, H, W); returns the clean
     sample and its trace."""
-    run = run_cascade(net, [params])
+    run = run_cascade(
+        net, params.partition, params.n_steps, params.alpha_inference, [params.class_id], [params.seed]
+    )
     return run.final[0], run.trace
-

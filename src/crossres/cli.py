@@ -104,9 +104,7 @@ def cmd_distill(args) -> int:
     arm = "rm-disabled" if args.rm_disabled else "final"
     dcfg = cfg.distill if not args.rm_disabled else distill.rm_disabled_config(cfg.distill)
     state, _ = distill.train(
-        teacher, dcfg, _root_rng(cfg).derive("distill"),
-        n_classes=cfg.data.n_classes,
-        log_path=run.file(f"distill-log-{arm}.csv"),
+        teacher, dcfg, _root_rng(cfg).derive("distill"), log_path=run.file(f"distill-log-{arm}.csv"),
     )
     nets.save_checkpoint(ckpt_dir / f"generator-{arm}.ckpt", state.generator)
     nets.save_checkpoint(ckpt_dir / f"fake-{arm}.ckpt", state.fake)
@@ -141,18 +139,9 @@ def cmd_sample(args) -> int:
         seeds = [rng.derive(f"euler:{i}").seed for i in range(args.count)]
         images = diffusion.euler_sample(net, class_ids, res, args.many_step, seeds)
     else:
-        partition = cfg.distill.partition()
-        batch = [
-            cascade.CascadeParams(
-                partition=partition,
-                n_steps=cfg.distill.n_steps,
-                alpha_inference=cfg.distill.alpha_inference,
-                class_id=class_id,
-                seed=rng.derive(f"cascade:{i}").seed,
-            )
-            for i, class_id in enumerate(class_ids)
-        ]
-        run = cascade.run_cascade(net, batch)
+        d = cfg.distill
+        seeds = [rng.derive(f"cascade:{i}").seed for i in range(args.count)]
+        run = cascade.run_cascade(net, d.partition(), d.n_steps, d.alpha_inference, class_ids, seeds)
         images = run.final
         for i in range(args.count):
             run.trace.write_csv(out_dir / f"trace-{i:03d}.csv")

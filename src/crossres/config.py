@@ -71,41 +71,23 @@ def toy_default() -> RunConfig:
 def sdxl_like() -> RunConfig:
     """Schedule-level preset for the 512px -> 1024px 4-step configuration.
 
-    The split encodes the printed low/high boundary t = 502 (the quoted
-    logSNR threshold of -2.5 maps to t = 777 under the conversion here,
-    which would give a 1 + 3 split; see the schedule table docs).
+    It keeps toy-default's split, which encodes the printed low/high
+    boundary t = 502 (the quoted logSNR threshold of -2.5 maps to t = 777
+    under the conversion here, which would give a 1 + 3 split; see the
+    schedule table docs), its flow shift, step count and alphas.
     """
     base = toy_default()
-    return replace(
-        base,
-        preset="sdxl-like",
-        distill=replace(
-            base.distill,
-            thresholds=(sigma_to_logsnr(0.502),),
-            resolutions=(512, 1024),
-            flow_shift=1.0,
-            n_steps=4,
-            alpha=0.2,
-            alpha_inference=1.0,
-        ),
-    )
+    return replace(base, preset="sdxl-like", distill=replace(base.distill, resolutions=(512, 1024)))
 
 
 def sd35_like() -> RunConfig:
-    """512px -> 1024px with flow shift 3 and the logSNR -2.5 threshold."""
+    """512px -> 1024px with flow shift 3 and the logSNR -2.5 threshold;
+    toy-default's step count and alphas."""
     base = toy_default()
     return replace(
         base,
         preset="sd35-like",
-        distill=replace(
-            base.distill,
-            thresholds=(-2.5,),
-            resolutions=(512, 1024),
-            flow_shift=3.0,
-            n_steps=4,
-            alpha=0.2,
-            alpha_inference=1.0,
-        ),
+        distill=replace(base.distill, thresholds=(-2.5,), resolutions=(512, 1024), flow_shift=3.0),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net as nets
-from .cascade import CascadeParams, run_cascade
+from .cascade import run_cascade
 from .data import ShapeDataset
 from .grid import ImageGrid, SeededRng
 from .schedule import build_partition
@@ -155,6 +155,4 @@ def euler_sample(
     run down a uniform sigma grid from 1 to 0. Image i draws its noise
     from SeededRng(seeds[i]). Returns (N, C, res, res).
     """
-    partition = build_partition([], [res])
-    batch = [CascadeParams(partition, steps, class_id=c, seed=s) for c, s in zip(class_ids, seeds)]
-    return run_cascade(net, batch).final
+    return run_cascade(net, build_partition([], [res]), steps, 1.0, class_ids, seeds).final

@@ -31,9 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import net as nets
-from .cascade import (
-    CascadeParams, CascadeRun, StepTape, run_cascade, schedule_trace, step_vjp, transition,
-)
+from .cascade import CascadeRun, StepTape, run_cascade, schedule_trace, step_vjp, transition
 from .diffusion import TeacherModel, tensor_stats
 from .grid import SeededRng
 from .schedule import TrajectoryPartition, build_partition, unshift_sigma
@@ -205,11 +203,9 @@ def generate_cascade_states(
     """Run the generator's own cascades, one per (class id, seed), in
     lock-step, recording every pre-step state; with `stop`, only up to the
     states entering that step (`run.final`)."""
-    batch = [
-        CascadeParams(partition, n_steps, alpha_inference, class_id=class_id, seed=seed)
-        for class_id, seed in zip(class_ids, seeds, strict=True)
-    ]
-    return run_cascade(generator, batch, keep_tape=True, stop=stop)
+    return run_cascade(
+        generator, partition, n_steps, alpha_inference, class_ids, seeds, keep_tape=True, stop=stop
+    )
 
 
 def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: float) -> int:
@@ -222,7 +218,7 @@ def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: flo
     for j, record in enumerate(run.trace.records):
         if record.stage != stage:
             continue
-        dist = abs(record.sigma * t_max - shifted_t)
+        dist = abs(record.shifted_sigma * t_max - shifted_t)
         if best is None or dist < best_dist:
             best, best_dist = j, dist
     if best is None:
@@ -388,7 +384,7 @@ def train_step(
     # chosen once from the plan, and each cascade runs only up to it.
     plan = CascadeRun(final=None, trace=schedule_trace(partition, config.n_steps))
     sel = select_state_index(plan, stage, shifted_t, partition.t_max)
-    sigma_state = plan.trace.records[sel].sigma
+    sigma_state = plan.trace.records[sel].shifted_sigma
     run = generate_cascade_states(
         state.generator, class_ids, partition, config.n_steps,
         [rng.derive(f"cascade:{state.step}:{i}").seed for i in range(len(class_ids))],
@@ -441,11 +437,12 @@ def train(
     teacher: TeacherModel,
     config: DistillConfig,
     rng: SeededRng,
-    n_classes: int,
     log_path=None,
 ) -> tuple[DistillState, list[TrainStepRecord]]:
-    """Drive the full distillation run; emits a CSV log."""
+    """Drive the full distillation run; emits a CSV log. Class ids are
+    drawn from the teacher net's classes."""
     config.validate()
+    n_classes = teacher.net.spec.class_count
     partition = config.partition()
     state = init_distill_state(teacher, config)
     records: list[TrainStepRecord] = []

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import net as nets
-from .cascade import CascadeParams, run_cascade
+from .cascade import run_cascade
 from .data import ShapeDataset
 from .diffusion import euler_sample
 from .grid import SeededRng, write_pgm
@@ -174,15 +174,9 @@ class EvalConfig:
     contact_sheet_n: int = 64
 
 
-# Sample sets are drawn this many images at a time: one batch of states.
-SAMPLE_CHUNK = 32
-
-
-def _sample_chunks(n: int, n_classes: int):
-    """Index ranges of the sample batches, each with its round-robin classes."""
-    for start in range(0, n, SAMPLE_CHUNK):
-        idx = range(start, min(start + SAMPLE_CHUNK, n))
-        yield idx, [i % n_classes if n_classes > 0 else None for i in idx]
+def _round_robin(n: int, n_classes: int) -> list[int | None]:
+    """Class ids of a sample set: index i has class i mod n_classes."""
+    return [i % n_classes if n_classes > 0 else None for i in range(n)]
 
 
 def sample_teacher_set(
@@ -195,11 +189,8 @@ def sample_teacher_set(
     tag: str,
 ) -> SampleSet:
     """Matched-seed many-step samples: index i fixes (class, noise stream)."""
-    images = [
-        euler_sample(teacher_net, class_ids, res, steps, [rng.derive(f"{tag}:{i}").seed for i in idx])
-        for idx, class_ids in _sample_chunks(n, n_classes)
-    ]
-    return SampleSet(np.concatenate(images), tag)
+    seeds = [rng.derive(f"{tag}:{i}").seed for i in range(n)]
+    return SampleSet(euler_sample(teacher_net, _round_robin(n, n_classes), res, steps, seeds), tag)
 
 
 def sample_cascade_set(
@@ -214,15 +205,9 @@ def sample_cascade_set(
 ) -> SampleSet:
     """Cascade samples; the index (not the tag) keys the noise streams, so
     different arms drawn from the same rng share seeds and classes."""
-    images = []
-    for idx, class_ids in _sample_chunks(n, n_classes):
-        batch = [
-            CascadeParams(partition, n_steps, alpha_inference, class_id=class_id,
-                          seed=rng.derive(f"arm:{i}").seed)
-            for i, class_id in zip(idx, class_ids)
-        ]
-        images.append(run_cascade(net, batch).final)
-    return SampleSet(np.concatenate(images), tag)
+    seeds = [rng.derive(f"arm:{i}").seed for i in range(n)]
+    run = run_cascade(net, partition, n_steps, alpha_inference, _round_robin(n, n_classes), seeds)
+    return SampleSet(run.final, tag)
 
 
 def contact_sheet(path, images: np.ndarray, cols: int = 16, lo: float = -0.25, hi: float = 1.25) -> None:

@@ -201,7 +201,11 @@ def map_timestep(t: float, partition: TrajectoryPartition) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    """One row of an inference schedule (continuous timesteps)."""
+    """One row of an inference schedule (continuous timesteps).
+
+    ``transition`` marks a row whose successor lies in another stage; the
+    last row's successor is the sample, which lies in the final stage.
+    """
 
     step: int
     stage: int
@@ -210,6 +214,7 @@ class ScheduleStep:
     teacher_sigma: float
     shifted_t: float
     shifted_sigma: float
+    transition: bool
 
 
 def inference_schedule(n_steps: int, partition: TrajectoryPartition) -> list[ScheduleStep]:
@@ -222,22 +227,22 @@ def inference_schedule(n_steps: int, partition: TrajectoryPartition) -> list[Sch
     k = partition.num_stages
     if n_steps < k:
         raise ValueError(f"need at least one step per stage: N={n_steps} < K={k}")
+    sigmas = [apply_flow_shift(1.0 - j / n_steps, partition.flow_shift) for j in range(n_steps)]
+    mapped = [map_timestep(sigma * partition.t_max, partition) for sigma in sigmas]
     rows = []
-    for j in range(n_steps):
-        u = 1.0 - j / n_steps
-        sigma = apply_flow_shift(u, partition.flow_shift)
-        teacher_t = sigma * partition.t_max
-        stage_index, shifted_t = map_timestep(teacher_t, partition)
-        stage = partition.stages[stage_index - 1]
+    for j, (sigma, (stage_index, shifted_t)) in enumerate(zip(sigmas, mapped)):
+        # terminal landing point: the final stage
+        next_stage = mapped[j + 1][0] if j + 1 < n_steps else k
         rows.append(
             ScheduleStep(
                 step=j,
                 stage=stage_index,
-                resolution=stage.resolution,
-                teacher_t=teacher_t,
+                resolution=partition.stages[stage_index - 1].resolution,
+                teacher_t=sigma * partition.t_max,
                 teacher_sigma=sigma,
                 shifted_t=shifted_t,
                 shifted_sigma=shifted_t / partition.t_max,
+                transition=next_stage != stage_index,
             )
         )
     return rows

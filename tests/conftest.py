@@ -39,7 +39,7 @@ def toy_teacher(toy_config, toy_dataset):
 def toy_student(toy_config, toy_teacher):
     """Full distillation run; returns (state, step records)."""
     state, records = distill.train(
-        toy_teacher, toy_config.distill, SeededRng(ROOT_SEED).derive("distill"), n_classes=3
+        toy_teacher, toy_config.distill, SeededRng(ROOT_SEED).derive("distill")
     )
     return state, records
 
@@ -48,7 +48,5 @@ def toy_student(toy_config, toy_teacher):
 def toy_rm_disabled(toy_config, toy_teacher):
     """Ablation arm: single-resolution distillation at matched budgets."""
     cfg = distill.rm_disabled_config(toy_config.distill)
-    state, _ = distill.train(
-        toy_teacher, cfg, SeededRng(ROOT_SEED).derive("distill-rm"), n_classes=3
-    )
+    state, _ = distill.train(toy_teacher, cfg, SeededRng(ROOT_SEED).derive("distill-rm"))
     return state

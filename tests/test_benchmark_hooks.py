@@ -41,3 +41,25 @@ def test_workloads_build_and_run_a_round(tmp_path):
         built[name].round(0, tally, workloads.Null())
         assert tally.attempted > 0 and tally.failed == 0, name
         assert tally.digest, name
+
+
+
+# the span attrs `run.py --trace 1` reads off the package's arguments and return values
+TRACED_ATTRS = {
+    "distill-train": {"cascade.run": {"steps", "transitions"}, "distill.select": {"selected", "tape"}},
+    "sample-eval": {"cascade.run": {"steps", "transitions"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_ATTRS))
+def test_traced_round_records_span_attrs(tmp_path, name):
+    workloads = load_perfbench("workloads")
+    workload = workloads.build(name, 11, tmp_path)
+    tally, tracer = workloads.Tally(), tracing.Tracer()
+    with tracer:
+        workload.round(0, tally, tracer)
+    assert tally.attempted > 0 and tally.failed == 0
+    for span, keys in TRACED_ATTRS[name].items():
+        attrs = [s[5] for s in tracer.spans if s[0] == span]
+        assert attrs, span
+        assert all(keys <= set(a) for a in attrs), span

@@ -1,4 +1,6 @@
 """Cascaded inference state machine: traces, transitions, noise mixing."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -113,12 +115,12 @@ class TestCutShort:
         d = cfgmod.toy_default().distill
         self.partition, self.n_steps = d.partition(), d.n_steps
 
-    def params(self):
-        return cascade.CascadeParams(self.partition, self.n_steps, 1.0, class_id=2, seed=22)
+    def run(self, net, **kwargs):
+        return cascade.run_cascade(net, self.partition, self.n_steps, 1.0, [2], [22], **kwargs)
 
     def test_equals_prefix_of_full_run(self, monkeypatch):
         net = random_net(23)
-        full = cascade.run_cascade(net, [self.params()], keep_tape=True)
+        full = self.run(net, keep_tape=True)
         forward, calls = cascade.nets.forward, []
 
         def counted(*args, **kwargs):
@@ -128,7 +130,7 @@ class TestCutShort:
         monkeypatch.setattr(cascade.nets, "forward", counted)
         for stop in range(self.n_steps):
             calls.clear()
-            cut = cascade.run_cascade(net, [self.params()], keep_tape=True, stop=stop)
+            cut = self.run(net, keep_tape=True, stop=stop)
             assert len(calls) == stop
             assert np.array_equal(cut.final, full.tape[stop].x_in)
             assert len(cut.tape) == stop
@@ -140,14 +142,14 @@ class TestCutShort:
 
     def test_stop_at_end_is_the_full_run(self):
         net = random_net(24)
-        full = cascade.run_cascade(net, [self.params()])
-        cut = cascade.run_cascade(net, [self.params()], stop=self.n_steps)
+        full = self.run(net)
+        cut = self.run(net, stop=self.n_steps)
         assert np.array_equal(cut.final, full.final)
 
     @pytest.mark.parametrize("stop", [-1, 5])
     def test_rejects_stop_outside_schedule(self, stop):
         with pytest.raises(ValueError, match="stop"):
-            cascade.run_cascade(random_net(25), [self.params()], stop=stop)
+            self.run(random_net(25), stop=stop)
 
 
 class TestBatch:
@@ -156,21 +158,21 @@ class TestBatch:
         # another order, so the samples agree to rounding.
         p = desk_partition()
         net = random_net(26)
-        batch = [cascade.CascadeParams(p, 4, 0.5, class_id=k % 3, seed=30 + k) for k in range(5)]
-        run = cascade.run_cascade(net, batch)
+        class_ids, seeds = [k % 3 for k in range(5)], [30 + k for k in range(5)]
+        run = cascade.run_cascade(net, p, 4, 0.5, class_ids, seeds)
         assert run.final.shape == (5, 1, 16, 16)
-        for params, image in zip(batch, run.final):
-            single, trace = cascade.infer(net, params)
+        for class_id, seed, image in zip(class_ids, seeds, run.final):
+            single, trace = cascade.infer(net, cascade.CascadeParams(p, 4, 0.5, class_id, seed))
             assert nets.relative_error(image, single) <= 1e-12
             assert trace == run.trace
 
-    def test_rejects_mixed_batches(self):
-        p = desk_partition()
-        with pytest.raises(ValueError, match="share"):
-            cascade.run_cascade(random_net(27), [cascade.CascadeParams(p, 4, 0.5, 0, 1),
-                                                 cascade.CascadeParams(p, 4, 1.0, 0, 2)])
+    def test_rejects_class_ids_not_matching_seeds(self):
+        with pytest.raises(ValueError, match="one class id per seed"):
+            cascade.run_cascade(random_net(27), desk_partition(), 4, 0.5, [0, 1], [1])
+
+    def test_rejects_empty_batch(self):
         with pytest.raises(ValueError, match="at least one"):
-            cascade.run_cascade(random_net(27), [])
+            cascade.run_cascade(random_net(27), desk_partition(), 4, 0.5, [], [])
 
 
 class TestNaiveCascade:
@@ -196,10 +198,7 @@ class TestTraceValidation:
     def test_corrupted_transition_count_caught(self):
         p = desk_partition()
         _, trace = cascade.infer(random_net(18), cascade.CascadeParams(p, 4, 1.0, 0, 19))
-        bad = cascade.InferenceTrace(
-            [cascade.TraceRecord(r.step, r.stage, r.teacher_t, r.shifted_t, r.sigma, r.resolution, False)
-             for r in trace.records]
-        )
+        bad = cascade.InferenceTrace([replace(r, transition=False) for r in trace.records])
         with pytest.raises(cascade.CascadeError):
             bad.validate(p)
 

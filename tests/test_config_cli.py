@@ -144,6 +144,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    def test_distill_follows_the_teacher_classes(self, tmp_path):
+        # the config has 3 classes, the teacher checkpoint 2: class ids follow the teacher
+        spec = nets.NetSpec(channels=(1, 4, 1), class_count=2)
+        out = tmp_path / "run"
+        out.mkdir()
+        nets.save_checkpoint(out / "teacher.ckpt", nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
+        cfg_file = tmp_path / "two-steps.cfg"
+        cfg_file.write_text("distill.steps = 2\n")
+        assert main(["distill", "--out", str(out), "--config", str(cfg_file)]) == 0
+        assert (out / "distill" / "generator-final.ckpt").exists()
+
     def test_full_micro_pipeline(self, tmp_path, micro_config, capsys):
         out = str(tmp_path / "run")
         common = ["--config", str(micro_config), "--seed", "3", "--out", out]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from crossres import evalsuite as ev
+from crossres import cascade, config as cfgmod, evalsuite as ev, net as nets
 from crossres.grid import SeededRng
 
 
@@ -119,3 +119,30 @@ class TestReport:
         report = ev.evaluate_sets(ref, [], None, ev.EvalConfig(n_permutations=50), SeededRng(16))
         null_mmd = report.value("reference-null", "mmd_to_reference")
         assert abs(null_mmd) < 3.0 * max(report.null_width, 1e-12)
+
+
+class TestSampleCascadeSet:
+    def setup_method(self):
+        d = cfgmod.toy_default().distill
+        self.partition, self.n_steps = d.partition(), d.n_steps
+        spec = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=3)
+        self.net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(17)))
+
+    def draw(self, n, rng, tag):
+        return ev.sample_cascade_set(self.net, self.partition, self.n_steps, 0.5, n, 3, rng, tag)
+
+    def test_image_i_is_the_cascade_of_index_i(self):
+        # 70 images: more than one of the net's chunks, and not a multiple of them
+        rng = SeededRng(18)
+        s = self.draw(70, rng, "student-cascade")
+        assert s.images.shape == (70, 1, 16, 16) and s.tag == "student-cascade"
+        for i, image in enumerate(s.images):
+            params = cascade.CascadeParams(self.partition, self.n_steps, 0.5, class_id=i % 3,
+                                           seed=rng.derive(f"arm:{i}").seed)
+            single, _ = cascade.infer(self.net, params)
+            assert nets.relative_error(image, single) <= 1e-12, i
+
+    def test_tags_share_the_noise_streams(self):
+        a = self.draw(5, SeededRng(19), "student-cascade")
+        b = self.draw(5, SeededRng(19), "naive-cascade")
+        assert np.array_equal(a.images, b.images)
