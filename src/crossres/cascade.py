@@ -17,10 +17,10 @@ Distillation's projection into the teacher space is the same transition,
 taken to the final resolution at the drawn teacher noise level. Both kinds
 of step share one adjoint, `step_vjp`, which reads a `StepTape` record.
 
-A batch of cascades is one partition, step count and alpha_inference
-with one (class id, seed) per sample: the states (N, C, H, W) run in
-lock-step through one net call per step, while each sample draws its
-noise from its own seeded stream. The trace is the schedule's rows.
+A batch of cascades is one validated trace (`schedule_trace`, the
+schedule's rows) and one alpha_inference with one (class id, seed) per
+sample: the states (N, C, H, W) run in lock-step through one net call per
+step, while each sample draws its noise from its own seeded stream.
 """
 from __future__ import annotations
 
@@ -195,6 +195,8 @@ def schedule_trace(partition: TrajectoryPartition, n_steps: int) -> InferenceTra
 
     Every step's stage, noise level, resolution and kind are fixed before
     any state exists, so a cascade is checked before its first forward.
+    This is the one place a schedule is built and checked; a caller builds
+    it once and hands it to every `run_cascade` of the run.
     """
     rows = inference_schedule(n_steps, partition)
     stages_seen = sorted({r.stage for r in rows})
@@ -216,15 +218,15 @@ def schedule_trace(partition: TrajectoryPartition, n_steps: int) -> InferenceTra
 
 def run_cascade(
     net: nets.DenoiserNet,
-    partition: TrajectoryPartition,
-    n_steps: int,
+    trace: InferenceTrace,
     alpha_inference: float,
     class_ids: Sequence[int | None],
     seeds: Sequence[int],
     keep_tape: bool = False,
     stop: int | None = None,
 ) -> CascadeRun:
-    """Execute a batch of cascades in lock-step, one per (class id, seed);
+    """Execute a batch of cascades in lock-step along `trace`, the
+    validated trace from `schedule_trace`, one per (class id, seed);
     optionally keep the per-step tape.
 
     Sample i's noise stream is SeededRng(seeds[i]), which draws, in order:
@@ -233,13 +235,12 @@ def run_cascade(
     deterministic. Given `stop`, the run ends before step `stop`: `final`
     holds the states entering it and the tape the steps before it. Nothing
     is evaluated or drawn from that step on, so the states and tape equal
-    those of the full run. The trace is always the full schedule's.
+    those of the full run. The run carries `trace`, the full schedule's.
     """
     if len(class_ids) != len(seeds):
         raise ValueError(f"a cascade batch needs one class id per seed, got {len(class_ids)} and {len(seeds)}")
     if len(seeds) == 0:
         raise ValueError("a cascade batch needs at least one seed")
-    trace = schedule_trace(partition, n_steps)
     records = trace.records
     stop = len(records) if stop is None else stop
     if not 0 <= stop <= len(records):
@@ -277,7 +278,6 @@ def run_cascade(
 def infer(net: nets.DenoiserNet, params: CascadeParams) -> tuple[np.ndarray, InferenceTrace]:
     """Cascaded few-step sampling of one image (C, H, W); returns the clean
     sample and its trace."""
-    run = run_cascade(
-        net, params.partition, params.n_steps, params.alpha_inference, [params.class_id], [params.seed]
-    )
+    trace = schedule_trace(params.partition, params.n_steps)
+    run = run_cascade(net, trace, params.alpha_inference, [params.class_id], [params.seed])
     return run.final[0], run.trace

@@ -141,10 +141,9 @@ def cmd_sample(args) -> int:
     else:
         d = cfg.distill
         seeds = [rng.derive(f"cascade:{i}").seed for i in range(args.count)]
-        run = cascade.run_cascade(net, d.partition(), d.n_steps, d.alpha_inference, class_ids, seeds)
-        images = run.final
-        for i in range(args.count):
-            run.trace.write_csv(out_dir / f"trace-{i:03d}.csv")
+        trace = cascade.schedule_trace(d.partition(), d.n_steps)
+        images = cascade.run_cascade(net, trace, d.alpha_inference, class_ids, seeds).final
+        trace.write_csv(out_dir / "trace.csv")  # every sample of the batch shares it
     for i, (class_id, img) in enumerate(zip(class_ids, images)):
         write_pgm(out_dir / f"sample-{i:03d}.pgm", img, lo=-0.25, hi=1.25)
         stats_rows.append((i, class_id, float(img.mean()), float(img.var())))
@@ -177,7 +176,8 @@ def cmd_eval(args) -> int:
         rng=_root_rng(cfg).derive("eval"),
         out_dir=Path(cfg.out_dir) / "eval",
     )
-    for method in ("student-cascade", "naive-cascade"):
+    methods = ["student-cascade", "naive-cascade"] + (["rm-disabled-cascade"] if rm_net is not None else [])
+    for method in methods:
         print(f"{method}: mmd_to_reference = {report.value(method, 'mmd_to_reference'):.6f}")
     print(f"null width = {report.null_width:.6f}")
     print(f"report at {Path(cfg.out_dir) / 'eval' / 'report.csv'}")

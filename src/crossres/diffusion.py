@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net as nets
-from .cascade import run_cascade
+from .cascade import run_cascade, schedule_trace
 from .data import ShapeDataset
 from .grid import ImageGrid, SeededRng
 from .schedule import build_partition
@@ -155,4 +155,5 @@ def euler_sample(
     run down a uniform sigma grid from 1 to 0. Image i draws its noise
     from SeededRng(seeds[i]). Returns (N, C, res, res).
     """
-    return run_cascade(net, build_partition([], [res]), steps, 1.0, class_ids, seeds).final
+    trace = schedule_trace(build_partition([], [res]), steps)
+    return run_cascade(net, trace, 1.0, class_ids, seeds).final

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import net as nets
-from .cascade import CascadeRun, StepTape, run_cascade, schedule_trace, step_vjp, transition
+from .cascade import CascadeRun, InferenceTrace, StepTape, run_cascade, schedule_trace, step_vjp, transition
 from .diffusion import TeacherModel, tensor_stats
 from .grid import SeededRng
 from .schedule import TrajectoryPartition, build_partition, unshift_sigma
@@ -194,18 +194,15 @@ def sample_stage_and_timestep(
 def generate_cascade_states(
     generator: nets.DenoiserNet,
     class_ids: Sequence[int | None],
-    partition: TrajectoryPartition,
-    n_steps: int,
+    trace: InferenceTrace,
     seeds: Sequence[int],
     alpha_inference: float = 1.0,
     stop: int | None = None,
 ) -> CascadeRun:
-    """Run the generator's own cascades, one per (class id, seed), in
-    lock-step, recording every pre-step state; with `stop`, only up to the
-    states entering that step (`run.final`)."""
-    return run_cascade(
-        generator, partition, n_steps, alpha_inference, class_ids, seeds, keep_tape=True, stop=stop
-    )
+    """Run the generator's own cascades along `trace`, one per (class id,
+    seed), in lock-step, recording every pre-step state; with `stop`, only
+    up to the states entering that step (`run.final`)."""
+    return run_cascade(generator, trace, alpha_inference, class_ids, seeds, keep_tape=True, stop=stop)
 
 
 def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: float) -> int:
@@ -386,7 +383,7 @@ def train_step(
     sel = select_state_index(plan, stage, shifted_t, partition.t_max)
     sigma_state = plan.trace.records[sel].shifted_sigma
     run = generate_cascade_states(
-        state.generator, class_ids, partition, config.n_steps,
+        state.generator, class_ids, plan.trace,
         [rng.derive(f"cascade:{state.step}:{i}").seed for i in range(len(class_ids))],
         config.alpha_inference, stop=sel,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import net as nets
-from .cascade import run_cascade
+from .cascade import InferenceTrace, run_cascade, schedule_trace
 from .data import ShapeDataset
 from .diffusion import euler_sample
 from .grid import SeededRng, write_pgm
@@ -195,18 +195,18 @@ def sample_teacher_set(
 
 def sample_cascade_set(
     net: nets.DenoiserNet,
-    partition: TrajectoryPartition,
-    n_steps: int,
+    trace: InferenceTrace,
     alpha_inference: float,
     n: int,
     n_classes: int,
     rng: SeededRng,
     tag: str,
 ) -> SampleSet:
-    """Cascade samples; the index (not the tag) keys the noise streams, so
-    different arms drawn from the same rng share seeds and classes."""
+    """Cascade samples along `trace`; the index (not the tag) keys the
+    noise streams, so different arms drawn from the same rng share seeds
+    and classes."""
     seeds = [rng.derive(f"arm:{i}").seed for i in range(n)]
-    run = run_cascade(net, partition, n_steps, alpha_inference, _round_robin(n, n_classes), seeds)
+    run = run_cascade(net, trace, alpha_inference, _round_robin(n, n_classes), seeds)
     return SampleSet(run.final, tag)
 
 
@@ -309,14 +309,11 @@ def evaluate_run(
     ]
     if rm_disabled is not None:
         arms.append(("rm-disabled-cascade", rm_disabled, 0.0))
-    candidates = []
-    for tag, net_, arm_alpha in arms:
-        candidates.append(
-            sample_cascade_set(
-                net_, partition, n_steps, arm_alpha, cfg.n_per_set, n_classes,
-                rng.derive("arms"), tag,
-            )
-        )
+    trace = schedule_trace(partition, n_steps)
+    candidates = [
+        sample_cascade_set(net_, trace, arm_alpha, cfg.n_per_set, n_classes, rng.derive("arms"), tag)
+        for tag, net_, arm_alpha in arms
+    ]
     dataset_high = None
     if dataset is not None:
         dataset_high = SampleSet(dataset.high_images, "dataset-high")

@@ -19,16 +19,6 @@ import numpy as np
 ImageGrid = np.ndarray
 
 
-def validate_grid(x: np.ndarray, name: str = "grid") -> ImageGrid:
-    """Check the (C, H, W) layout and finiteness contract."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"{name}: expected (channels, height, width), got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name}: contains non-finite entries")
-    return x
-
-
 @dataclass
 class SeededRng:
     """Deterministic random source: PCG64 stream + Box-Muller Gaussians.
@@ -131,17 +121,6 @@ def bilinear_upsample_t(y: np.ndarray, source_h: int, source_w: int) -> np.ndarr
             contrib = y * rw[:, None] * cw
             np.add.at(out, (..., rows[:, None], cols[None, :]), contrib)
     return out
-
-
-def area_downsample(x: ImageGrid, factor: int) -> ImageGrid:
-    """Each output pixel is the mean of its factor x factor block."""
-    x = validate_grid(x, "area_downsample input")
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    c, h, w = x.shape
-    if h % factor or w % factor:
-        raise ValueError(f"size ({h},{w}) not divisible by factor {factor}")
-    return x.reshape(c, h // factor, factor, w // factor, factor).mean(axis=(2, 4))
 
 
 def write_pgm(path, image: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> None:

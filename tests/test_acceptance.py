@@ -12,6 +12,7 @@ import pytest
 from crossres import cascade, data, distill, evalsuite as ev, net as nets, schedule as sch
 from crossres.cli import main as cli
 from crossres.grid import SeededRng, bilinear_upsample, bilinear_upsample_t
+from numerics import gradient_check, relative_error
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -69,7 +70,7 @@ class TestCriterion03NumericalCorrectness:
         spec = nets.NetSpec(channels=(1, 8, 8, 1), time_embed_dim=6, class_count=3)
         net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(11)))
         assert net.params.size <= 10_000
-        report = nets.gradient_check(net, tolerance=1e-4, rng=SeededRng(12), n_param_probes=250)
+        report = gradient_check(net, tolerance=1e-4, rng=SeededRng(12), n_param_probes=250)
         assert report.passed, f"denoiser FD error {report.max_rel_error:.2e}"
         _report("3a", f"denoiser FD rel error {report.max_rel_error:.2e} < 1e-4")
 
@@ -82,9 +83,10 @@ class TestCriterion03NumericalCorrectness:
         stage, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(16))
         sigma_target = teacher_t / p.t_max
         class_ids = [0]
+        trace = cascade.schedule_trace(p, 4)
 
         def chain(g):
-            run = distill.generate_cascade_states(g, class_ids, p, 4, [17], 1.0)
+            run = distill.generate_cascade_states(g, class_ids, trace, [17], 1.0)
             sel = distill.select_state_index(run, stage, shifted_t, p.t_max)
             src = run.tape[sel]
             tape = distill.upsample_transform(
@@ -115,7 +117,7 @@ class TestCriterion03NumericalCorrectness:
             dn = gen.params.copy()
             dn[i] -= h
             fd[k] = (loss_of(up) - loss_of(dn)) / (2 * h)
-        err = nets.relative_error(grads[idx], fd)
+        err = relative_error(grads[idx], fd)
         assert err < 1e-3, f"chain FD error {err:.2e}"
         _report("3b", f"cascade->transform->loss chain FD rel error {err:.2e} < 1e-3")
 
@@ -324,7 +326,7 @@ class TestCriterion10Reproducibility:
             "distill/fake-final.ckpt",
             "distill-log-final.csv",
             "samples/sample-000.pgm",
-            "samples/trace-000.csv",
+            "samples/trace.csv",
             "samples/stats.csv",
             "eval/report.csv",
         ):

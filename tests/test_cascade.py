@@ -6,6 +6,7 @@ import pytest
 
 from crossres import cascade, config as cfgmod, net as nets, schedule as sch
 from crossres.grid import SeededRng, bilinear_upsample
+from numerics import relative_error
 
 
 def desk_partition(split_sigma=0.6, resolutions=(8, 16), flow_shift=1.0):
@@ -114,9 +115,10 @@ class TestCutShort:
     def setup_method(self):
         d = cfgmod.toy_default().distill
         self.partition, self.n_steps = d.partition(), d.n_steps
+        self.trace = cascade.schedule_trace(self.partition, self.n_steps)
 
     def run(self, net, **kwargs):
-        return cascade.run_cascade(net, self.partition, self.n_steps, 1.0, [2], [22], **kwargs)
+        return cascade.run_cascade(net, self.trace, 1.0, [2], [22], **kwargs)
 
     def test_equals_prefix_of_full_run(self, monkeypatch):
         net = random_net(23)
@@ -159,20 +161,22 @@ class TestBatch:
         p = desk_partition()
         net = random_net(26)
         class_ids, seeds = [k % 3 for k in range(5)], [30 + k for k in range(5)]
-        run = cascade.run_cascade(net, p, 4, 0.5, class_ids, seeds)
+        run = cascade.run_cascade(net, cascade.schedule_trace(p, 4), 0.5, class_ids, seeds)
         assert run.final.shape == (5, 1, 16, 16)
         for class_id, seed, image in zip(class_ids, seeds, run.final):
             single, trace = cascade.infer(net, cascade.CascadeParams(p, 4, 0.5, class_id, seed))
-            assert nets.relative_error(image, single) <= 1e-12
+            assert relative_error(image, single) <= 1e-12
             assert trace == run.trace
 
     def test_rejects_class_ids_not_matching_seeds(self):
+        trace = cascade.schedule_trace(desk_partition(), 4)
         with pytest.raises(ValueError, match="one class id per seed"):
-            cascade.run_cascade(random_net(27), desk_partition(), 4, 0.5, [0, 1], [1])
+            cascade.run_cascade(random_net(27), trace, 0.5, [0, 1], [1])
 
     def test_rejects_empty_batch(self):
+        trace = cascade.schedule_trace(desk_partition(), 4)
         with pytest.raises(ValueError, match="at least one"):
-            cascade.run_cascade(random_net(27), desk_partition(), 4, 0.5, [], [])
+            cascade.run_cascade(random_net(27), trace, 0.5, [], [])
 
 
 class TestNaiveCascade:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import crossres
-from crossres import config as cfgmod, net as nets
+from crossres import cascade, config as cfgmod, net as nets
 from crossres.cli import main
 from crossres.grid import SeededRng
 
@@ -169,14 +169,18 @@ class TestCli:
             assert re.search(rf"^{name} optimizer: 6 steps taken, \d+ clipped, 0 skipped$", out_text, re.M)
         assert main(["distill", *common, "--rm-disabled"]) == 0
         assert main(["sample", *common, "--count", "2"]) == 0
+        capsys.readouterr()
         assert main(["eval", *common]) == 0
+        eval_text = capsys.readouterr().out
+        for method in ("student-cascade", "naive-cascade", "rm-disabled-cascade"):
+            assert re.search(rf"^{method}: mmd_to_reference = -?\d+\.\d{{6}}$", eval_text, re.M), method
         run = tmp_path / "run"
         assert (run / "dataset.bin").exists()
         assert (run / "teacher.ckpt").exists()
         assert (run / "distill" / "generator-final.ckpt").exists()
         assert (run / "distill" / "generator-rm-disabled.ckpt").exists()
         assert (run / "samples" / "sample-000.pgm").exists()
-        assert (run / "samples" / "trace-000.csv").exists()
+        assert (run / "samples" / "trace.csv").exists()
         assert (run / "eval" / "report.csv").exists()
         assert (run / "manifest.txt").exists()
         assert (run / "config.txt").exists()
@@ -216,6 +220,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (out / "samples").exists()
+
+    def test_sample_writes_one_trace(self, tmp_path):
+        # every sample of the batch runs the same schedule, so one trace describes them all
+        spec = nets.NetSpec(channels=(1, 4, 1), class_count=3)
+        ckpt = tmp_path / "net.ckpt"
+        nets.save_checkpoint(ckpt, nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
+        out = tmp_path / "run"
+        assert main(["sample", "--out", str(out), "--checkpoint", str(ckpt), "--count", "3"]) == 0
+        d = cfgmod.preset("toy-default").distill
+        cascade.schedule_trace(d.partition(), d.n_steps).write_csv(tmp_path / "expected.csv")
+        samples = out / "samples"
+        assert (samples / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert not list(samples.glob("trace-*.csv"))
 
     @pytest.mark.parametrize("flags", [[], ["--many-step", "4"]], ids=["cascade", "many-step"])
     def test_sample_cycles_the_checkpoint_classes(self, tmp_path, flags):

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from crossres import data
-from crossres.grid import SeededRng, area_downsample, bilinear_upsample
+from crossres.grid import SeededRng, bilinear_upsample
+from numerics import area_downsample
 
 SMALL = data.DataConfig(n_per_class_low=16, n_per_class_high=16)
 

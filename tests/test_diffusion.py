@@ -4,6 +4,7 @@ import pytest
 
 from crossres import data, diffusion, net as nets
 from crossres.grid import SeededRng
+from numerics import relative_error
 
 
 class ConstantVelocityOracle:
@@ -78,7 +79,7 @@ class TestTeacherLoss:
         singles = [diffusion.teacher_loss(net, x0[k : k + 1], ids[k : k + 1], [SeededRng(22 + k)])
                    for k in range(5)]
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12)
-        assert nets.relative_error(grads, np.mean([g for _, g in singles], axis=0)) <= 1e-12
+        assert relative_error(grads, np.mean([g for _, g in singles], axis=0)) <= 1e-12
 
     def test_divergence_aborts_with_diagnostics(self):
         cfg = data.DataConfig(n_per_class_low=4, n_per_class_high=6)

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crossres import config as cfgmod, data, diffusion, distill, net as nets, schedule as sch
+from crossres import cascade, config as cfgmod, data, diffusion, distill, net as nets, schedule as sch
 from crossres.diffusion import TeacherModel
 from crossres.grid import SeededRng
+from numerics import relative_error
 
 SPEC = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=2)
 
@@ -139,7 +140,7 @@ class TestFakeScoreLoss:
             down = distill.fake_score_loss(fake, x, 0.7, target, 0.8, [1, 0, 1])[0]
             fake.params[i] = saved
             fd[k] = (up - down) / (2 * h)
-        assert nets.relative_error(grads[idx], fd) < 1e-6
+        assert relative_error(grads[idx], fd) < 1e-6
 
     def test_clean_target_detached_from_generator(self):
         # perturbing generator parameters must not change the fake gradient
@@ -198,7 +199,7 @@ class TestCascadeStates:
     def test_states_match_schedule(self):
         cfg = desk_config()
         p = cfg.partition()
-        run = distill.generate_cascade_states(tiny_net(20), [0], p, 4, [21])
+        run = distill.generate_cascade_states(tiny_net(20), [0], cascade.schedule_trace(p, 4), [21])
         assert len(run.tape) == 4
         assert [r.stage for r in run.trace.records] == [1, 1, 2, 2]
         sigmas = [t.sigma_in for t in run.tape]
@@ -208,18 +209,18 @@ class TestCascadeStates:
         # desk transposition of the 4-step 512->1024 schedule: recorded
         # states sit at shifted timesteps [1000, 857, 500, 250]
         p = sch.build_partition([sch.sigma_to_logsnr(0.502)], [8, 16])
-        run = distill.generate_cascade_states(tiny_net(21), [1], p, 4, [22])
+        run = distill.generate_cascade_states(tiny_net(21), [1], cascade.schedule_trace(p, 4), [22])
         assert [round(t.sigma_in * 1000) for t in run.tape] == [1000, 857, 500, 250]
 
     def test_one_state_per_stage_when_n_equals_k(self):
-        cfg = desk_config(n_steps=2)
-        run = distill.generate_cascade_states(tiny_net(22), [1], cfg.partition(), 2, [23])
+        trace = cascade.schedule_trace(desk_config(n_steps=2).partition(), 2)
+        run = distill.generate_cascade_states(tiny_net(22), [1], trace, [23])
         assert [r.stage for r in run.trace.records] == [1, 2]
 
     def test_select_state_nearest_in_shifted_time(self):
         cfg = desk_config()
         p = cfg.partition()
-        run = distill.generate_cascade_states(tiny_net(24), [0], p, 4, [25])
+        run = distill.generate_cascade_states(tiny_net(24), [0], cascade.schedule_trace(p, 4), [25])
         t0 = run.tape[0].sigma_in * 1000
         t1 = run.tape[1].sigma_in * 1000
         assert distill.select_state_index(run, 1, t0, 1000.0) == 0
@@ -284,9 +285,10 @@ class TestChainGradient:
         drawn, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(36), weights)
         assert drawn == stage
         sigma_target = teacher_t / p.t_max
+        trace = cascade.schedule_trace(p, cfg.n_steps)
 
         def x_high_of(g: nets.DenoiserNet):
-            run = distill.generate_cascade_states(g, class_ids, p, cfg.n_steps, [37, 137], cfg.alpha_inference)
+            run = distill.generate_cascade_states(g, class_ids, trace, [37, 137], cfg.alpha_inference)
             sel = distill.select_state_index(run, stage, shifted_t, p.t_max)
             src = run.tape[sel]
             tape = distill.upsample_transform(
@@ -325,7 +327,7 @@ class TestChainGradient:
             fd[k] = (loss_of(up_params) - loss_of(down_params)) / (2 * h)
         # the exact chain is within 3e-5 of this central difference; recording
         # alpha 1.0 for a 0.9 transition is off by 8e-4
-        assert nets.relative_error(gp[idx], fd) < 1e-4
+        assert relative_error(gp[idx], fd) < 1e-4
 
 
 class TestTrainStep:
@@ -364,6 +366,20 @@ class TestTrainStep:
         assert p.num_stages == 1 and p.final_resolution == 16
         rec = distill.train_step(state, teacher.net, p, cfg, [0], SeededRng(42))
         assert rec.stage == 1
+
+    def test_builds_the_schedule_once(self, monkeypatch):
+        # the plan that selects the step is also the trace the cascades run
+        cfg = desk_config()
+        teacher, state = self.make_state(cfg)
+        built, schedule = [], cascade.inference_schedule
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return schedule(*args, **kwargs)
+
+        monkeypatch.setattr(cascade, "inference_schedule", counted)
+        distill.train_step(state, teacher.net, cfg.partition(), cfg, [0, 1], SeededRng(46))
+        assert len(built) == 1
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_net_work_per_step(self, monkeypatch, stage):

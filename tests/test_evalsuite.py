@@ -4,6 +4,7 @@ import pytest
 
 from crossres import cascade, config as cfgmod, evalsuite as ev, net as nets
 from crossres.grid import SeededRng
+from numerics import relative_error
 
 
 def normal_set(seed, n, d=16, shift=0.0):
@@ -125,11 +126,12 @@ class TestSampleCascadeSet:
     def setup_method(self):
         d = cfgmod.toy_default().distill
         self.partition, self.n_steps = d.partition(), d.n_steps
+        self.trace = cascade.schedule_trace(self.partition, self.n_steps)
         spec = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=3)
         self.net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(17)))
 
     def draw(self, n, rng, tag):
-        return ev.sample_cascade_set(self.net, self.partition, self.n_steps, 0.5, n, 3, rng, tag)
+        return ev.sample_cascade_set(self.net, self.trace, 0.5, n, 3, rng, tag)
 
     def test_image_i_is_the_cascade_of_index_i(self):
         # 70 images: more than one of the net's chunks, and not a multiple of them
@@ -140,7 +142,7 @@ class TestSampleCascadeSet:
             params = cascade.CascadeParams(self.partition, self.n_steps, 0.5, class_id=i % 3,
                                            seed=rng.derive(f"arm:{i}").seed)
             single, _ = cascade.infer(self.net, params)
-            assert nets.relative_error(image, single) <= 1e-12, i
+            assert relative_error(image, single) <= 1e-12, i
 
     def test_tags_share_the_noise_streams(self):
         a = self.draw(5, SeededRng(19), "student-cascade")

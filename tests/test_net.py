@@ -7,6 +7,7 @@ import pytest
 
 from crossres import net as nets
 from crossres.grid import SeededRng
+from numerics import finite_difference_param_grad, gradient_check, relative_error
 
 TINY = nets.NetSpec(channels=(1, 6, 6, 1), time_embed_dim=4, class_count=3)
 
@@ -84,7 +85,7 @@ class TestBackward:
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_finite_difference_contract(self):
-        report = nets.gradient_check(make_net(seed=7), tolerance=1e-4, rng=SeededRng(8))
+        report = gradient_check(make_net(seed=7), tolerance=1e-4, rng=SeededRng(8))
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
 
     def test_shape_mismatch_rejected(self):
@@ -124,9 +125,9 @@ class TestBackward:
         gp, gx = nets.backward(n, x, sigma, ids, up)
         singles = [nets.backward(n, x[i : i + 1], sigma[i], ids[i : i + 1], up[i : i + 1]) for i in range(6)]
         ref_out = np.concatenate([nets.forward(n, x[i : i + 1], sigma[i], ids[i : i + 1]) for i in range(6)])
-        assert nets.relative_error(out, ref_out) <= 1e-12
-        assert nets.relative_error(gp, sum(g for g, _ in singles)) <= 1e-12
-        assert nets.relative_error(gx, np.concatenate([g for _, g in singles])) <= 1e-12
+        assert relative_error(out, ref_out) <= 1e-12
+        assert relative_error(gp, sum(g for g, _ in singles)) <= 1e-12
+        assert relative_error(gx, np.concatenate([g for _, g in singles])) <= 1e-12
 
     def test_chunks_bound_the_pixels_per_call(self):
         assert [s.stop - s.start for s in nets.chunks(np.zeros((5, 1, 16, 16)))] == [4, 1]
@@ -161,7 +162,7 @@ class TestConv3x3:
             ref = np.stack([sliding_window_conv3x3(img, weight) for img in x])
             out = np.concatenate([nets._conv(x[sl].transpose(1, 0, 2, 3), weight)[0].transpose(1, 0, 2, 3)
                                   for sl in nets.chunks(x)])
-            assert nets.relative_error(out, ref) <= 1e-12, n
+            assert relative_error(out, ref) <= 1e-12, n
 
     @pytest.mark.parametrize("c_in", [1, 24])
     @pytest.mark.parametrize("c_out", [1, 24])
@@ -178,18 +179,18 @@ class TestConv3x3:
         xp[:, :, 1:-1, 1:-1] = x
         ref_dw = np.einsum("onij,ncabij->ocab", up,
                            np.lib.stride_tricks.sliding_window_view(xp, (8, 8), axis=(2, 3)))
-        assert nets.relative_error(dw, ref_dw) <= 1e-12
+        assert relative_error(dw, ref_dw) <= 1e-12
         assert abs(np.sum(out * up) - np.sum(x.transpose(1, 0, 2, 3) * dx)) <= 1e-10 * np.sum(np.abs(out * up))
 
 
 class TestGradientCheck:
     def test_linear_net_near_exact(self):
         spec = nets.NetSpec(channels=(1, 1), time_embed_dim=4, class_count=0)
-        report = nets.gradient_check(make_net(spec, seed=9), tolerance=1e-10, rng=SeededRng(10))
+        report = gradient_check(make_net(spec, seed=9), tolerance=1e-10, rng=SeededRng(10))
         assert report.passed, f"linear-net rel error {report.max_rel_error:.3e}"
 
     def test_three_layer_net(self):
-        report = nets.gradient_check(make_net(seed=11), tolerance=1e-4, rng=SeededRng(12))
+        report = gradient_check(make_net(seed=11), tolerance=1e-4, rng=SeededRng(12))
         assert report.passed
 
     def test_corrupted_gradient_detected(self):
@@ -200,10 +201,10 @@ class TestGradientCheck:
         up = rng.normal((2, 1, 8, 8))
         gp, _ = nets.backward(n, x, [0.4, 0.6], [0, 1], up)
         idx = np.sort(rng.choice(n.params.size, size=100))
-        fd = nets.finite_difference_param_grad(n, x, [0.4, 0.6], [0, 1], up, idx)
-        assert nets.relative_error(gp[idx], fd) < 1e-6
+        fd = finite_difference_param_grad(n, x, [0.4, 0.6], [0, 1], up, idx)
+        assert relative_error(gp[idx], fd) < 1e-6
         corrupted = gp[idx] * 1.05 + 0.01
-        assert nets.relative_error(corrupted, fd) > 1e-4
+        assert relative_error(corrupted, fd) > 1e-4
 
 
 class TestOptimizer:
