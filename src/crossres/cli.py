@@ -130,10 +130,10 @@ def cmd_sample(args) -> int:
             f"--class-id must be in [0, {n_classes}) for {ckpt}, got {args.class_id}")
     out_dir = Path(cfg.out_dir) / "samples"
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = SeededRng(cfg.seed)
+    rng = _root_rng(cfg)
     stats_rows = []
-    class_ids = [args.class_id if args.class_id is not None else (i % n_classes if n_classes else None)
-                 for i in range(args.count)]
+    class_ids = ([args.class_id] * args.count if args.class_id is not None
+                 else evalsuite.round_robin(args.count, n_classes))
     if args.many_step is not None:
         res = cfg.distill.resolutions[-1]
         seeds = [rng.derive(f"euler:{i}").seed for i in range(args.count)]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
+from .cascade import CascadeError, schedule_trace
 from .data import DataConfig
 from .diffusion import TeacherConfig
 from .distill import DistillConfig
@@ -39,33 +40,8 @@ class RunConfig:
 
 
 def toy_default() -> RunConfig:
-    """The desk-scale two-stage 8px -> 16px configuration.
-
-    The stage split sits at sigma = 0.502 so a 4-step run divides 2 + 2,
-    mirroring the large-image presets below at desk scale.
-    """
-    return RunConfig(
-        preset="toy-default",
-        data=DataConfig(n_per_class_low=96, n_per_class_high=96),
-        teacher=TeacherConfig(
-            channels=(1, 24, 24, 1), phase1_steps=1500, phase2_steps=1500, batch_size=16
-        ),
-        distill=DistillConfig(
-            thresholds=(sigma_to_logsnr(0.502),),
-            resolutions=(8, 16),
-            flow_shift=1.0,
-            n_steps=4,
-            alpha=0.2,
-            alpha_inference=1.0,
-            warmup_steps=80,
-            steps=500,
-            batch_size=12,
-            lr_generator=5e-5,
-            lr_fake=5e-4,
-            snr_clamp=(0.05, 20.0),
-        ),
-        eval=EvalConfig(n_per_set=256, teacher_steps=32),
-    )
+    """The desk-scale two-stage 8px -> 16px run: every section's defaults."""
+    return RunConfig()
 
 
 def sdxl_like() -> RunConfig:
@@ -158,12 +134,6 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _parse_scalar(text: str, target_type):
-    if target_type is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
     if target_type is int:
         return int(text)
     if target_type is float:
@@ -235,12 +205,19 @@ def _apply_one(node, parts: list[str], text: str, full_path: str):
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Check every section, and build the distill schedule, before any work."""
+    d = cfg.distill
     try:
-        cfg.data.validate()
-        cfg.distill.validate()
-        cfg.distill.partition()
+        for section in (cfg.data, cfg.teacher, d, cfg.eval):
+            section.validate()
+        partition = d.partition()
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    try:
+        schedule_trace(partition, d.n_steps)
+    except (ValueError, CascadeError) as err:
+        raise ConfigError(f"distill.n_steps = {d.n_steps} does not fit the stages of distill.thresholds = "
+                          f"{_format_value(d.thresholds)}: {err}") from err
 
 
 @dataclass

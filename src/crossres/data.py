@@ -34,8 +34,8 @@ _CROSS_BAR = 0.35
 
 @dataclass(frozen=True)
 class DataConfig:
-    n_per_class_low: int = 256
-    n_per_class_high: int = 256
+    n_per_class_low: int = 96
+    n_per_class_high: int = 96
     n_classes: int = 3
     low_res: int = 8
     high_res: int = 16
@@ -52,6 +52,9 @@ class DataConfig:
     supersample: int = 4
 
     def validate(self) -> None:
+        for key in ("n_per_class_low", "n_per_class_high", "low_res", "supersample"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"data.{key} must be at least 1, got {getattr(self, key)}")
         if not 0.0 <= self.noise_std_max <= 1.0:
             raise ValueError(f"data.noise_std_max must lie in [0, 1], got {self.noise_std_max}")
         if not 0.0 <= self.blur_prob <= 1.0:

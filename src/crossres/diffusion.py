@@ -65,12 +65,17 @@ def teacher_loss(
 class TeacherConfig:
     channels: tuple[int, ...] = (1, 24, 24, 1)
     time_embed_dim: int = 10
-    phase1_steps: int = 1200
-    phase2_steps: int = 1200
+    phase1_steps: int = 1500
+    phase2_steps: int = 1500
     batch_size: int = 16
     lr: float = 1e-3
     clip_norm: float = 1.0
     log_every: int = 50
+
+    def validate(self) -> None:
+        for key, least in (("phase1_steps", 0), ("phase2_steps", 0), ("batch_size", 1), ("log_every", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"teacher.{key} must be at least {least}, got {getattr(self, key)}")
 
     def net_spec(self, n_classes: int) -> nets.NetSpec:
         return nets.NetSpec(self.channels, self.time_embed_dim, n_classes)

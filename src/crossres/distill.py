@@ -34,7 +34,7 @@ from . import net as nets
 from .cascade import CascadeRun, InferenceTrace, StepTape, run_cascade, schedule_trace, step_vjp, transition
 from .diffusion import TeacherModel, tensor_stats
 from .grid import SeededRng
-from .schedule import TrajectoryPartition, build_partition, unshift_sigma
+from .schedule import TrajectoryPartition, build_partition, sigma_to_logsnr, unshift_sigma
 
 PHASE_WARMUP = "warmup"
 PHASE_FULL = "full"
@@ -42,13 +42,12 @@ PHASE_FULL = "full"
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Hyperparameters of one distillation run.
+    """Hyperparameters of one distillation run; the defaults are toy-default's.
 
+    The stage split sits at sigma = 0.502, so a 4-step run divides 2 + 2.
     ``alpha`` is the training-time noise-mix weight of the projection;
     ``alpha_inference`` drives transitions of the generated cascades and
-    of later sampling. ``rm_enabled=False`` is the ablation arm: the
-    generator trains on single-resolution (final-stage) states only,
-    i.e. plain distribution matching at the target resolution.
+    of later sampling. `rm_disabled_config` derives the ablation arm.
 
     ``snr_clamp`` bounds the fake objective's per-draw weight
     ``((1 - sigma) / sigma)^2`` at the shifted stage sigma. It is kept
@@ -60,23 +59,22 @@ class DistillConfig:
     generator's fake-vs-teacher gap runs away.
     """
 
-    thresholds: tuple[float, ...] = ()
-    resolutions: tuple[int, ...] = (16,)
+    thresholds: tuple[float, ...] = (sigma_to_logsnr(0.502),)
+    resolutions: tuple[int, ...] = (8, 16)
     flow_shift: float = 1.0
     t_max: float = 1000.0
     n_steps: int = 4
     alpha: float = 0.2
     alpha_inference: float = 1.0
     snr_clamp: tuple[float, float] = (0.05, 20.0)
-    warmup_steps: int = 100
-    steps: int = 800
-    batch_size: int = 8
-    lr_generator: float = 2e-4
-    lr_fake: float = 1e-3
+    warmup_steps: int = 80
+    steps: int = 500
+    batch_size: int = 12
+    lr_generator: float = 5e-5
+    lr_fake: float = 5e-4
     lr_final_fraction: float = 0.05  # linear decay floor; 1.0 = constant
     clip_norm: float = 1.0
     pseudo_huber_scale: float = 0.00054
-    rm_enabled: bool = True
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -84,7 +82,9 @@ class DistillConfig:
         if not 0.0 <= self.alpha_inference <= 1.0:
             raise ValueError(f"distill.alpha_inference must lie in [0, 1], got {self.alpha_inference}")
         if self.warmup_steps < 0 or self.steps < 0:
-            raise ValueError("step budgets must be non-negative")
+            raise ValueError("distill.warmup_steps and distill.steps must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError(f"distill.batch_size must be at least 1, got {self.batch_size}")
         if not 0.0 < self.lr_final_fraction <= 1.0:
             raise ValueError("distill.lr_final_fraction must lie in (0, 1]")
 
@@ -100,11 +100,7 @@ class DistillConfig:
         return 1.0 - (1.0 - self.lr_final_fraction) * frac
 
     def partition(self) -> TrajectoryPartition:
-        if self.rm_enabled:
-            return build_partition(
-                list(self.thresholds), list(self.resolutions), self.flow_shift, self.t_max
-            )
-        return build_partition([], [self.resolutions[-1]], self.flow_shift, self.t_max)
+        return build_partition(list(self.thresholds), list(self.resolutions), self.flow_shift, self.t_max)
 
 
 @dataclass
@@ -114,11 +110,6 @@ class DistillState:
     opt_generator: nets.AdamW
     opt_fake: nets.AdamW
     step: int
-    warmup_steps: int
-
-    @property
-    def phase(self) -> str:
-        return PHASE_WARMUP if self.step < self.warmup_steps else PHASE_FULL
 
 
 def init_distill_state(teacher: TeacherModel, config: DistillConfig) -> DistillState:
@@ -129,7 +120,6 @@ def init_distill_state(teacher: TeacherModel, config: DistillConfig) -> DistillS
         opt_generator=nets.AdamW(lr=config.lr_generator, clip_norm=config.clip_norm),
         opt_fake=nets.AdamW(lr=config.lr_fake, clip_norm=config.clip_norm),
         step=0,
-        warmup_steps=config.warmup_steps,
     )
 
 
@@ -369,7 +359,7 @@ def train_step(
     rng: SeededRng,
 ) -> TrainStepRecord:
     """One full update: fake score first, then generator (shared draw)."""
-    phase = state.phase
+    phase = PHASE_WARMUP if state.step < config.warmup_steps else PHASE_FULL
     state.opt_generator.lr = config.lr_generator * config.lr_scale(state.step)
     stage, shifted_t, teacher_t = sample_stage_and_timestep(partition, phase, rng.derive(f"draw:{state.step}"))
     where = f"step {state.step} phase {phase} stage {stage}"
@@ -471,5 +461,6 @@ def train(
 
 
 def rm_disabled_config(config: DistillConfig) -> DistillConfig:
-    """The ablation arm: identical budgets, single-resolution matching."""
-    return replace(config, rm_enabled=False, warmup_steps=0)
+    """The ablation arm: identical budgets, no warm-up, and the K = 1
+    partition, i.e. plain distribution matching at the final resolution."""
+    return replace(config, thresholds=(), resolutions=config.resolutions[-1:], warmup_steps=0)

@@ -173,8 +173,15 @@ class EvalConfig:
     n_permutations: int = 200
     contact_sheet_n: int = 64
 
+    def validate(self) -> None:
+        # the reference splits into two halves, and an MMD needs two samples a side;
+        # the null width is a standard deviation over permutations
+        for key, least in (("n_per_set", 4), ("teacher_steps", 1), ("n_permutations", 2), ("contact_sheet_n", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"eval.{key} must be at least {least}, got {getattr(self, key)}")
 
-def _round_robin(n: int, n_classes: int) -> list[int | None]:
+
+def round_robin(n: int, n_classes: int) -> list[int | None]:
     """Class ids of a sample set: index i has class i mod n_classes."""
     return [i % n_classes if n_classes > 0 else None for i in range(n)]
 
@@ -190,7 +197,7 @@ def sample_teacher_set(
 ) -> SampleSet:
     """Matched-seed many-step samples: index i fixes (class, noise stream)."""
     seeds = [rng.derive(f"{tag}:{i}").seed for i in range(n)]
-    return SampleSet(euler_sample(teacher_net, _round_robin(n, n_classes), res, steps, seeds), tag)
+    return SampleSet(euler_sample(teacher_net, round_robin(n, n_classes), res, steps, seeds), tag)
 
 
 def sample_cascade_set(
@@ -206,7 +213,7 @@ def sample_cascade_set(
     noise streams, so different arms drawn from the same rng share seeds
     and classes."""
     seeds = [rng.derive(f"arm:{i}").seed for i in range(n)]
-    run = run_cascade(net, trace, alpha_inference, _round_robin(n, n_classes), seeds)
+    run = run_cascade(net, trace, alpha_inference, round_robin(n, n_classes), seeds)
     return SampleSet(run.final, tag)
 
 

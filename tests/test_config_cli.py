@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import crossres
-from crossres import cascade, config as cfgmod, net as nets
+from crossres import cascade, config as cfgmod, distill, net as nets, schedule
 from crossres.cli import main
 from crossres.grid import SeededRng
 
@@ -45,19 +45,29 @@ class TestConfig:
                 "seed": "7",
                 "distill.alpha": "0.5",
                 "distill.resolutions": "(4, 8, 16)",
-                "distill.rm_enabled": "false",
+                "eval.n_permutations": "40",
                 "data.blur_prob": "0.25",
             },
         )
         assert out.seed == 7
         assert out.distill.alpha == 0.5
         assert out.distill.resolutions == (4, 8, 16)
-        assert out.distill.rm_enabled is False
+        assert out.eval.n_permutations == 40
         assert out.data.blur_prob == 0.25
 
     def test_unknown_key_rejected_with_path(self):
-        with pytest.raises(cfgmod.ConfigError, match="distill.bogus"):
-            cfgmod.apply_overrides(cfgmod.toy_default(), {"distill.bogus": "1"})
+        # distill.rm_enabled is gone: the ablation arm is rm_disabled_config
+        for key in ("distill.bogus", "distill.rm_enabled"):
+            with pytest.raises(cfgmod.ConfigError, match=f"unknown config key: {key}"):
+                cfgmod.apply_overrides(cfgmod.toy_default(), {key: "1"})
+
+    def test_defaults_are_toy_default(self):
+        assert cfgmod.toy_default() == cfgmod.RunConfig()
+
+    def test_rm_disabled_is_the_one_stage_partition(self):
+        d = distill.rm_disabled_config(cfgmod.toy_default().distill)
+        assert d.partition() == schedule.build_partition([], [16])
+        assert d.warmup_steps == 0
 
     def test_invalid_jitter_names_key_path(self):
         cfg = cfgmod.apply_overrides(cfgmod.toy_default(), {"data.noise_std_max": "5.0"})
@@ -131,11 +141,31 @@ class TestCli:
         assert code == 2
         assert "missing prerequisite" in capsys.readouterr().err
 
+    # Every section is checked, and the schedule built, before any command
+    # does work: each out-of-range value below used to end in a traceback
+    # (some only after sampling or training), in a nan null width, or in a
+    # silently skipped teacher phase or a dataset of nan images.
     @pytest.mark.parametrize("line, key", [
         ("distill.nonsense = 1", "distill.nonsense"),
         ("distill.n_steps = four", "distill.n_steps"),
         ("distill.resolutions = (8, x)", "distill.resolutions"),
-    ], ids=["unknown-key", "bad-int", "bad-tuple-entry"])
+        ("data.low_res = 0", "data.low_res"),
+        ("data.n_per_class_low = 0", "data.n_per_class_low"),
+        ("data.supersample = 0", "data.supersample"),
+        ("teacher.phase1_steps = -5", "teacher.phase1_steps"),
+        ("teacher.log_every = 0", "teacher.log_every"),
+        ("teacher.batch_size = 0", "teacher.batch_size"),
+        ("distill.batch_size = 0", "distill.batch_size"),
+        ("distill.n_steps = 1", "distill.n_steps"),
+        ("distill.thresholds = (5.0,)", "distill.thresholds"),
+        ("eval.n_per_set = 3", "eval.n_per_set"),
+        ("eval.teacher_steps = 0", "eval.teacher_steps"),
+        ("eval.contact_sheet_n = 0", "eval.contact_sheet_n"),
+        ("eval.n_permutations = 0", "eval.n_permutations"),
+    ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-low-res", "data-empty-tier",
+            "data-supersample", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
+            "distill-batch-size", "fewer-steps-than-stages", "stage-without-step", "eval-set-too-small",
+            "eval-teacher-steps", "eval-contact-sheet", "eval-permutations"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -143,6 +173,7 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "run").exists()
 
     def test_distill_follows_the_teacher_classes(self, tmp_path):
         # the config has 3 classes, the teacher checkpoint 2: class ids follow the teacher

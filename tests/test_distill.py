@@ -27,6 +27,8 @@ def desk_config(**overrides):
         warmup_steps=2,
         steps=6,
         batch_size=2,
+        lr_generator=2e-4,
+        lr_fake=1e-3,
     )
     base.update(overrides)
     return distill.DistillConfig(**base)
@@ -360,7 +362,7 @@ class TestTrainStep:
     def test_single_resolution_reduction(self):
         # alpha = 0 and a single stage at the final resolution: the step is
         # plain distribution matching (transform never changes resolution)
-        cfg = desk_config(rm_enabled=False, alpha=0.0, warmup_steps=0, n_steps=2)
+        cfg = desk_config(thresholds=(), resolutions=(16,), alpha=0.0, warmup_steps=0, n_steps=2)
         teacher, state = self.make_state(cfg)
         p = cfg.partition()
         assert p.num_stages == 1 and p.final_resolution == 16
@@ -438,12 +440,13 @@ class TestTrainStep:
 
     @pytest.mark.slow
     def test_training_smoke_loss_drops(self):
-        # 500 steps against a briefly-trained teacher at the DistillConfig
-        # defaults. train_step updates the fake score before the generator,
-        # so the generator loss ||x0_fake - x0_teacher|| is already O(1) at
-        # step 0; its floor is how closely the online fake tracks the
-        # generator. On every stage the loss must not run away: the mean over
-        # a stage's last 50 draws stays below 2x the mean over its first 50.
+        # 500 steps against a briefly-trained teacher at desk_config's
+        # learning rates (2e-4 generator, 1e-3 fake). train_step updates the
+        # fake score before the generator, so the generator loss
+        # ||x0_fake - x0_teacher|| is already O(1) at step 0; its floor is how
+        # closely the online fake tracks the generator. On every stage the
+        # loss must not run away: the mean over a stage's last 50 draws stays
+        # below 2x the mean over its first 50.
         dcfg = data.DataConfig(n_per_class_low=24, n_per_class_high=24)
         ds = data.generate_samples(dcfg, SeededRng(400))
         tcfg = diffusion.TeacherConfig(
