@@ -76,6 +76,13 @@ class TeacherConfig:
         for key, least in (("phase1_steps", 0), ("phase2_steps", 0), ("batch_size", 1), ("log_every", 1)):
             if getattr(self, key) < least:
                 raise ValueError(f"teacher.{key} must be at least {least}, got {getattr(self, key)}")
+        if not self.lr > 0.0:
+            raise ValueError(f"teacher.lr must be positive, got {self.lr}")
+        try:
+            self.net_spec(0)
+        except ValueError as err:
+            raise ValueError(f"teacher.channels = {self.channels}, teacher.time_embed_dim = "
+                             f"{self.time_embed_dim}: {err}") from None
 
     def net_spec(self, n_classes: int) -> nets.NetSpec:
         return nets.NetSpec(self.channels, self.time_embed_dim, n_classes)

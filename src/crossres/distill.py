@@ -85,6 +85,9 @@ class DistillConfig:
             raise ValueError("distill.warmup_steps and distill.steps must be non-negative")
         if self.batch_size < 1:
             raise ValueError(f"distill.batch_size must be at least 1, got {self.batch_size}")
+        for key in ("lr_generator", "lr_fake"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"distill.{key} must be positive, got {getattr(self, key)}")
         if not 0.0 < self.lr_final_fraction <= 1.0:
             raise ValueError("distill.lr_final_fraction must lie in (0, 1]")
 

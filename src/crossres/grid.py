@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,15 @@ class SeededRng:
     Identical seeds produce identical streams on every platform. Derived
     streams (``derive``) hash the parent seed with a purpose label, which
     is how one root seed fans out to per-sample / per-step generators.
+    The PCG64 generator is built on the first draw, so a stream used only
+    for its ``seed`` costs the hash alone.
     """
 
     seed: int
-    _gen: np.random.Generator = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self._gen = np.random.Generator(np.random.PCG64(int(self.seed)))
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(int(self.seed)))
 
     def derive(self, label: str) -> "SeededRng":
         digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
@@ -56,15 +59,21 @@ class SeededRng:
         """Standard normal array via Box-Muller on PCG64 uniforms."""
         if np.isscalar(shape):
             shape = (int(shape),)
-        n = int(np.prod(shape)) if len(shape) else 1
+        n = math.prod(shape)
         m = (n + 1) // 2
-        # random() is [0, 1); reflect to (0, 1] so log() stays finite
-        u1 = 1.0 - self._gen.random(m)
-        u2 = self._gen.random(m)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
-        return z[:n].reshape(shape)
+        # one draw of 2m uniforms is the two draws of m, u1's then u2's;
+        # random() is [0, 1): reflect u1 to (0, 1] so log() stays finite
+        u = self._gen.random(2 * m)
+        radius = np.subtract(1.0, u[:m])
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        theta = 2.0 * np.pi * u[m:]
+        z = np.empty((2, m), dtype=np.float64)
+        np.cos(theta, out=z[0])
+        np.sin(theta, out=z[1])
+        z *= radius
+        return z.reshape(-1)[:n].reshape(shape)
 
 
 @functools.cache

@@ -17,7 +17,8 @@ forward passes into one differentiable pipeline.
 class id per image, and run them in chunks of bounded pixel count with
 activations laid out channel-major (C, n, H, W). A conv with several
 input channels is a shifted GEMM over one zero-padded buffer of the whole
-chunk; a conv with one input channel uses a 9-row im2col.
+chunk; a conv with one input channel uses a 9-row im2col. The ops after a
+conv run in place on its contiguous product.
 """
 from __future__ import annotations
 
@@ -90,23 +91,39 @@ def param_count(spec: NetSpec) -> int:
     return max(sl.stop for _, sl in param_layout(spec).values())
 
 
+def _view_table(spec: NetSpec, buffer: np.ndarray) -> dict[str, np.ndarray]:
+    """name -> view of that tensor in the flat vector `buffer`; the views
+    alias the buffer, so in-place edits of either show in the other."""
+    return {name: buffer[sl].reshape(shape) for name, (shape, sl) in param_layout(spec).items()}
+
+
 @dataclass
 class DenoiserNet:
     spec: NetSpec
     params: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.params = np.asarray(self.params, dtype=np.float64).ravel()
-        expected = param_count(self.spec)
-        if self.params.size != expected:
-            raise ValueError(f"params has {self.params.size} entries, spec needs {expected}")
-        self._layout = param_layout(self.spec)
+    def __setattr__(self, name: str, value) -> None:
+        if name == "params":
+            value = np.asarray(value, dtype=np.float64).ravel()
+            expected = param_count(self.spec)
+            if value.size != expected:
+                raise ValueError(f"params has {value.size} entries, spec needs {expected}")
+            # rebuilt on every assignment (optimizer steps reassign .params),
+            # so a view is never stale; nothing derived from values is kept
+            object.__setattr__(self, "_views", _view_table(self.spec, value))
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        # the view table is left out and rebuilt from the restored buffer, so
+        # a copied or unpickled net's views alias its own params
+        return {"spec": self.spec, "params": self.params}
+
+    def __setstate__(self, state: dict) -> None:
+        self.spec = state["spec"]
+        self.params = state["params"]
 
     def view(self, name: str) -> np.ndarray:
-        # computed from the current buffer every call, so reassigning
-        # .params (as optimizer steps do) can never leave stale views
-        shape, sl = self._layout[name]
-        return self.params[sl].reshape(shape)
+        return self._views[name]
 
     def with_params(self, params: np.ndarray) -> "DenoiserNet":
         return DenoiserNet(self.spec, params.copy())
@@ -140,24 +157,45 @@ CHUNK_PIXELS = 1024
 
 def chunks(x: np.ndarray) -> list[slice]:
     """The image slices of batch x that the net processes one at a time."""
-    n, _, h, w = np.shape(x)
+    n, _, h, w = x.shape
     size = max(1, CHUNK_PIXELS // (h * w))
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
+@functools.cache
+def _angular_frequencies(dim: int) -> np.ndarray:
+    """2 pi times the geometric frequencies 1, 2, 4, ... of `time_features`;
+    built once per dim and read only."""
+    freqs = 2.0 * np.pi * 2.0 ** np.arange(dim // 2)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def time_features(sigma, dim: int) -> np.ndarray:
     """Sinusoidal features of sigma at geometric frequencies 1, 2, 4, ...;
-    one row per entry of an array of sigmas."""
-    half = dim // 2
-    freqs = 2.0 ** np.arange(half)
-    phase = 2.0 * np.pi * freqs * np.asarray(sigma, dtype=np.float64)[..., None]
-    return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
+    one row per entry of an array of sigmas, sines then cosines."""
+    phase = _angular_frequencies(dim) * np.asarray(sigma, dtype=np.float64)[..., None]
+    out = np.empty(phase.shape[:-1] + (dim,), dtype=np.float64)
+    np.sin(phase, out=out[..., : dim // 2])
+    np.cos(phase, out=out[..., dim // 2 :])
+    return out
 
 
-def _tap_offsets(w: int) -> list[int]:
+@functools.cache
+def _tap_offsets(w: int) -> tuple[int, ...]:
     # flat offset of tap (a, b), in order 3a + b, inside a zero-bordered
     # row of width w + 2
-    return [a * (w + 2) + b for a in range(3) for b in range(3)]
+    return tuple(a * (w + 2) + b for a in range(3) for b in range(3))
+
+
+def _outputs(z: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The (C, n, H, W) view of the outputs in a conv product (C, n, P):
+    P is H W for an im2col conv; for a shifted GEMM it is (H+2)(W+2), and
+    column p holds the window whose top-left corner is padded position p."""
+    c, n, p = z.shape
+    if p == h * w:
+        return z.reshape(c, n, h, w)
+    return z.reshape(c, n, h + 2, w + 2)[:, :, :h, :w]
 
 
 def _pad(h: np.ndarray) -> np.ndarray:
@@ -173,84 +211,94 @@ def _pad(h: np.ndarray) -> np.ndarray:
 
 def _shifted_gemm(xp: np.ndarray, weight: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     """Same-padded 3x3 cross-correlation of the padded buffer `xp`: the sum
-    over taps of W[:, :, a, b] @ xp[:, off:off+L], each tap a shifted slice.
-    Column p of the sum is the output at the window whose top-left corner
-    is padded position p; the border columns are dropped.
+    over taps, in order 3a + b, of W[:, :, a, b] @ xp[:, off:off+L], each
+    tap a shifted slice. Returns the contiguous (C_out, n (H+2)(W+2)) sum,
+    border columns and all.
 
     With fewer output than input channels the nine thin GEMMs cost more
     than one GEMM of all taps over the whole buffer, whose nine row blocks
-    are then summed at their shifts.
+    are then summed at their shifts in one reduce; it starts from -0.0,
+    which adds to any first term exactly.
     """
     flat = n * (h + 2) * (w + 2)
     c_out, c_in = weight.shape[:2]
-    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
-    offsets = _tap_offsets(w)
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
     if c_out < c_in:
-        products = (taps.reshape(9 * c_out, c_in) @ xp).reshape(9, c_out, -1)
-        out = products[0, :, :flat].copy()
-        for k, off in enumerate(offsets[1:], start=1):
-            out += products[k, :, off : off + flat]
-    else:
-        out = taps[0] @ xp[:, :flat]
-        for tap, off in zip(taps[1:], offsets[1:]):
-            out += tap @ xp[:, off : off + flat]
-    return out.reshape(c_out, n, h + 2, w + 2)[:, :, :h, :w]
+        products = taps.reshape(9 * c_out, c_in) @ xp
+        cols, f8 = xp.shape[1], xp.itemsize
+        # the row block of tap (a, b), read from its offset a (W+2) + b on
+        shifted = np.ndarray((3, 3, c_out, flat), np.float64, products, 0,
+                             ((3 * c_out * cols + w + 2) * f8, (c_out * cols + 1) * f8, cols * f8, f8))
+        return np.add.reduce(shifted, axis=(0, 1), initial=-0.0)
+    taps = taps.reshape(9, c_out, c_in)
+    offsets = _tap_offsets(w)
+    out = taps[0] @ xp[:, :flat]
+    for tap, off in zip(taps[1:], offsets[1:]):
+        out += tap @ xp[:, off : off + flat]
+    return out
 
 
 def _im2col(h: np.ndarray) -> np.ndarray:
     """Channel-major im2col of h (C, n, H, W): row 9c + 3a + b holds tap
-    (a, b) of channel c at every pixel, filled by nine slice copies."""
+    (a, b) of channel c at every pixel, copied in one pass from a window
+    view of the zero-bordered input."""
     c, n, hh, ww = h.shape
     hp = np.zeros((c, n, hh + 2, ww + 2), dtype=np.float64)
     hp[:, :, 1:-1, 1:-1] = h
+    s = hp.strides
+    windows = np.ndarray((c, 3, 3, n, hh, ww), np.float64, hp, 0, (s[0], s[2], s[3], s[1], s[2], s[3]))
     cols = np.empty((c, 3, 3, n, hh, ww), dtype=np.float64)
-    for a in range(3):
-        for b in range(3):
-            cols[:, a, b] = hp[:, :, a : a + hh, b : b + ww]
+    cols[...] = windows
     return cols.reshape(c * 9, n * hh * ww)
+
+
+def _conv_input(h: np.ndarray) -> np.ndarray:
+    """What a conv reads from h (C, n, H, W): the zero-bordered buffer of a
+    shifted-GEMM conv, or, for one input channel (where nine K = 1 GEMMs
+    would be slow), the 9-row im2col matrix. The weight gradient reads it
+    too."""
+    return _im2col(h) if h.shape[0] == 1 else _pad(h)
+
+
+def _conv_product(saved: np.ndarray, weight: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """The contiguous product (C_out, n, P) of a conv over `saved`; see
+    `_outputs`."""
+    c_out = weight.shape[0]
+    if weight.shape[1] == 1:
+        return (weight.reshape(c_out, 9) @ saved).reshape(c_out, n, -1)
+    return _shifted_gemm(saved, weight, n, h, w).reshape(c_out, n, -1)
 
 
 def _conv(h: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padded 3x3 cross-correlation of h (C_in, n, H, W), channel-major.
 
-    Returns the output (C_out, n, H, W) and what the weight gradient reads:
-    the padded buffer of a shifted-GEMM conv, or, for one input channel
-    (where nine K = 1 GEMMs would be slow), the 9-row im2col matrix.
-    """
-    c_in, n, hh, ww = h.shape
-    if c_in == 1:
-        cols = _im2col(h)
-        out = weight.reshape(weight.shape[0], 9) @ cols
-        return out.reshape(-1, n, hh, ww), cols
-    xp = _pad(h)
-    return _shifted_gemm(xp, weight, n, hh, ww), xp
+    Returns the output (C_out, n, H, W) and what the weight gradient reads
+    (`_conv_input`)."""
+    _, n, hh, ww = h.shape
+    saved = _conv_input(h)
+    return _outputs(_conv_product(saved, weight, n, hh, ww), hh, ww), saved
 
 
-def _conv_backward(d: np.ndarray, saved: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(weight gradient, input gradient) of `_conv` for upstream d (C_out,
-    n, H, W), given what the forward saved."""
+def _conv_backward(d: np.ndarray, saved: np.ndarray, weight: np.ndarray,
+                   input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """(weight gradient, input gradient or None) of `_conv` for upstream d
+    (C_out, n, H, W), given what the forward saved."""
     c_out, n, hh, ww = d.shape
     c_in = weight.shape[1]
-    # the input gradient convolves d with the flipped, channel-transposed kernel
-    d_in, d_saved = _conv(d, weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    d_in = d_saved = None
+    if input_grad:
+        # the input gradient convolves d with the flipped, channel-transposed kernel
+        d_in, d_saved = _conv(d, weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     if c_in == 1:
         return (d.reshape(c_out, -1) @ saved.T).reshape(weight.shape), d_in
     # tap (a, b) pairs d at padded position p + (W + 3) with the input at p + off
-    dp = d_saved if c_out > 1 else _pad(d)
+    dp = d_saved if d_saved is not None and c_out > 1 else _pad(d)
     flat, centre = n * (hh + 2) * (ww + 2), ww + 3
     d_flat = dp[:, centre : centre + flat]
     dw = np.empty((c_out, c_in, 9), dtype=np.float64)
     for k, off in enumerate(_tap_offsets(ww)):
         dw[:, :, k] = d_flat @ saved[:, off : off + flat].T
     return dw.reshape(weight.shape), d_in
-
-
-def _silu(z: np.ndarray, with_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """SiLU of z and, if asked, its derivative."""
-    sig = np.exp(-z)
-    sig += 1.0
-    np.reciprocal(sig, out=sig)
-    return z * sig, sig * (1.0 + z * (1.0 - sig)) if with_grad else None
 
 
 def _batch_inputs(net: DenoiserNet, x, sigma, class_ids) -> tuple[np.ndarray, np.ndarray, list]:
@@ -261,9 +309,12 @@ def _batch_inputs(net: DenoiserNet, x, sigma, class_ids) -> tuple[np.ndarray, np
     if x.ndim != 4 or x.shape[1] != spec.channels[0] or x.shape[0] == 0:
         raise ValueError(f"expected a non-empty (N, {spec.channels[0]}, H, W) batch, got shape {x.shape}")
     n = x.shape[0]
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))
-    if not np.all((sigma >= 0.0) & (sigma <= 1.0)):
-        raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
+    sigma = np.asarray(sigma, dtype=np.float64)
+    scalar = sigma.ndim == 0
+    in_range = 0.0 <= sigma <= 1.0 if scalar else sigma.min() >= 0.0 and sigma.max() <= 1.0  # False on a nan
+    if not in_range:
+        raise ValueError(f"sigma must lie in [0, 1], got {np.broadcast_to(sigma, (n,))}")
+    sigma = np.full(n, sigma) if scalar else np.broadcast_to(sigma, (n,))
     class_ids = [None] * n if class_ids is None else list(class_ids)
     if len(class_ids) != n:
         raise ValueError(f"{len(class_ids)} class ids for {n} images")
@@ -277,63 +328,88 @@ def _batch_inputs(net: DenoiserNet, x, sigma, class_ids) -> tuple[np.ndarray, np
     return x, sigma, class_ids
 
 
-def _forward_chunk(net: DenoiserNet, x: np.ndarray, sigma: np.ndarray, class_ids: list, keep: bool):
+def _forward_chunk(net: DenoiserNet, x: np.ndarray, sigma: np.ndarray, class_ids: list, keep: bool,
+                   out: np.ndarray | None = None):
     """One chunk of a checked batch; activations run channel-major (C, n, H, W).
 
-    Returns the output and, if `keep`, the cache its backward reads."""
-    spec = net.spec
+    Each hidden conv's bias, class embedding, FiLM and SiLU run in place on
+    its contiguous product, border columns and all; the SiLU output is
+    written once, as the valid pixels, into what the next conv reads.
+    Writes the output into `out` (C_out, n, H, W) if given, and returns it
+    and, if `keep`, the cache its backward reads."""
+    spec, views = net.spec, net._views
+    n, _, hh, ww = x.shape
+    last = spec.num_layers - 1
     feats = time_features(sigma, spec.time_embed_dim)
     labelled = [i for i, c in enumerate(class_ids) if c is not None]
     ids = [class_ids[i] for i in labelled]
-    if len(labelled) == len(class_ids):
+    if len(labelled) == n:
         labelled = slice(None)  # a basic index: no gather, no scatter
     cache = {"saved": [], "pre": [], "dact": [], "scale": [], "feats": feats,
              "labelled": labelled, "ids": ids}
-    h = x.transpose(1, 0, 2, 3)
+    saved = _conv_input(x.transpose(1, 0, 2, 3))
     for l in range(spec.num_layers):
-        z, saved = _conv(h, net.view(f"conv{l}.weight"))
-        z += net.view(f"conv{l}.bias")[:, None, None, None]
+        z = _conv_product(saved, views[f"conv{l}.weight"], n, hh, ww)
+        valid = _outputs(z, hh, ww)
         cache["saved"].append(saved)
-        if l == spec.num_layers - 1:
-            h = z
+        bias = views[f"conv{l}.bias"]
+        if l == last:
+            out = np.add(valid, bias[:, None, None, None], out=out)
             break
+        z += bias[:, None, None]
         if l == 0 and ids:
-            z[:, labelled] += net.view("class_embed")[ids].T[:, :, None, None]
-        film = feats @ net.view(f"film{l}.weight").T + net.view(f"film{l}.bias")
+            embed = views["class_embed"].take(ids, axis=0).T[:, :, None]
+            if len(ids) == n:
+                z += embed
+            else:
+                z[:, labelled] += embed
+        film = feats @ views[f"film{l}.weight"].T + views[f"film{l}.bias"]
         c_out = spec.channels[l + 1]
         scale, offset = film[:, :c_out].T, film[:, c_out:].T  # (C, n)
-        cache["pre"].append(z)
-        cache["scale"].append(scale)
-        z = z * (1.0 + scale)[:, :, None, None]
-        z += offset[:, :, None, None]
-        h, dact = _silu(z, keep)
-        cache["dact"].append(dact)
-    return h.transpose(1, 0, 2, 3), cache if keep else None
+        if keep:
+            cache["pre"].append(valid.copy())
+            cache["scale"].append(scale)
+        z *= (1.0 + scale)[:, :, None]
+        z += offset[:, :, None]
+        sig = np.negative(z)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)  # the logistic sigmoid of z
+        if keep:  # SiLU'(z) = sig (1 + z (1 - sig))
+            dact = np.subtract(1.0, sig)
+            dact *= z
+            dact += 1.0
+            dact *= sig
+            cache["dact"].append(_outputs(dact, hh, ww).copy())
+        z *= sig  # the SiLU output, which `valid` now views
+        saved = _conv_input(valid)
+    return out, (cache if keep else None)
 
 
-def _backward_chunk(net: DenoiserNet, cache: dict, upstream: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Add one chunk's parameter gradient to `grads`; return its input gradient."""
+def _backward_chunk(net: DenoiserNet, cache: dict, upstream: np.ndarray, grads: dict,
+                    input_grad: bool) -> np.ndarray | None:
+    """Add one chunk's parameter gradient to the views `grads`; return its
+    input gradient, or None without `input_grad`."""
     spec = net.spec
-    gnet = DenoiserNet(spec, grads)  # reuse the layout views for accumulation
     d = upstream.transpose(1, 0, 2, 3)
     for l in reversed(range(spec.num_layers)):
         if l < spec.num_layers - 1:
             d = d * cache["dact"][l]  # through SiLU
             d_offset = np.sum(d, axis=(2, 3))  # (C, n)
             d_film = np.concatenate([np.sum(d * cache["pre"][l], axis=(2, 3)), d_offset])
-            gnet.view(f"film{l}.weight")[...] += d_film @ cache["feats"]
-            gnet.view(f"film{l}.bias")[...] += d_film.sum(axis=1)
+            grads[f"film{l}.weight"] += d_film @ cache["feats"]
+            grads[f"film{l}.bias"] += d_film.sum(axis=1)
             scale = 1.0 + cache["scale"][l]
-            d = d * scale[:, :, None, None]
+            d *= scale[:, :, None, None]
             d_shift = d_offset * scale  # per-image gradient of an additive shift
             if l == 0 and cache["ids"]:
-                np.add.at(gnet.view("class_embed"), cache["ids"], d_shift[:, cache["labelled"]].T)
-            gnet.view(f"conv{l}.bias")[...] += d_shift.sum(axis=1)
+                np.add.at(grads["class_embed"], cache["ids"], d_shift[:, cache["labelled"]].T)
+            grads[f"conv{l}.bias"] += d_shift.sum(axis=1)
         else:
-            gnet.view(f"conv{l}.bias")[...] += np.sum(d, axis=(1, 2, 3))
-        dw, d = _conv_backward(d, cache["saved"][l], net.view(f"conv{l}.weight"))
-        gnet.view(f"conv{l}.weight")[...] += dw
-    return d.transpose(1, 0, 2, 3)
+            grads[f"conv{l}.bias"] += np.sum(d, axis=(1, 2, 3))
+        dw, d = _conv_backward(d, cache["saved"][l], net.view(f"conv{l}.weight"), input_grad or l > 0)
+        grads[f"conv{l}.weight"] += dw
+    return None if d is None else d.transpose(1, 0, 2, 3)
 
 
 def forward(
@@ -352,12 +428,11 @@ def forward(
     The cache holds every chunk of the batch.
     """
     x, sigma, class_ids = _batch_inputs(net, x, sigma, class_ids)
-    outs, caches = [], []
+    out = np.empty((x.shape[0], net.spec.channels[-1]) + x.shape[2:], dtype=np.float64)
+    caches = []
     for sl in chunks(x):
-        out, cache = _forward_chunk(net, x[sl], sigma[sl], class_ids[sl], keep_cache)
-        outs.append(out)
-        caches.append(cache)
-    out = np.concatenate(outs) if len(outs) > 1 else np.ascontiguousarray(outs[0])
+        caches.append(_forward_chunk(net, x[sl], sigma[sl], class_ids[sl], keep_cache,
+                                     out[sl].transpose(1, 0, 2, 3))[1])
     return (out, caches) if keep_cache else out
 
 
@@ -368,14 +443,15 @@ def backward(
     class_ids,
     upstream: np.ndarray,
     cache: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    _input_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact reverse-mode gradients of sum(forward * upstream) over a batch.
 
     `cache` is the one `forward(..., keep_cache=True)` returned for these
     inputs and parameters; without it each chunk's forward is run again
     just before its backward, so at most one chunk's cache is alive.
     Returns (flat parameter gradient summed over the batch, input gradient
-    per image).
+    per image); `loss_and_grad` skips the input gradient, which is then None.
     """
     x, sigma, class_ids = _batch_inputs(net, x, sigma, class_ids)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -383,11 +459,14 @@ def backward(
     if upstream.shape != out_shape:
         raise ValueError(f"upstream shape {upstream.shape} != output shape {out_shape}")
     grads = np.zeros_like(net.params)
-    d_x = np.empty_like(x)
+    grad_views = _view_table(net.spec, grads)
+    d_x = np.empty_like(x) if _input_grad else None
     for k, sl in enumerate(chunks(x)):
         chunk_cache = cache[k] if cache is not None else (
             _forward_chunk(net, x[sl], sigma[sl], class_ids[sl], keep=True)[1])
-        d_x[sl] = _backward_chunk(net, chunk_cache, upstream[sl], grads)
+        d = _backward_chunk(net, chunk_cache, upstream[sl], grad_views, _input_grad)
+        if _input_grad:
+            d_x[sl] = d
     return grads, d_x
 
 
@@ -405,7 +484,7 @@ def loss_and_grad(net: DenoiserNet, x: np.ndarray, sigma, class_ids, loss_of) ->
     for sl in chunks(x):
         out, cache = forward(net, x[sl], sigma[sl], class_ids[sl], keep_cache=True)
         part, upstream = loss_of(sl, out)
-        g, _ = backward(net, x[sl], sigma[sl], class_ids[sl], upstream, cache)
+        g, _ = backward(net, x[sl], sigma[sl], class_ids[sl], upstream, cache, _input_grad=False)
         loss += part
         grads += g
     return loss, grads

@@ -1,11 +1,14 @@
 """Numerics that only the tests read: the net's finite-difference
-gradient check, the relative error the tests bound, and the area
-downsampling that compares the dataset's two resolution tiers.
+gradient check, the relative error the tests bound, the area
+downsampling that compares the dataset's two resolution tiers, and the
+oracles the net and the noise source must match bit for bit: the strided
+chunk code of the net and the eager Box-Muller generator.
 
 Test modules import it as ``from numerics import ...``.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,3 +122,223 @@ def area_downsample(x: ImageGrid, factor: int) -> ImageGrid:
     if h % factor or w % factor:
         raise ValueError(f"size ({h},{w}) not divisible by factor {factor}")
     return x.reshape(c, h // factor, factor, w // factor, factor).mean(axis=(2, 4))
+
+
+# --- Oracles kept from earlier versions of the package -------------------
+
+
+class EagerSeededRng:
+    """`SeededRng` as it was before it built its generator lazily and drew
+    both Box-Muller halves at once: the oracle of its streams and seeds."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._gen = np.random.Generator(np.random.PCG64(int(seed)))
+
+    def derive(self, label: str) -> "EagerSeededRng":
+        digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
+        return EagerSeededRng(int.from_bytes(digest[:8], "little"))
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None):
+        return self._gen.uniform(lo, hi, size=size)
+
+    def normal(self, shape) -> np.ndarray:
+        if np.isscalar(shape):
+            shape = (int(shape),)
+        n = int(np.prod(shape)) if len(shape) else 1
+        m = (n + 1) // 2
+        u1 = 1.0 - self._gen.random(m)
+        u2 = self._gen.random(m)
+        radius = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
+        return z[:n].reshape(shape)
+
+
+# The net's chunk code as it was before its activations ran in place: every
+# op after a conv walks the strided (C, n, H, W) view of the product. Views
+# of the parameters are cut from `net.params` on every call, so a stale
+# view table in the net would show as a mismatch.
+
+
+def _ref_view(net: nets.DenoiserNet, name: str) -> np.ndarray:
+    shape, sl = nets.param_layout(net.spec)[name]
+    return net.params[sl].reshape(shape)
+
+
+def _ref_time_features(sigma: np.ndarray, dim: int) -> np.ndarray:
+    freqs = 2.0 ** np.arange(dim // 2)
+    phase = 2.0 * np.pi * freqs * sigma[..., None]
+    return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
+
+
+def _ref_tap_offsets(w: int) -> list[int]:
+    return [a * (w + 2) + b for a in range(3) for b in range(3)]
+
+
+def _ref_pad(h: np.ndarray) -> np.ndarray:
+    c, n, hh, ww = h.shape
+    flat = n * (hh + 2) * (ww + 2)
+    xp = np.zeros((c, flat + 2 * ww + 6), dtype=np.float64)
+    xp[:, :flat].reshape(c, n, hh + 2, ww + 2)[:, :, 1:-1, 1:-1] = h
+    return xp
+
+
+def _ref_shifted_gemm(xp: np.ndarray, weight: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    flat = n * (h + 2) * (w + 2)
+    c_out, c_in = weight.shape[:2]
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
+    offsets = _ref_tap_offsets(w)
+    if c_out < c_in:
+        products = (taps.reshape(9 * c_out, c_in) @ xp).reshape(9, c_out, -1)
+        out = products[0, :, :flat].copy()
+        for k, off in enumerate(offsets[1:], start=1):
+            out += products[k, :, off : off + flat]
+    else:
+        out = taps[0] @ xp[:, :flat]
+        for tap, off in zip(taps[1:], offsets[1:]):
+            out += tap @ xp[:, off : off + flat]
+    return out.reshape(c_out, n, h + 2, w + 2)[:, :, :h, :w]
+
+
+def _ref_im2col(h: np.ndarray) -> np.ndarray:
+    c, n, hh, ww = h.shape
+    hp = np.zeros((c, n, hh + 2, ww + 2), dtype=np.float64)
+    hp[:, :, 1:-1, 1:-1] = h
+    cols = np.empty((c, 3, 3, n, hh, ww), dtype=np.float64)
+    for a in range(3):
+        for b in range(3):
+            cols[:, a, b] = hp[:, :, a : a + hh, b : b + ww]
+    return cols.reshape(c * 9, n * hh * ww)
+
+
+def _ref_conv(h: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c_in, n, hh, ww = h.shape
+    if c_in == 1:
+        cols = _ref_im2col(h)
+        out = weight.reshape(weight.shape[0], 9) @ cols
+        return out.reshape(-1, n, hh, ww), cols
+    xp = _ref_pad(h)
+    return _ref_shifted_gemm(xp, weight, n, hh, ww), xp
+
+
+def _ref_conv_backward(d: np.ndarray, saved: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c_out, n, hh, ww = d.shape
+    c_in = weight.shape[1]
+    d_in, d_saved = _ref_conv(d, weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    if c_in == 1:
+        return (d.reshape(c_out, -1) @ saved.T).reshape(weight.shape), d_in
+    dp = d_saved if c_out > 1 else _ref_pad(d)
+    flat, centre = n * (hh + 2) * (ww + 2), ww + 3
+    d_flat = dp[:, centre : centre + flat]
+    dw = np.empty((c_out, c_in, 9), dtype=np.float64)
+    for k, off in enumerate(_ref_tap_offsets(ww)):
+        dw[:, :, k] = d_flat @ saved[:, off : off + flat].T
+    return dw.reshape(weight.shape), d_in
+
+
+def _ref_silu(z: np.ndarray, with_grad: bool):
+    sig = np.exp(-z)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    return z * sig, sig * (1.0 + z * (1.0 - sig)) if with_grad else None
+
+
+def _ref_forward_chunk(net: nets.DenoiserNet, x: np.ndarray, sigma: np.ndarray, class_ids: list):
+    spec = net.spec
+    feats = _ref_time_features(sigma, spec.time_embed_dim)
+    labelled = [i for i, c in enumerate(class_ids) if c is not None]
+    ids = [class_ids[i] for i in labelled]
+    if len(labelled) == len(class_ids):
+        labelled = slice(None)
+    cache = {"saved": [], "pre": [], "dact": [], "scale": [], "feats": feats,
+             "labelled": labelled, "ids": ids}
+    h = x.transpose(1, 0, 2, 3)
+    for l in range(spec.num_layers):
+        z, saved = _ref_conv(h, _ref_view(net, f"conv{l}.weight"))
+        z += _ref_view(net, f"conv{l}.bias")[:, None, None, None]
+        cache["saved"].append(saved)
+        if l == spec.num_layers - 1:
+            h = z
+            break
+        if l == 0 and ids:
+            z[:, labelled] += _ref_view(net, "class_embed")[ids].T[:, :, None, None]
+        film = feats @ _ref_view(net, f"film{l}.weight").T + _ref_view(net, f"film{l}.bias")
+        c_out = spec.channels[l + 1]
+        scale, offset = film[:, :c_out].T, film[:, c_out:].T
+        cache["pre"].append(z)
+        cache["scale"].append(scale)
+        z = z * (1.0 + scale)[:, :, None, None]
+        z += offset[:, :, None, None]
+        h, dact = _ref_silu(z, True)
+        cache["dact"].append(dact)
+    return h.transpose(1, 0, 2, 3), cache
+
+
+def _ref_backward_chunk(net: nets.DenoiserNet, cache: dict, upstream: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    spec = net.spec
+    layout = nets.param_layout(spec)
+
+    def gview(name):
+        shape, sl = layout[name]
+        return grads[sl].reshape(shape)
+
+    d = upstream.transpose(1, 0, 2, 3)
+    for l in reversed(range(spec.num_layers)):
+        if l < spec.num_layers - 1:
+            d = d * cache["dact"][l]
+            d_offset = np.sum(d, axis=(2, 3))
+            d_film = np.concatenate([np.sum(d * cache["pre"][l], axis=(2, 3)), d_offset])
+            gview(f"film{l}.weight")[...] += d_film @ cache["feats"]
+            gview(f"film{l}.bias")[...] += d_film.sum(axis=1)
+            scale = 1.0 + cache["scale"][l]
+            d = d * scale[:, :, None, None]
+            d_shift = d_offset * scale
+            if l == 0 and cache["ids"]:
+                np.add.at(gview("class_embed"), cache["ids"], d_shift[:, cache["labelled"]].T)
+            gview(f"conv{l}.bias")[...] += d_shift.sum(axis=1)
+        else:
+            gview(f"conv{l}.bias")[...] += np.sum(d, axis=(1, 2, 3))
+        dw, d = _ref_conv_backward(d, cache["saved"][l], _ref_view(net, f"conv{l}.weight"))
+        gview(f"conv{l}.weight")[...] += dw
+    return d.transpose(1, 0, 2, 3)
+
+
+def _ref_batch(x, sigma, class_ids):
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))
+    return x, sigma, [None] * n if class_ids is None else list(class_ids)
+
+
+def reference_forward(net: nets.DenoiserNet, x, sigma, class_ids=None) -> np.ndarray:
+    """`net.forward` by the strided chunk code."""
+    x, sigma, class_ids = _ref_batch(x, sigma, class_ids)
+    outs = [_ref_forward_chunk(net, x[sl], sigma[sl], class_ids[sl])[0] for sl in nets.chunks(x)]
+    return np.concatenate(outs) if len(outs) > 1 else np.ascontiguousarray(outs[0])
+
+
+def reference_backward(net: nets.DenoiserNet, x, sigma, class_ids, upstream) -> tuple[np.ndarray, np.ndarray]:
+    """`net.backward` by the strided chunk code: (parameter gradient, input gradient)."""
+    x, sigma, class_ids = _ref_batch(x, sigma, class_ids)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    grads = np.zeros_like(net.params)
+    d_x = np.empty_like(x)
+    for sl in nets.chunks(x):
+        cache = _ref_forward_chunk(net, x[sl], sigma[sl], class_ids[sl])[1]
+        d_x[sl] = _ref_backward_chunk(net, cache, upstream[sl], grads)
+    return grads, d_x
+
+
+def reference_loss_and_grad(net: nets.DenoiserNet, x, sigma, class_ids, loss_of) -> tuple[float, np.ndarray]:
+    """`net.loss_and_grad` by the strided chunk code."""
+    x, sigma, class_ids = _ref_batch(x, sigma, class_ids)
+    loss, grads = 0.0, np.zeros_like(net.params)
+    for sl in nets.chunks(x):
+        out, cache = _ref_forward_chunk(net, x[sl], sigma[sl], class_ids[sl])
+        part, upstream = loss_of(sl, np.ascontiguousarray(out))
+        g = np.zeros_like(net.params)
+        _ref_backward_chunk(net, cache, np.asarray(upstream, dtype=np.float64), g)
+        loss += part
+        grads += g
+    return loss, grads

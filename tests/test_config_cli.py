@@ -143,8 +143,9 @@ class TestCli:
 
     # Every section is checked, and the schedule built, before any command
     # does work: each out-of-range value below used to end in a traceback
-    # (some only after sampling or training), in a nan null width, or in a
-    # silently skipped teacher phase or a dataset of nan images.
+    # (some only after sampling or training, or, for the net spec, after the
+    # dataset loads), in a nan null width, in a silently skipped teacher
+    # phase, a dataset of nan images, or in gradient ascent (a negative lr).
     @pytest.mark.parametrize("line, key", [
         ("distill.nonsense = 1", "distill.nonsense"),
         ("distill.n_steps = four", "distill.n_steps"),
@@ -162,10 +163,18 @@ class TestCli:
         ("eval.teacher_steps = 0", "eval.teacher_steps"),
         ("eval.contact_sheet_n = 0", "eval.contact_sheet_n"),
         ("eval.n_permutations = 0", "eval.n_permutations"),
+        ("teacher.lr = -1.0", "teacher.lr"),
+        ("teacher.lr = 0.0", "teacher.lr"),
+        ("distill.lr_generator = -5e-5", "distill.lr_generator"),
+        ("distill.lr_fake = 0.0", "distill.lr_fake"),
+        ("teacher.channels = (1,)", "teacher.channels"),
+        ("teacher.time_embed_dim = 0", "teacher.time_embed_dim"),
     ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-low-res", "data-empty-tier",
             "data-supersample", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
             "distill-batch-size", "fewer-steps-than-stages", "stage-without-step", "eval-set-too-small",
-            "eval-teacher-steps", "eval-contact-sheet", "eval-permutations"])
+            "eval-teacher-steps", "eval-contact-sheet", "eval-permutations", "teacher-negative-lr",
+            "teacher-zero-lr", "distill-negative-lr-generator", "distill-zero-lr-fake",
+            "teacher-one-channel-entry", "teacher-zero-time-embed"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")

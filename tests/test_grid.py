@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossres import grid
-from numerics import area_downsample
+from numerics import EagerSeededRng, area_downsample
 
 
 def naive_bilinear(x: np.ndarray, th: int, tw: int) -> np.ndarray:
@@ -155,6 +155,32 @@ class TestSeededRng:
         a = grid.SeededRng(9).normal(7)
         b = grid.SeededRng(9).normal(7)
         assert np.array_equal(a, b)
+
+
+class TestSeededRngMatchesTheEagerClass:
+    """The lazy generator and the one-draw Box-Muller against the class
+    they replaced (numerics.EagerSeededRng): same seeds, same streams."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+    def test_streams_and_seeds(self, seed):
+        new, old = grid.SeededRng(seed), EagerSeededRng(seed)
+        for shape in (1, 7, (3,), (2, 3), (1, 8, 8), (1, 16, 16), (), (0,), 257):
+            a, b = new.normal(shape), old.normal(shape)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), shape
+        assert new.uniform(0.0, 1.0, 5).tobytes() == old.uniform(0.0, 1.0, 5).tobytes()
+        for label in ("teacher", "arm:3", "cascade:12:0"):
+            assert new.derive(label).seed == old.derive(label).seed
+            assert new.derive(label).normal((2, 5)).tobytes() == old.derive(label).normal((2, 5)).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 7, 32, 128, 129])
+    def test_one_draw_of_2m_uniforms_is_two_draws_of_m(self, m):
+        one, two = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
+        assert np.array_equal(one.random(2 * m), np.concatenate([two.random(m), two.random(m)]))
+
+    def test_a_seed_alone_builds_no_generator(self):
+        rng = grid.SeededRng(3).derive("arm:0")
+        assert rng.seed == EagerSeededRng(3).derive("arm:0").seed
+        assert "_gen" not in vars(rng)
 
 
 class TestImageIO:

@@ -1,4 +1,7 @@
 """Denoiser network: exact gradients, optimizer recurrence, checkpoints."""
+import copy
+import itertools
+import pickle
 import re
 import struct
 
@@ -7,7 +10,14 @@ import pytest
 
 from crossres import net as nets
 from crossres.grid import SeededRng
-from numerics import finite_difference_param_grad, gradient_check, relative_error
+from numerics import (
+    finite_difference_param_grad,
+    gradient_check,
+    reference_backward,
+    reference_forward,
+    reference_loss_and_grad,
+    relative_error,
+)
 
 TINY = nets.NetSpec(channels=(1, 6, 6, 1), time_embed_dim=4, class_count=3)
 
@@ -46,6 +56,23 @@ class TestForward:
             nets.forward(n, np.zeros((3, 1, 8, 8)), 0.5, [0, 1])
         with pytest.raises(ValueError, match="sigma"):
             nets.forward(n, np.zeros((2, 1, 8, 8)), [0.5, 1.5], [0, 1])
+
+    @pytest.mark.parametrize("sigma, class_ids, message", [
+        (1.5, [0, 1], r"sigma must lie in \[0, 1\], got \[1.5 1.5\]"),
+        ([0.5, np.nan], [0, 1], r"sigma must lie in \[0, 1\], got \[0.5 nan\]"),
+        (np.nan, None, r"sigma must lie in \[0, 1\], got \[nan nan\]"),
+        (0.5, [None, 5], r"class_id 5 out of range \[0, 3\)"),
+        (0.5, [2, -1], r"class_id -1 out of range \[0, 3\)"),
+    ])
+    def test_batch_checks_name_the_bad_value(self, sigma, class_ids, message):
+        with pytest.raises(ValueError, match=message):
+            nets.forward(make_net(), np.zeros((2, 1, 8, 8)), sigma, class_ids)
+
+    def test_unconditional_net_rejects_class_ids(self):
+        n = make_net(nets.NetSpec(TINY.channels, 4, 0))
+        with pytest.raises(ValueError, match="unconditional"):
+            nets.forward(n, np.zeros((2, 1, 8, 8)), 0.5, [None, 1])
+        assert nets.forward(n, np.zeros((2, 1, 8, 8)), 0.5, [None, None]).shape == (2, 1, 8, 8)
 
     def test_deterministic(self):
         n = make_net()
@@ -133,6 +160,86 @@ class TestBackward:
         assert [s.stop - s.start for s in nets.chunks(np.zeros((5, 1, 16, 16)))] == [4, 1]
         assert [s.stop - s.start for s in nets.chunks(np.zeros((20, 1, 8, 8)))] == [16, 4]
         assert [s.stop - s.start for s in nets.chunks(np.zeros((2, 1, 64, 64)))] == [1, 1]
+
+
+def bit_equal(a, b) -> bool:
+    """Same shape and the same bytes: unlike array_equal, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestMatchesReferenceChunks:
+    """The in-place chunk code against the strided one kept in numerics.py,
+    bit for bit: same products, same elementwise ops, same reductions."""
+
+    SPECS = {"default": nets.NetSpec(), "one-channel-hidden": nets.NetSpec((2, 5, 1, 3), 6, 2)}
+
+    @staticmethod
+    def inputs(spec, px, n, seed):
+        rng = SeededRng(seed)
+        x = rng.normal((n, spec.channels[0], px, px))
+        up = rng.normal((n, spec.channels[-1], px, px))
+        sigmas = {"scalar": 0.37, "per-image": rng.uniform(0.0, 1.0, size=n)}
+        ids = {"none": None, "all": [k % spec.class_count for k in range(n)],
+               "mixed": [None if k % 2 else k % spec.class_count for k in range(n)]}
+        return x, up, sigmas, ids
+
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    @pytest.mark.parametrize("px", [2, 8, 16])
+    @pytest.mark.parametrize("n", [1, 3, 5, 17])
+    def test_bit_identical(self, spec_name, px, n):
+        spec = self.SPECS[spec_name]
+        net = make_net(spec, seed=31)
+        x, up, sigmas, ids_by_kind = self.inputs(spec, px, n, seed=32)
+        for (sigma_kind, sigma), (ids_kind, ids) in itertools.product(sigmas.items(), ids_by_kind.items()):
+            case = f"sigma {sigma_kind}, class ids {ids_kind}"
+            want = reference_forward(net, x, sigma, ids)
+            assert bit_equal(nets.forward(net, x, sigma, ids), want), case
+            out, cache = nets.forward(net, x, sigma, ids, keep_cache=True)
+            assert bit_equal(out, want), case
+            want_p, want_x = reference_backward(net, x, sigma, ids, up)
+            for got_p, got_x in (nets.backward(net, x, sigma, ids, up), nets.backward(net, x, sigma, ids, up, cache)):
+                assert bit_equal(got_p, want_p) and bit_equal(got_x, want_x), case
+
+            def loss_of(sl, out):
+                return float(np.sum(out * out)), 2.0 * out
+
+            want_loss, want_grads = reference_loss_and_grad(net, x, sigma, ids, loss_of)
+            loss, grads = nets.loss_and_grad(net, x, sigma, ids, loss_of)
+            assert loss == want_loss and bit_equal(grads, want_grads), case
+
+    def test_reassigned_and_edited_params_show_in_the_next_forward(self):
+        net = make_net(nets.NetSpec(), seed=33)
+        x = SeededRng(34).normal((3, 1, 8, 8))
+        before = nets.forward(net, x, 0.5, [0, 1, 2])
+        net.params = net.params * 0.5  # what an optimizer step does
+        halved = nets.forward(net, x, 0.5, [0, 1, 2])
+        assert not np.array_equal(halved, before)
+        assert np.array_equal(halved, reference_forward(net, x, 0.5, [0, 1, 2]))
+        net.params[nets.param_layout(net.spec)["conv2.bias"][1]] += 1.0  # in place, as the gradient check does
+        edited = nets.forward(net, x, 0.5, [0, 1, 2])
+        assert not np.array_equal(edited, halved)
+        assert np.array_equal(edited, reference_forward(net, x, 0.5, [0, 1, 2]))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copied_net_sees_in_place_edits(self, clone):
+        net = make_net(nets.NetSpec(), seed=35)
+        x = SeededRng(36).normal((2, 1, 8, 8))
+        twin = clone(net)
+        assert np.array_equal(nets.forward(twin, x, 0.5, [0, 1]), nets.forward(net, x, 0.5, [0, 1]))
+        for name in nets.param_layout(twin.spec):
+            assert np.shares_memory(twin.view(name), twin.params), name
+        before = nets.forward(twin, x, 0.5, [0, 1])
+        twin.params[nets.param_layout(twin.spec)["conv0.weight"][1]] *= 2.0
+        edited = nets.forward(twin, x, 0.5, [0, 1])
+        assert not np.array_equal(edited, before)
+        assert np.array_equal(edited, reference_forward(twin, x, 0.5, [0, 1]))
+
+    def test_params_are_checked_on_assignment(self):
+        net = make_net()
+        with pytest.raises(ValueError, match="params has 3 entries"):
+            net.params = np.zeros(3)
 
 
 def sliding_window_conv3x3(x, weight):
