@@ -24,14 +24,13 @@ step, while each sample draws its noise from its own seeded stream.
 """
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import net as nets
-from .grid import ImageGrid, SeededRng, bilinear_upsample, bilinear_upsample_t
+from .grid import ImageGrid, SeededRng, bilinear_upsample, bilinear_upsample_t, write_csv
 from .schedule import ScheduleStep, TrajectoryPartition, inference_schedule
 
 __all__ = [
@@ -138,16 +137,8 @@ class InferenceTrace:
             raise CascadeError("teacher-equivalent logSNR must increase strictly")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["step", "stage", "teacher_t", "shifted_t", "sigma", "resolution", "transition"]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [r.step, r.stage, repr(r.teacher_t), repr(r.shifted_t), repr(r.shifted_sigma),
-                     r.resolution, int(r.transition)]
-                )
+        """One row per step, `ScheduleStep`'s fields as the columns."""
+        write_csv(path, [f.name for f in fields(ScheduleStep)], (astuple(r) for r in self.records))
 
 
 @dataclass

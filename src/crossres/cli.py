@@ -10,14 +10,13 @@ outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import cascade, config as cfgmod, data, diffusion, distill, evalsuite, net as nets
-from .grid import SeededRng, write_pgm
-from .schedule import inference_schedule, sigma_to_logsnr
+from .grid import SeededRng, write_csv, write_pgm
+from .schedule import sigma_to_logsnr
 
 
 class PrerequisiteError(RuntimeError):
@@ -55,10 +54,14 @@ def _generator_path(cfg: cfgmod.RunConfig) -> Path:
     return Path(cfg.out_dir) / "distill" / "generator-final.ckpt"
 
 
-def _require(path: Path, hint: str) -> Path:
+def _load(loader, path: Path, hint: str):
+    """loader(path); a missing or damaged file is a PrerequisiteError naming it."""
     if not path.exists():
         raise PrerequisiteError(f"missing prerequisite: {path} (run `crossres {hint}` first)")
-    return path
+    try:
+        return loader(path)
+    except ValueError as err:  # the loaders' messages start with the path
+        raise PrerequisiteError(str(err)) from err
 
 
 def _print_optimizer(name: str, opt: nets.AdamW) -> None:
@@ -78,15 +81,12 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_teacher(args) -> int:
     cfg = _resolve_config(args)
-    ds = data.load_dataset(_require(_dataset_path(cfg), "gen-data"))
+    ds = _load(data.load_dataset, _dataset_path(cfg), "gen-data")
     run = cfgmod.RunDirectory(cfg.out_dir, cfg)
     model = diffusion.train_teacher(ds, cfg.teacher, _root_rng(cfg).derive("teacher"))
     nets.save_checkpoint(run.file("teacher.ckpt"), model.net)
-    with open(run.file("teacher-log.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["phase", "step", "loss"])
-        for row in model.log:
-            writer.writerow([row["phase"], row["step"], repr(row["loss"])])
+    write_csv(run.file("teacher-log.csv"), ["phase", "step", "loss"],
+              ([row["phase"], row["step"], row["loss"]] for row in model.log))
     run.record_time("train-teacher")
     run.finalize()
     print(f"teacher checkpoint at {run.file('teacher.ckpt')}")
@@ -96,7 +96,7 @@ def cmd_train_teacher(args) -> int:
 
 def cmd_distill(args) -> int:
     cfg = _resolve_config(args)
-    teacher_net = nets.load_checkpoint(_require(_teacher_path(cfg), "train-teacher"))
+    teacher_net = _load(nets.load_checkpoint, _teacher_path(cfg), "train-teacher")
     teacher = diffusion.TeacherModel(net=teacher_net, trained_resolutions=list(cfg.distill.resolutions))
     run = cfgmod.RunDirectory(cfg.out_dir, cfg)
     ckpt_dir = run.file("distill")
@@ -123,7 +123,7 @@ def cmd_sample(args) -> int:
     if args.many_step is not None and args.many_step < 1:
         raise cfgmod.ConfigError(f"--many-step must be at least 1, got {args.many_step}")
     ckpt = Path(args.checkpoint) if args.checkpoint else _generator_path(cfg)
-    net = nets.load_checkpoint(_require(ckpt, "distill"))
+    net = _load(nets.load_checkpoint, ckpt, "distill")
     n_classes = net.spec.class_count
     if args.class_id is not None and not 0 <= args.class_id < n_classes:
         raise cfgmod.ConfigError(
@@ -131,7 +131,6 @@ def cmd_sample(args) -> int:
     out_dir = Path(cfg.out_dir) / "samples"
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = _root_rng(cfg)
-    stats_rows = []
     class_ids = ([args.class_id] * args.count if args.class_id is not None
                  else evalsuite.round_robin(args.count, n_classes))
     if args.many_step is not None:
@@ -144,26 +143,22 @@ def cmd_sample(args) -> int:
         trace = cascade.schedule_trace(d.partition(), d.n_steps)
         images = cascade.run_cascade(net, trace, d.alpha_inference, class_ids, seeds).final
         trace.write_csv(out_dir / "trace.csv")  # every sample of the batch shares it
-    for i, (class_id, img) in enumerate(zip(class_ids, images)):
+    for i, img in enumerate(images):
         write_pgm(out_dir / f"sample-{i:03d}.pgm", img, lo=-0.25, hi=1.25)
-        stats_rows.append((i, class_id, float(img.mean()), float(img.var())))
-    with open(out_dir / "stats.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["index", "class_id", "mean", "variance"])
-        for row in stats_rows:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
+    write_csv(out_dir / "stats.csv", ["index", "class_id", "mean", "variance"],
+              ((i, c, img.mean(), img.var()) for i, (c, img) in enumerate(zip(class_ids, images))))
     print(f"{args.count} samples in {out_dir}")
     return 0
 
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    teacher = nets.load_checkpoint(_require(_teacher_path(cfg), "train-teacher"))
-    student = nets.load_checkpoint(_require(_generator_path(cfg), "distill"))
+    teacher = _load(nets.load_checkpoint, _teacher_path(cfg), "train-teacher")
+    student = _load(nets.load_checkpoint, _generator_path(cfg), "distill")
     rm_path = Path(cfg.out_dir) / "distill" / "generator-rm-disabled.ckpt"
-    rm_net = nets.load_checkpoint(rm_path) if rm_path.exists() else None
+    rm_net = _load(nets.load_checkpoint, rm_path, "distill --rm-disabled") if rm_path.exists() else None
     ds_path = _dataset_path(cfg)
-    ds = data.load_dataset(ds_path) if ds_path.exists() else None
+    ds = _load(data.load_dataset, ds_path, "gen-data") if ds_path.exists() else None
     report = evalsuite.evaluate_run(
         student=student,
         teacher=teacher,
@@ -186,7 +181,8 @@ def cmd_eval(args) -> int:
 
 def cmd_schedule(args) -> int:
     cfg = _resolve_config(args)
-    rows = inference_schedule(cfg.distill.n_steps, cfg.distill.partition())
+    trace = cascade.schedule_trace(cfg.distill.partition(), cfg.distill.n_steps)
+    rows = trace.records
     header = f"{'step':>4} {'stage':>5} {'res':>5} {'timestep':>9} {'sigma':>8} {'logsnr':>9}"
     print(header)
     for r in rows:
@@ -197,16 +193,7 @@ def cmd_schedule(args) -> int:
         )
     print("timesteps:", "[" + ", ".join(str(round(r.shifted_t)) for r in rows) + "]")
     if args.csv:
-        with open(args.csv, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["step", "stage", "resolution", "teacher_t", "teacher_sigma", "shifted_t", "shifted_sigma"]
-            )
-            for r in rows:
-                writer.writerow(
-                    [r.step, r.stage, r.resolution, repr(r.teacher_t), repr(r.teacher_sigma),
-                     repr(r.shifted_t), repr(r.shifted_sigma)]
-                )
+        trace.write_csv(args.csv)
         print(f"csv written to {args.csv}")
     return 0
 

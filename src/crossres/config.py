@@ -30,7 +30,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    preset: str = "toy-default"
     seed: int = 0
     out_dir: str = "runs/toy"
     data: DataConfig = field(default_factory=DataConfig)
@@ -52,19 +51,13 @@ def sdxl_like() -> RunConfig:
     under the conversion here, which would give a 1 + 3 split; see the
     schedule table docs), its flow shift, step count and alphas.
     """
-    base = toy_default()
-    return replace(base, preset="sdxl-like", distill=replace(base.distill, resolutions=(512, 1024)))
+    return RunConfig(distill=DistillConfig(resolutions=(512, 1024)))
 
 
 def sd35_like() -> RunConfig:
     """512px -> 1024px with flow shift 3 and the logSNR -2.5 threshold;
     toy-default's step count and alphas."""
-    base = toy_default()
-    return replace(
-        base,
-        preset="sd35-like",
-        distill=replace(base.distill, thresholds=(-2.5,), resolutions=(512, 1024), flow_shift=3.0),
-    )
+    return RunConfig(distill=DistillConfig(thresholds=(-2.5,), resolutions=(512, 1024), flow_shift=3.0))
 
 
 def wan_like() -> RunConfig:
@@ -73,19 +66,15 @@ def wan_like() -> RunConfig:
     The split sits at sigma = 0.87, between steps 3 and 4 of the shifted
     grid, so the run divides 3 + 3.
     """
-    base = toy_default()
-    return replace(
-        base,
-        preset="wan-like",
-        distill=replace(
-            base.distill,
+    return RunConfig(
+        distill=DistillConfig(
             thresholds=(sigma_to_logsnr(0.87),),
             resolutions=(480, 720),
             flow_shift=5.0,
             n_steps=6,
             alpha=0.5,
             alpha_inference=0.9,
-        ),
+        )
     )
 
 
@@ -150,17 +139,8 @@ def _parse_value(text: str, current):
         if inner.startswith("(") and inner.endswith(")"):
             inner = inner[1:-1]
         parts = [p for p in (s.strip() for s in inner.split(",")) if p]
-        element_type = float
-        if current and isinstance(current[0], int):
-            element_type = int
-        values = []
-        for part in parts:
-            as_float = float(part)
-            if element_type is int and float(int(as_float)) == as_float:
-                values.append(int(as_float))
-            else:
-                values.append(as_float)
-        return tuple(values)
+        element_type = int if current and isinstance(current[0], int) else float
+        return tuple(_parse_scalar(part, element_type) for part in parts)
     return _parse_scalar(text, type(current))
 
 

@@ -266,35 +266,44 @@ def load_dataset(path) -> ShapeDataset:
         fields[key.strip()] = value.strip()
     if fields.get("format") != "crossres-shapes-v1":
         raise ValueError(f"{path}: unrecognized dataset format {fields.get('format')!r}")
-    expected = int(fields["high_offset"]) + int(fields["n_high"]) * int(fields["high_record_bytes"])
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes from the header, found {len(raw)}")
-    low_res = int(fields["low_res"])
-    high_res = int(fields["high_res"])
-    n_low = int(fields["n_low"])
-    n_high = int(fields["n_high"])
-    cfg = DataConfig(
-        n_per_class_low=max(1, n_low // int(fields["n_classes"])),
-        n_per_class_high=max(1, n_high // int(fields["n_classes"])),
-        n_classes=int(fields["n_classes"]),
-        low_res=low_res,
-        high_res=high_res,
-        noise_std_max=float(fields["noise_std_max"]),
-        blur_prob=float(fields["blur_prob"]),
-        intensity_shift=float(fields["intensity_shift"]),
-        intensity_jitter=float(fields["intensity_jitter"]),
-    )
+    try:
+        expected = int(fields["high_offset"]) + int(fields["n_high"]) * int(fields["high_record_bytes"])
+        if len(raw) != expected:
+            raise ValueError(f"expected {expected} bytes from the header, found {len(raw)}")
+        low_res = int(fields["low_res"])
+        high_res = int(fields["high_res"])
+        n_low = int(fields["n_low"])
+        n_high = int(fields["n_high"])
+        n_classes = int(fields["n_classes"])
+        if n_classes < 1:
+            raise ValueError(f"the header declares {n_classes} classes")
+        cfg = DataConfig(
+            n_per_class_low=max(1, n_low // n_classes),
+            n_per_class_high=max(1, n_high // n_classes),
+            n_classes=n_classes,
+            low_res=low_res,
+            high_res=high_res,
+            noise_std_max=float(fields["noise_std_max"]),
+            blur_prob=float(fields["blur_prob"]),
+            intensity_shift=float(fields["intensity_shift"]),
+            intensity_jitter=float(fields["intensity_jitter"]),
+        )
 
-    def read_tier(offset: int, count: int, res: int):
-        records = np.frombuffer(raw, record_dtype(res), count=count, offset=offset)
-        return (records["image"].astype(np.float64), records["class_id"].astype(np.int64),
-                records["jitter"].astype(np.float64))
+        def read_tier(offset: int, count: int, res: int):
+            records = np.frombuffer(raw, record_dtype(res), count=count, offset=offset)
+            return (records["image"].astype(np.float64), records["class_id"].astype(np.int64),
+                    records["jitter"].astype(np.float64))
 
-    low_images, low_classes, low_jitter = read_tier(int(fields["low_offset"]), n_low, low_res)
-    high_images, high_classes, _ = read_tier(int(fields["high_offset"]), n_high, high_res)
+        low_images, low_classes, low_jitter = read_tier(int(fields["low_offset"]), n_low, low_res)
+        high_images, high_classes, _ = read_tier(int(fields["high_offset"]), n_high, high_res)
+        seed = int(fields["seed"])
+    except KeyError as err:
+        raise ValueError(f"{path}: dataset header has no {err} entry") from err
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     return ShapeDataset(
         config=cfg,
-        seed=int(fields["seed"]),
+        seed=seed,
         low_images=low_images,
         low_classes=low_classes,
         low_jitter=low_jitter,

@@ -24,17 +24,16 @@ whole chain is validated against finite differences in the test suite.
 """
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from . import net as nets
 from .cascade import CascadeRun, InferenceTrace, StepTape, run_cascade, schedule_trace, step_vjp, transition
 from .diffusion import TeacherModel, tensor_stats
-from .grid import SeededRng
-from .schedule import TrajectoryPartition, build_partition, sigma_to_logsnr, unshift_sigma
+from .grid import SeededRng, write_csv
+from .schedule import T_MAX, TrajectoryPartition, build_partition, sigma_to_logsnr, unshift_sigma
 
 PHASE_WARMUP = "warmup"
 PHASE_FULL = "full"
@@ -62,7 +61,6 @@ class DistillConfig:
     thresholds: tuple[float, ...] = (sigma_to_logsnr(0.502),)
     resolutions: tuple[int, ...] = (8, 16)
     flow_shift: float = 1.0
-    t_max: float = 1000.0
     n_steps: int = 4
     alpha: float = 0.2
     alpha_inference: float = 1.0
@@ -103,7 +101,7 @@ class DistillConfig:
         return 1.0 - (1.0 - self.lr_final_fraction) * frac
 
     def partition(self) -> TrajectoryPartition:
-        return build_partition(list(self.thresholds), list(self.resolutions), self.flow_shift, self.t_max)
+        return build_partition(list(self.thresholds), list(self.resolutions), self.flow_shift)
 
 
 @dataclass
@@ -178,10 +176,8 @@ def sample_stage_and_timestep(
     stage = partition.stages[stage_index - 1]
     lo, hi = stage.shifted_interval
     shifted_t = float(rng.uniform(lo, hi))
-    teacher_sigma = unshift_sigma(
-        shifted_t / partition.t_max, stage.resolution, partition.final_resolution
-    )
-    return stage_index, shifted_t, teacher_sigma * partition.t_max
+    teacher_sigma = unshift_sigma(shifted_t / T_MAX, stage.resolution, partition.final_resolution)
+    return stage_index, shifted_t, teacher_sigma * T_MAX
 
 
 def generate_cascade_states(
@@ -198,7 +194,7 @@ def generate_cascade_states(
     return run_cascade(generator, trace, alpha_inference, class_ids, seeds, keep_tape=True, stop=stop)
 
 
-def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: float) -> int:
+def select_state_index(run: CascadeRun, stage: int, shifted_t: float) -> int:
     """The step of `stage` whose state is nearest the sampled shifted
     timestep. Reads only the trace, so a plan serves as well as a run.
 
@@ -208,7 +204,7 @@ def select_state_index(run: CascadeRun, stage: int, shifted_t: float, t_max: flo
     for j, record in enumerate(run.trace.records):
         if record.stage != stage:
             continue
-        dist = abs(record.shifted_sigma * t_max - shifted_t)
+        dist = abs(record.shifted_sigma * T_MAX - shifted_t)
         if best is None or dist < best_dist:
             best, best_dist = j, dist
     if best is None:
@@ -366,14 +362,14 @@ def train_step(
     state.opt_generator.lr = config.lr_generator * config.lr_scale(state.step)
     stage, shifted_t, teacher_t = sample_stage_and_timestep(partition, phase, rng.derive(f"draw:{state.step}"))
     where = f"step {state.step} phase {phase} stage {stage}"
-    sigma_target = teacher_t / partition.t_max
-    sigma_stage = shifted_t / partition.t_max
+    sigma_target = teacher_t / T_MAX
+    sigma_stage = shifted_t / T_MAX
     final_res = partition.final_resolution
 
     # Every sample follows the same schedule, so the selected step is
     # chosen once from the plan, and each cascade runs only up to it.
     plan = CascadeRun(final=None, trace=schedule_trace(partition, config.n_steps))
-    sel = select_state_index(plan, stage, shifted_t, partition.t_max)
+    sel = select_state_index(plan, stage, shifted_t)
     sigma_state = plan.trace.records[sel].shifted_sigma
     run = generate_cascade_states(
         state.generator, class_ids, plan.trace,
@@ -417,49 +413,36 @@ def train_step(
     return record
 
 
-LOG_COLUMNS = [
-    "step", "phase", "stage", "teacher_t",
-    "generator_loss", "fake_loss", "generator_grad_norm", "fake_grad_norm",
-]
-
-
 def train(
     teacher: TeacherModel,
     config: DistillConfig,
     rng: SeededRng,
     log_path=None,
 ) -> tuple[DistillState, list[TrainStepRecord]]:
-    """Drive the full distillation run; emits a CSV log. Class ids are
-    drawn from the teacher net's classes."""
+    """Drive the full distillation run. Class ids are drawn from the
+    teacher net's classes. With `log_path`, each step's record is a row of
+    that CSV, written as the step finishes."""
     config.validate()
     n_classes = teacher.net.spec.class_count
     partition = config.partition()
     state = init_distill_state(teacher, config)
     records: list[TrainStepRecord] = []
-    writer = None
-    log_file = None
-    if log_path is not None:
-        log_file = open(log_path, "w", newline="")
-        writer = csv.writer(log_file)
-        writer.writerow(LOG_COLUMNS)
-    try:
+
+    def log_rows():
         batch_rng = rng.derive("batches")
         for _ in range(config.steps):
             if n_classes > 0:
                 class_ids = [int(batch_rng.integers(0, n_classes)) for _ in range(config.batch_size)]
             else:
                 class_ids = [None] * config.batch_size
-            rec = train_step(state, teacher.net, partition, config, class_ids, rng)
-            records.append(rec)
-            if writer is not None:
-                writer.writerow(
-                    [rec.step, rec.phase, rec.stage, repr(rec.teacher_t),
-                     repr(rec.generator_loss), repr(rec.fake_loss),
-                     repr(rec.generator_grad_norm), repr(rec.fake_grad_norm)]
-                )
-    finally:
-        if log_file is not None:
-            log_file.close()
+            records.append(train_step(state, teacher.net, partition, config, class_ids, rng))
+            yield astuple(records[-1])
+
+    if log_path is None:
+        for _ in log_rows():
+            pass
+    else:
+        write_csv(log_path, [f.name for f in fields(TrainStepRecord)], log_rows())
     return state, records
 
 

@@ -9,7 +9,6 @@ gamma = 1 for linear token scaling and gamma = 2 for quadratic attention.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from . import net as nets
 from .cascade import InferenceTrace, run_cascade, schedule_trace
 from .data import ShapeDataset
 from .diffusion import euler_sample
-from .grid import SeededRng, write_pgm
+from .grid import SeededRng, write_csv, write_pgm
 from .schedule import TrajectoryPartition
 
 
@@ -241,11 +240,7 @@ class EvalReport:
         raise KeyError((method, metric))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["method", "metric", "value"])
-            for method, metric, value in self.rows:
-                writer.writerow([method, metric, repr(value)])
+        write_csv(path, ["method", "metric", "value"], self.rows)
 
 
 def evaluate_sets(

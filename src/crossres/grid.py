@@ -4,10 +4,12 @@ Images are float64 numpy arrays in channel-major ``(channels, height,
 width)`` layout; every module in this package passes them around as plain
 arrays. All randomness flows through :class:`SeededRng`, a PCG64-backed
 generator whose Gaussian draws use the Box-Muller transform so that a
-stream is reproducible bit-for-bit from its seed.
+stream is reproducible bit-for-bit from its seed. The artifact writers
+(`write_pgm`, `write_csv`) live here too.
 """
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import math
@@ -153,3 +155,25 @@ def write_pgm(path, image: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> None
         f.write(payload)
     with open(path.with_suffix(path.suffix + ".range.txt"), "w") as f:
         f.write(f"lo = {lo!r}\nhi = {hi!r}\n")
+
+
+def _csv_field(value):
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
+
+
+def write_csv(path, header, rows) -> None:
+    """A table in csv's default dialect: the header, then one line per row.
+
+    Floats are written by repr (round-trip exact), bools as 0/1 and None
+    as an empty field. `rows` may be a generator: each row is written as
+    it is produced, so if the generator raises, the file keeps the rows
+    before it.
+    """
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([_csv_field(v) for v in row] for row in rows)

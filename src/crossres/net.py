@@ -577,14 +577,20 @@ def load_checkpoint(path) -> DenoiserNet:
             f"{path}: truncated inside the header: expected at least {payload_start} bytes, "
             f"found {len(raw)}"
         )
-    header = json.loads(raw[12:payload_start].decode())
-    expected = payload_start + 8 * header["param_count"]
+    try:
+        header = json.loads(raw[12:payload_start].decode())
+        expected = payload_start + 8 * int(header["param_count"])
+        spec = NetSpec(
+            channels=tuple(header["channels"]),
+            time_embed_dim=header["time_embed_dim"],
+            class_count=header["class_count"],
+        )
+    except (ValueError, KeyError, TypeError) as err:
+        raise ValueError(f"{path}: unreadable checkpoint header ({type(err).__name__}: {err})") from err
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes from the header, found {len(raw)}")
-    spec = NetSpec(
-        channels=tuple(header["channels"]),
-        time_embed_dim=header["time_embed_dim"],
-        class_count=header["class_count"],
-    )
     params = np.frombuffer(raw, dtype="<f8", offset=payload_start).astype(np.float64)
-    return DenoiserNet(spec, params)
+    try:
+        return DenoiserNet(spec, params)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err

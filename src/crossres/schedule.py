@@ -5,9 +5,9 @@ rectified-flow interpolation ``x_t = (1 - sigma) * x0 + sigma * eps``:
 
 * ``sigma`` in [0, 1], the noise fraction,
 * ``logsnr = 2 ln((1 - sigma) / sigma)``, the log signal-to-noise ratio,
-* ``t = sigma * t_max``, the timestep used for display and conditioning.
+* ``t = sigma * T_MAX``, the timestep used for display (T_MAX = 1000).
 
-A :class:`TrajectoryPartition` splits [0, t_max] into K resolution stages
+A :class:`TrajectoryPartition` splits [0, T_MAX] into K resolution stages
 at logSNR thresholds; each stage also carries the image of its interval
 under the resolution-induced logSNR shift. Timesteps stay continuous
 internally; rounding to integers happens only when printing.
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "T_MAX",
     "logsnr_to_sigma",
     "sigma_to_logsnr",
     "shift_logsnr",
@@ -31,6 +32,8 @@ __all__ = [
     "ScheduleStep",
     "inference_schedule",
 ]
+
+T_MAX = 1000.0  # timestep of sigma = 1; a display unit only
 
 
 def logsnr_to_sigma(logsnr: float) -> float:
@@ -95,7 +98,7 @@ class ResolutionStage:
     """One resolution segment of the trajectory.
 
     Intervals are (low, high) timestep pairs; ``teacher_interval`` lives on
-    the teacher's [0, t_max] axis and ``shifted_interval`` is its image
+    the teacher's [0, T_MAX] axis and ``shifted_interval`` is its image
     under the resolution shift.
     """
 
@@ -109,7 +112,6 @@ class ResolutionStage:
 class TrajectoryPartition:
     stages: tuple[ResolutionStage, ...]
     flow_shift: float
-    t_max: float
 
     @property
     def num_stages(self) -> int:
@@ -126,8 +128,8 @@ class TrajectoryPartition:
         (higher-noise) stage, so Algorithm-style membership tests on the
         next step fire each transition exactly once.
         """
-        if not 0.0 <= t <= self.t_max:
-            raise ValueError(f"timestep {t} outside [0, {self.t_max}]")
+        if not 0.0 <= t <= T_MAX:
+            raise ValueError(f"timestep {t} outside [0, {T_MAX}]")
         index = 1
         for stage in self.stages[:-1]:
             if t >= stage.teacher_interval[0]:
@@ -140,7 +142,6 @@ def build_partition(
     thresholds: list[float],
     resolutions: list[int],
     flow_shift: float = 1.0,
-    t_max: float = 1000.0,
 ) -> TrajectoryPartition:
     """Stage layout from logSNR thresholds and per-stage resolutions.
 
@@ -161,20 +162,18 @@ def build_partition(
         raise ValueError(f"resolutions must be strictly increasing, got {resolutions}")
     if flow_shift < 1.0:
         raise ValueError(f"flow shift must be >= 1, got {flow_shift}")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
 
     final_res = resolutions[-1]
-    # Boundary timesteps, descending from t_max to 0: ascending logSNR
+    # Boundary timesteps, descending from T_MAX to 0: ascending logSNR
     # thresholds map to descending boundary sigmas, and threshold k sits
     # between stage k and stage k+1.
-    bounds = [t_max] + [t_max * logsnr_to_sigma(v) for v in thresholds] + [0.0]
+    bounds = [T_MAX] + [T_MAX * logsnr_to_sigma(v) for v in thresholds] + [0.0]
     stages = []
     for i, res in enumerate(resolutions, start=1):
         lo, hi = bounds[i], bounds[i - 1]
         shifted = (
-            t_max * shifted_sigma(lo / t_max, res, final_res),
-            t_max * shifted_sigma(hi / t_max, res, final_res),
+            T_MAX * shifted_sigma(lo / T_MAX, res, final_res),
+            T_MAX * shifted_sigma(hi / T_MAX, res, final_res),
         )
         stages.append(
             ResolutionStage(
@@ -184,18 +183,14 @@ def build_partition(
                 shifted_interval=shifted,
             )
         )
-    return TrajectoryPartition(
-        stages=tuple(stages),
-        flow_shift=float(flow_shift),
-        t_max=float(t_max),
-    )
+    return TrajectoryPartition(stages=tuple(stages), flow_shift=float(flow_shift))
 
 
 def map_timestep(t: float, partition: TrajectoryPartition) -> tuple[int, float]:
     """Locate the stage owning teacher timestep t and shift t onto it."""
     stage = partition.stage_of(t)
-    sigma = t / partition.t_max
-    shifted = partition.t_max * shifted_sigma(sigma, stage.resolution, partition.final_resolution)
+    sigma = t / T_MAX
+    shifted = T_MAX * shifted_sigma(sigma, stage.resolution, partition.final_resolution)
     return stage.index, shifted
 
 
@@ -228,7 +223,7 @@ def inference_schedule(n_steps: int, partition: TrajectoryPartition) -> list[Sch
     if n_steps < k:
         raise ValueError(f"need at least one step per stage: N={n_steps} < K={k}")
     sigmas = [apply_flow_shift(1.0 - j / n_steps, partition.flow_shift) for j in range(n_steps)]
-    mapped = [map_timestep(sigma * partition.t_max, partition) for sigma in sigmas]
+    mapped = [map_timestep(sigma * T_MAX, partition) for sigma in sigmas]
     rows = []
     for j, (sigma, (stage_index, shifted_t)) in enumerate(zip(sigmas, mapped)):
         # terminal landing point: the final stage
@@ -238,10 +233,10 @@ def inference_schedule(n_steps: int, partition: TrajectoryPartition) -> list[Sch
                 step=j,
                 stage=stage_index,
                 resolution=partition.stages[stage_index - 1].resolution,
-                teacher_t=sigma * partition.t_max,
+                teacher_t=sigma * T_MAX,
                 teacher_sigma=sigma,
                 shifted_t=shifted_t,
-                shifted_sigma=shifted_t / partition.t_max,
+                shifted_sigma=shifted_t / T_MAX,
                 transition=next_stage != stage_index,
             )
         )

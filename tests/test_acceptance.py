@@ -81,13 +81,13 @@ class TestCriterion03NumericalCorrectness:
         fake = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(15)))
         p = sch.build_partition([sch.sigma_to_logsnr(0.6)], [8, 16])
         stage, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(16))
-        sigma_target = teacher_t / p.t_max
+        sigma_target = teacher_t / sch.T_MAX
         class_ids = [0]
         trace = cascade.schedule_trace(p, 4)
 
         def chain(g):
             run = distill.generate_cascade_states(g, class_ids, trace, [17], 1.0)
-            sel = distill.select_state_index(run, stage, shifted_t, p.t_max)
+            sel = distill.select_state_index(run, stage, shifted_t)
             src = run.tape[sel]
             tape = distill.upsample_transform(
                 g, src.x_in, src.sigma_in, class_ids, sigma_target, 0.2, 16, [SeededRng(18)]

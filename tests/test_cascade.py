@@ -1,5 +1,5 @@
 """Cascaded inference state machine: traces, transitions, noise mixing."""
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -212,5 +212,8 @@ class TestTraceValidation:
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("step,stage")
+        # the columns are ScheduleStep's fields; floats by repr, the transition flag as 0/1
+        assert lines[0].split(",") == [f.name for f in fields(sch.ScheduleStep)]
         assert len(lines) == 5
+        for line, record in zip(lines[1:], trace.records):
+            assert line.split(",") == [str(int(v) if isinstance(v, bool) else v) for v in astuple(record)]

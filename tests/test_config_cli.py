@@ -5,8 +5,10 @@ import importlib.util
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -56,8 +58,9 @@ class TestConfig:
         assert out.data.blur_prob == 0.25
 
     def test_unknown_key_rejected_with_path(self):
-        # distill.rm_enabled is gone: the ablation arm is rm_disabled_config
-        for key in ("distill.bogus", "distill.rm_enabled"):
+        # removed keys: the ablation arm is rm_disabled_config, --preset picks the
+        # starting values, and the timestep scale is the constant schedule.T_MAX
+        for key in ("distill.bogus", "distill.rm_enabled", "preset", "distill.t_max"):
             with pytest.raises(cfgmod.ConfigError, match=f"unknown config key: {key}"):
                 cfgmod.apply_overrides(cfgmod.toy_default(), {key: "1"})
 
@@ -169,12 +172,15 @@ class TestCli:
         ("distill.lr_fake = 0.0", "distill.lr_fake"),
         ("teacher.channels = (1,)", "teacher.channels"),
         ("teacher.time_embed_dim = 0", "teacher.time_embed_dim"),
+        ("distill.resolutions = (8.5, 16)", "distill.resolutions"),
+        ("teacher.channels = (1, 24.5, 1)", "teacher.channels"),
     ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-low-res", "data-empty-tier",
             "data-supersample", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
             "distill-batch-size", "fewer-steps-than-stages", "stage-without-step", "eval-set-too-small",
             "eval-teacher-steps", "eval-contact-sheet", "eval-permutations", "teacher-negative-lr",
             "teacher-zero-lr", "distill-negative-lr-generator", "distill-zero-lr-fake",
-            "teacher-one-channel-entry", "teacher-zero-time-embed"])
+            "teacher-one-channel-entry", "teacher-zero-time-embed", "fractional-resolution",
+            "fractional-channel-count"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -194,6 +200,43 @@ class TestCli:
         cfg_file.write_text("distill.steps = 2\n")
         assert main(["distill", "--out", str(out), "--config", str(cfg_file)]) == 0
         assert (out / "distill" / "generator-final.ckpt").exists()
+
+    @pytest.mark.parametrize("damage", ["foreign", "garbled-header", "truncated"])
+    def test_damaged_teacher_checkpoint_is_reported(self, tmp_path, capsys, damage):
+        out = tmp_path / "run"
+        out.mkdir()
+        ckpt = out / "teacher.ckpt"
+        spec = nets.NetSpec(channels=(1, 4, 1))
+        nets.save_checkpoint(ckpt, nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
+        raw = ckpt.read_bytes()
+        header_len = struct.unpack_from("<I", raw, 8)[0]
+        ckpt.write_bytes({
+            "foreign": b"garbage " * 16,
+            "garbled-header": raw[:12] + b"#" * header_len + raw[12 + header_len:],
+            "truncated": raw[:-1],
+        }[damage])
+        assert main(["distill", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err
+        assert not (out / "distill").exists()
+
+    @pytest.mark.parametrize("entry, damaged, named", [
+        (b"\nn_high = ", b"\nn_hgih = ", "n_high"),
+        (b"\nn_classes = 3", b"\nn_classes = 0", "0 classes"),
+    ], ids=["missing-key", "no-classes"])
+    def test_damaged_dataset_header_is_reported(self, tmp_path, micro_config, capsys, entry, damaged, named):
+        out = tmp_path / "run"
+        common = ["--config", str(micro_config), "--out", str(out)]
+        assert main(["gen-data", *common]) == 0
+        dataset = out / "dataset.bin"
+        raw = dataset.read_bytes()
+        assert entry in raw
+        dataset.write_bytes(raw.replace(entry, damaged, 1))
+        capsys.readouterr()
+        assert main(["train-teacher", *common]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(dataset) in err and named in err
+        assert not (out / "teacher.ckpt").exists()
 
     def test_full_micro_pipeline(self, tmp_path, micro_config, capsys):
         out = str(tmp_path / "run")
@@ -273,6 +316,21 @@ class TestCli:
         samples = out / "samples"
         assert (samples / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
         assert not list(samples.glob("trace-*.csv"))
+
+    def test_schedule_csv_is_the_sample_trace(self, tmp_path):
+        # one layout for the schedule's rows: ScheduleStep's fields, in order
+        spec = nets.NetSpec(channels=(1, 4, 1), class_count=3)
+        ckpt = tmp_path / "net.ckpt"
+        nets.save_checkpoint(ckpt, nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
+        cfg_file = tmp_path / "five-steps.cfg"
+        cfg_file.write_text("distill.n_steps = 5\n")
+        out = tmp_path / "run"
+        common = ["--config", str(cfg_file), "--out", str(out)]
+        assert main(["schedule", *common, "--csv", str(tmp_path / "schedule.csv")]) == 0
+        assert main(["sample", *common, "--checkpoint", str(ckpt), "--count", "2"]) == 0
+        table = (tmp_path / "schedule.csv").read_bytes()
+        assert table == (out / "samples" / "trace.csv").read_bytes()
+        assert table.splitlines()[0].decode() == ",".join(f.name for f in fields(schedule.ScheduleStep))
 
     @pytest.mark.parametrize("flags", [[], ["--many-step", "4"]], ids=["cascade", "many-step"])
     def test_sample_cycles_the_checkpoint_classes(self, tmp_path, flags):

@@ -1,6 +1,7 @@
 """Distillation engine: losses, stop-gradient contract, chain gradients,
 stage sampling, and the training smoke test."""
-from dataclasses import replace
+import csv
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -223,13 +224,13 @@ class TestCascadeStates:
         cfg = desk_config()
         p = cfg.partition()
         run = distill.generate_cascade_states(tiny_net(24), [0], cascade.schedule_trace(p, 4), [25])
-        t0 = run.tape[0].sigma_in * 1000
-        t1 = run.tape[1].sigma_in * 1000
-        assert distill.select_state_index(run, 1, t0, 1000.0) == 0
-        assert distill.select_state_index(run, 1, t1 - 1.0, 1000.0) == 1
+        t0 = run.tape[0].sigma_in * sch.T_MAX
+        t1 = run.tape[1].sigma_in * sch.T_MAX
+        assert distill.select_state_index(run, 1, t0) == 0
+        assert distill.select_state_index(run, 1, t1 - 1.0) == 1
         # equidistant draw resolves to the earlier step
         mid = 0.5 * (t0 + t1)
-        assert distill.select_state_index(run, 1, mid, 1000.0) == 0
+        assert distill.select_state_index(run, 1, mid) == 0
 
 
 class TestUpsampleTransform:
@@ -286,12 +287,12 @@ class TestChainGradient:
         weights = (1.0, 0.0) if stage == 1 else (0.0, 1.0)
         drawn, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(36), weights)
         assert drawn == stage
-        sigma_target = teacher_t / p.t_max
+        sigma_target = teacher_t / sch.T_MAX
         trace = cascade.schedule_trace(p, cfg.n_steps)
 
         def x_high_of(g: nets.DenoiserNet):
             run = distill.generate_cascade_states(g, class_ids, trace, [37, 137], cfg.alpha_inference)
-            sel = distill.select_state_index(run, stage, shifted_t, p.t_max)
+            sel = distill.select_state_index(run, stage, shifted_t)
             src = run.tape[sel]
             tape = distill.upsample_transform(
                 g, src.x_in, src.sigma_in, class_ids, sigma_target, cfg.alpha, 16,
@@ -437,6 +438,36 @@ class TestTrainStep:
         monkeypatch.undo()
         assert rec.stage == stage and len(selected) == 1
         return counts, selected[0]
+
+    def read_log(self, path):
+        with open(path, newline="") as f:
+            return list(csv.reader(f))
+
+    def test_log_header_is_the_record_fields(self, tmp_path):
+        cfg = desk_config(steps=2)
+        teacher, _ = self.make_state(cfg)
+        _, records = distill.train(teacher, cfg, SeededRng(48), log_path=tmp_path / "log.csv")
+        rows = self.read_log(tmp_path / "log.csv")
+        assert rows[0] == [f.name for f in fields(distill.TrainStepRecord)]
+        assert [row[0] for row in rows[1:]] == ["0", "1"] and len(records) == 2
+
+    def test_aborted_run_keeps_the_finished_steps(self, tmp_path, monkeypatch):
+        # each row is written as its step finishes: a run that dies at step k leaves k rows
+        cfg = desk_config(steps=5)
+        teacher, _ = self.make_state(cfg)
+        step = distill.train_step
+
+        def failing_step(state, *args):
+            if state.step == 3:
+                raise RuntimeError("failed at step 3")
+            return step(state, *args)
+
+        monkeypatch.setattr(distill, "train_step", failing_step)
+        with pytest.raises(RuntimeError, match="failed at step 3"):
+            distill.train(teacher, cfg, SeededRng(49), log_path=tmp_path / "log.csv")
+        rows = self.read_log(tmp_path / "log.csv")
+        assert rows[0] == [f.name for f in fields(distill.TrainStepRecord)]
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
 
     @pytest.mark.slow
     def test_training_smoke_loss_drops(self):

@@ -198,3 +198,10 @@ class TestImageIO:
     def test_pgm_requires_single_channel(self, tmp_path):
         with pytest.raises(ValueError):
             grid.write_pgm(tmp_path / "x.pgm", np.zeros((3, 4, 4)))
+
+    def test_csv_field_formats(self, tmp_path):
+        # floats by repr (numpy scalars too), bools as 0/1, None empty, csv's default dialect
+        path = tmp_path / "t.csv"
+        rows = [(0.1, True, None, "x,y"), (np.float64(1 / 3), False, 7, np.int64(2))]
+        grid.write_csv(path, ["a", "b", "c", "d"], rows)
+        assert path.read_bytes() == b'a,b,c,d\r\n0.1,1,,"x,y"\r\n0.3333333333333333,0,7,2\r\n'

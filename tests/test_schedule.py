@@ -161,7 +161,7 @@ class TestPartition:
         assert [s.resolution for s in p.stages] == [256, 512, 1024]
         bounds = [s.teacher_interval for s in p.stages]
         assert bounds[0][0] == bounds[1][1] and bounds[1][0] == bounds[2][1]
-        # intervals tile [0, t_max] downward, each with lo < hi
+        # intervals tile [0, T_MAX] downward, each with lo < hi
         assert all(lo < hi for lo, hi in bounds)
         assert bounds[0][1] == 1000.0 and bounds[2][0] == 0.0
         # the more negative threshold (-6.0, noisier) owns the higher boundary
