@@ -9,23 +9,27 @@ controlled low/high distribution gap that the rest of the pipeline
 trains against and measures.
 
 Poses live in unit coordinates so the same pose renders consistently at
-any resolution. Dataset files are a text ``key = value`` manifest header
-followed by fixed-size binary records per tier, laid out by
-`record_dtype` (class byte, tier byte, jitter float64, raster float64s).
+any resolution. A dataset file is a `grid.write_framed` file (magic
+``XRDS``): its JSON header records the full `DataConfig`, the seed and the
+two tiers' sample counts; its payload is the class id byte of every low-
+then high-tier sample, then the low- and high-tier rasters as little-endian
+float64. Every size and offset follows from the counts and the recorded
+resolutions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .grid import ImageGrid, SeededRng
+from .grid import ImageGrid, SeededRng, read_framed, write_framed
 
 CLASS_NAMES = ("disc", "rectangle", "cross")
 CLASS_DISC, CLASS_RECT, CLASS_CROSS = 0, 1, 2
-TIER_LOW, TIER_HIGH = 0, 1
-_HEADER_END = "---\n"
+TIER_LOW, TIER_HIGH = 0, 1  # in the per-sample stream labels
+DATASET_MAGIC = b"XRDS"
+DATASET_VERSION = 2  # version 1 was a text-header format
 
 # Fixed aspect constants of the shape family (relative to the pose size).
 _RECT_ASPECT = 0.6
@@ -61,10 +65,24 @@ class DataConfig:
             raise ValueError(f"data.blur_prob must lie in [0, 1], got {self.blur_prob}")
         if self.intensity_jitter < 0:
             raise ValueError(f"data.intensity_jitter must be >= 0, got {self.intensity_jitter}")
-        if self.high_res % self.low_res:
-            raise ValueError("data.high_res must be a multiple of data.low_res")
+        if self.high_res < 1 or self.high_res % self.low_res:
+            raise ValueError(f"data.high_res must be a positive multiple of data.low_res, got {self.high_res}")
         if not 1 <= self.n_classes <= len(CLASS_NAMES):
             raise ValueError(f"data.n_classes must lie in [1, {len(CLASS_NAMES)}]")
+        # every pose must render at both resolutions (see `render_shape`)
+        if not 0.0 < self.size_lo <= self.size_hi:
+            raise ValueError(f"data.size_lo must lie in (0, data.size_hi = {self.size_hi}], got {self.size_lo}")
+        if not self.size_lo * self.low_res > 1.0:
+            raise ValueError(f"data.size_lo must span more than 1 px at data.low_res = {self.low_res}, "
+                             f"got {self.size_lo}")
+        if not self.center_lo <= self.center_hi:
+            raise ValueError(f"data.center_lo must be <= data.center_hi = {self.center_hi}, got {self.center_lo}")
+        if not self.center_lo - self.size_hi >= 0.0 or not self.center_hi + self.size_hi <= 1.0:
+            raise ValueError(f"data.center_lo - data.size_hi >= 0 and data.center_hi + data.size_hi <= 1 "
+                             f"keep poses on the unit canvas, got {self.center_lo}, {self.center_hi}, {self.size_hi}")
+        if not self.intensity_lo <= self.intensity_hi:
+            raise ValueError(f"data.intensity_lo must be <= data.intensity_hi, got {self.intensity_lo} > "
+                             f"{self.intensity_hi}")
 
 
 @dataclass(frozen=True)
@@ -125,18 +143,10 @@ def _blur3(img: ImageGrid) -> ImageGrid:
     return 0.25 * tmp[:, :, :-2] + 0.5 * tmp[:, :, 1:-1] + 0.25 * tmp[:, :, 2:]
 
 
-@dataclass
-class ShapeSample:
-    image: ImageGrid
-    class_id: int
-    quality_jitter: float
-
-
-def _make_sample(cfg: DataConfig, class_id: int, tier: int, rng: SeededRng) -> ShapeSample:
+def _make_image(cfg: DataConfig, class_id: int, tier: int, rng: SeededRng) -> ImageGrid:
     pose = sample_pose(cfg, rng)
     if tier == TIER_HIGH:
-        img = render_shape(class_id, pose, cfg.high_res, cfg.supersample)
-        return ShapeSample(img, class_id, 0.0)
+        return render_shape(class_id, pose, cfg.high_res, cfg.supersample)
     # Low tier: dim systematically, jitter, optionally blur, add pixel noise.
     jitter = float(rng.uniform(-cfg.intensity_jitter, cfg.intensity_jitter))
     intensity = float(np.clip(pose.intensity - cfg.intensity_shift + jitter, 0.05, 1.0))
@@ -145,8 +155,7 @@ def _make_sample(cfg: DataConfig, class_id: int, tier: int, rng: SeededRng) -> S
     if float(rng.uniform()) < cfg.blur_prob:
         img = _blur3(img)
     noise_std = float(rng.uniform(0.0, cfg.noise_std_max))
-    img = img + noise_std * rng.normal(img.shape)
-    return ShapeSample(img, class_id, noise_std)
+    return img + noise_std * rng.normal(img.shape)
 
 
 @dataclass
@@ -155,158 +164,77 @@ class ShapeDataset:
     seed: int
     low_images: np.ndarray  # (N, 1, low_res, low_res)
     low_classes: np.ndarray
-    low_jitter: np.ndarray
     high_images: np.ndarray  # (N, 1, high_res, high_res)
     high_classes: np.ndarray
 
 
-@dataclass
-class DatasetManifest:
-    fields: dict = field(default_factory=dict)
-
-    def to_text(self) -> str:
-        lines = [f"{k} = {v}" for k, v in self.fields.items()]
-        return "\n".join(lines) + "\n" + _HEADER_END
+def _tier(cfg: DataConfig, tier: int, count: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+    """(images, class ids) of one tier, class-major; per-sample streams derive from rng."""
+    images = [
+        _make_image(cfg, class_id, tier, rng.derive(f"sample:{tier}:{class_id}:{i}"))
+        for class_id in range(cfg.n_classes)
+        for i in range(count)
+    ]
+    return np.stack(images), np.repeat(np.arange(cfg.n_classes, dtype=np.int64), count)
 
 
 def generate_samples(cfg: DataConfig, rng: SeededRng) -> ShapeDataset:
     """Materialize both tiers in memory; per-sample streams derive from the root."""
     cfg.validate()
-    low, high = [], []
-    for tier, count, bucket in (
-        (TIER_LOW, cfg.n_per_class_low, low),
-        (TIER_HIGH, cfg.n_per_class_high, high),
-    ):
-        for class_id in range(cfg.n_classes):
-            for i in range(count):
-                sub = rng.derive(f"sample:{tier}:{class_id}:{i}")
-                bucket.append(_make_sample(cfg, class_id, tier, sub))
-    return ShapeDataset(
-        config=cfg,
-        seed=rng.seed,
-        low_images=np.stack([s.image for s in low]),
-        low_classes=np.array([s.class_id for s in low], dtype=np.int64),
-        low_jitter=np.array([s.quality_jitter for s in low]),
-        high_images=np.stack([s.image for s in high]),
-        high_classes=np.array([s.class_id for s in high], dtype=np.int64),
-    )
+    low_images, low_classes = _tier(cfg, TIER_LOW, cfg.n_per_class_low, rng)
+    high_images, high_classes = _tier(cfg, TIER_HIGH, cfg.n_per_class_high, rng)
+    return ShapeDataset(cfg, rng.seed, low_images, low_classes, high_images, high_classes)
 
 
-def record_dtype(res: int) -> np.dtype:
-    """The fixed-size record of one res x res sample in a dataset file."""
-    return np.dtype(
-        [("class_id", "u1"), ("tier", "u1"), ("jitter", "<f8"), ("image", "<f8", (1, res, res))]
-    )
-
-
-def _records(classes: np.ndarray, tier: int, jitter, images: np.ndarray) -> np.ndarray:
-    records = np.zeros(len(classes), record_dtype(images.shape[-1]))
-    records["class_id"] = classes
-    records["tier"] = tier
-    records["jitter"] = jitter
-    records["image"] = images
-    return records
-
-
-def gen_dataset(cfg: DataConfig, rng: SeededRng, path) -> DatasetManifest:
+def gen_dataset(cfg: DataConfig, rng: SeededRng, path) -> None:
     """Generate and write the dataset file; byte-identical given the seed."""
     ds = generate_samples(cfg, rng)
-    low_record = record_dtype(cfg.low_res).itemsize
-    high_record = record_dtype(cfg.high_res).itemsize
-    n_low = len(ds.low_classes)
-    n_high = len(ds.high_classes)
-    manifest = DatasetManifest(
-        {
-            "format": "crossres-shapes-v1",
-            "seed": ds.seed,
-            "n_classes": cfg.n_classes,
-            "low_res": cfg.low_res,
-            "high_res": cfg.high_res,
-            "n_low": n_low,
-            "n_high": n_high,
-            "low_record_bytes": low_record,
-            "high_record_bytes": high_record,
-            "noise_std_max": cfg.noise_std_max,
-            "blur_prob": cfg.blur_prob,
-            "intensity_shift": cfg.intensity_shift,
-            "intensity_jitter": cfg.intensity_jitter,
-        }
-    )
-    # Offsets appear inside the header, so iterate to a fixed point
-    # (the digit count can grow once and then stabilizes).
-    manifest.fields["low_offset"] = 0
-    manifest.fields["high_offset"] = 0
-    for _ in range(5):
-        lo = len(manifest.to_text().encode())
-        hi = lo + n_low * low_record
-        if (manifest.fields["low_offset"], manifest.fields["high_offset"]) == (lo, hi):
-            break
-        manifest.fields["low_offset"] = lo
-        manifest.fields["high_offset"] = hi
-    final_header = manifest.to_text().encode()
-
+    header = {"data": asdict(cfg), "seed": ds.seed, "n_low": len(ds.low_classes), "n_high": len(ds.high_classes)}
+    payload = b"".join((
+        np.concatenate([ds.low_classes, ds.high_classes]).astype("u1").tobytes(),
+        ds.low_images.astype("<f8").tobytes(),
+        ds.high_images.astype("<f8").tobytes(),
+    ))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(final_header)
-        f.write(_records(ds.low_classes, TIER_LOW, ds.low_jitter, ds.low_images).tobytes())
-        f.write(_records(ds.high_classes, TIER_HIGH, 0.0, ds.high_images).tobytes())
-    return manifest
+    write_framed(path, DATASET_MAGIC, DATASET_VERSION, header, payload)
+
+
+def _recorded(header: dict) -> tuple[DataConfig, int, int, int]:
+    """(config, seed, n_low, n_high) of a dataset header; checks the config
+    and that the counts are the config's."""
+    cfg = DataConfig(**header["data"])
+    cfg.validate()
+    n_low, n_high = int(header["n_low"]), int(header["n_high"])
+    per_config = (cfg.n_per_class_low * cfg.n_classes, cfg.n_per_class_high * cfg.n_classes)
+    if (n_low, n_high) != per_config:
+        raise ValueError(f"(n_low, n_high) = {(n_low, n_high)} but the recorded config gives {per_config}")
+    return cfg, int(header["seed"]), n_low, n_high
+
+
+def _payload_bytes(header: dict) -> int:
+    """Both tiers' class bytes, then both tiers' float64 rasters."""
+    cfg, _, n_low, n_high = _recorded(header)
+    return n_low + n_high + 8 * (n_low * cfg.low_res**2 + n_high * cfg.high_res**2)
 
 
 def load_dataset(path) -> ShapeDataset:
-    """Read a `gen_dataset` file; rejects foreign, truncated or padded files."""
-    raw = Path(path).read_bytes()
-    header_len = raw.find(_HEADER_END.encode())
-    if header_len < 0:
-        raise ValueError(f"{path}: not a crossres dataset (no header end marker)")
-    fields: dict = {}
-    for line in raw[:header_len].decode(errors="replace").strip().splitlines():
-        key, _, value = line.partition(" = ")
-        fields[key.strip()] = value.strip()
-    if fields.get("format") != "crossres-shapes-v1":
-        raise ValueError(f"{path}: unrecognized dataset format {fields.get('format')!r}")
-    try:
-        expected = int(fields["high_offset"]) + int(fields["n_high"]) * int(fields["high_record_bytes"])
-        if len(raw) != expected:
-            raise ValueError(f"expected {expected} bytes from the header, found {len(raw)}")
-        low_res = int(fields["low_res"])
-        high_res = int(fields["high_res"])
-        n_low = int(fields["n_low"])
-        n_high = int(fields["n_high"])
-        n_classes = int(fields["n_classes"])
-        if n_classes < 1:
-            raise ValueError(f"the header declares {n_classes} classes")
-        cfg = DataConfig(
-            n_per_class_low=max(1, n_low // n_classes),
-            n_per_class_high=max(1, n_high // n_classes),
-            n_classes=n_classes,
-            low_res=low_res,
-            high_res=high_res,
-            noise_std_max=float(fields["noise_std_max"]),
-            blur_prob=float(fields["blur_prob"]),
-            intensity_shift=float(fields["intensity_shift"]),
-            intensity_jitter=float(fields["intensity_jitter"]),
-        )
-
-        def read_tier(offset: int, count: int, res: int):
-            records = np.frombuffer(raw, record_dtype(res), count=count, offset=offset)
-            return (records["image"].astype(np.float64), records["class_id"].astype(np.int64),
-                    records["jitter"].astype(np.float64))
-
-        low_images, low_classes, low_jitter = read_tier(int(fields["low_offset"]), n_low, low_res)
-        high_images, high_classes, _ = read_tier(int(fields["high_offset"]), n_high, high_res)
-        seed = int(fields["seed"])
-    except KeyError as err:
-        raise ValueError(f"{path}: dataset header has no {err} entry") from err
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    """Read a `gen_dataset` file; rejects foreign, truncated or padded files,
+    an invalid recorded config and class ids outside it."""
+    header, payload = read_framed(path, DATASET_MAGIC, DATASET_VERSION, "crossres dataset", _payload_bytes)
+    cfg, seed, n_low, n_high = _recorded(header)
+    classes = np.frombuffer(payload, dtype="u1", count=n_low + n_high).astype(np.int64)
+    if classes.max() >= cfg.n_classes:
+        bad = int(np.argmax(classes >= cfg.n_classes))
+        raise ValueError(f"{path}: class id {classes[bad]} of record {bad} is not below "
+                         f"data.n_classes = {cfg.n_classes}")
+    images = np.frombuffer(payload, dtype="<f8", offset=n_low + n_high).astype(np.float64)
+    low_px = n_low * cfg.low_res**2
     return ShapeDataset(
         config=cfg,
         seed=seed,
-        low_images=low_images,
-        low_classes=low_classes,
-        low_jitter=low_jitter,
-        high_images=high_images,
-        high_classes=high_classes,
+        low_images=images[:low_px].reshape(n_low, 1, cfg.low_res, cfg.low_res),
+        low_classes=classes[:n_low],
+        high_images=images[low_px:].reshape(n_high, 1, cfg.high_res, cfg.high_res),
+        high_classes=classes[n_low:],
     )

@@ -88,6 +88,10 @@ class DistillConfig:
                 raise ValueError(f"distill.{key} must be positive, got {getattr(self, key)}")
         if not 0.0 < self.lr_final_fraction <= 1.0:
             raise ValueError("distill.lr_final_fraction must lie in (0, 1]")
+        if len(self.snr_clamp) != 2 or not 0.0 < self.snr_clamp[0] <= self.snr_clamp[1]:
+            raise ValueError(f"distill.snr_clamp must be (lo, hi) with 0 < lo <= hi, got {self.snr_clamp}")
+        if not self.pseudo_huber_scale > 0.0:
+            raise ValueError(f"distill.pseudo_huber_scale must be positive, got {self.pseudo_huber_scale}")
 
     def lr_scale(self, step: int) -> float:
         """Linear decay from 1 at step 0 to lr_final_fraction at the last step.
@@ -160,7 +164,6 @@ def sample_stage_and_timestep(
     partition: TrajectoryPartition,
     phase: str,
     rng: SeededRng,
-    stage_weights: tuple[float, ...] | None = None,
 ) -> tuple[int, float, float]:
     """One Monte-Carlo (stage, timestep) draw.
 
@@ -171,8 +174,7 @@ def sample_stage_and_timestep(
     """
     k = partition.num_stages
     limit = warmup_stage_count(k) if phase == PHASE_WARMUP else k
-    weights = np.ones(limit) if stage_weights is None else np.asarray(stage_weights[:limit], dtype=np.float64)
-    stage_index = 1 + rng.choice_index(weights)
+    stage_index = 1 + rng.choice_index(np.ones(limit))
     stage = partition.stages[stage_index - 1]
     lo, hi = stage.shifted_interval
     shifted_t = float(rng.uniform(lo, hi))

@@ -5,14 +5,18 @@ width)`` layout; every module in this package passes them around as plain
 arrays. All randomness flows through :class:`SeededRng`, a PCG64-backed
 generator whose Gaussian draws use the Box-Muller transform so that a
 stream is reproducible bit-for-bit from its seed. The artifact writers
-(`write_pgm`, `write_csv`) live here too.
+(`write_pgm`, `write_csv`) live here too, as does the one binary container
+(`write_framed`, `read_framed`) that datasets and checkpoints share.
 """
 from __future__ import annotations
 
 import csv
 import functools
 import hashlib
+import json
 import math
+import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -177,3 +181,46 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows([_csv_field(v) for v in row] for row in rows)
+
+
+def write_framed(path, magic: bytes, version: int, header: dict, payload: bytes) -> None:
+    """4-byte magic, little-endian u32 version, u32 header length, the JSON
+    header, then the raw payload."""
+    head = json.dumps(header).encode()
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack("<II", version, len(head)))
+        f.write(head)
+        f.write(payload)
+
+
+def read_framed(path, magic: bytes, version: int, kind: str,
+                payload_size: Callable[[dict], int]) -> tuple[dict, memoryview]:
+    """Read a `write_framed` file as (header, payload); rejects foreign,
+    truncated or padded files with a ValueError that names the path.
+
+    ``payload_size(header)`` gives the payload's byte count; a KeyError,
+    TypeError or ValueError it raises reports the header as unreadable.
+    """
+    raw = Path(path).read_bytes()
+    if raw[:4] != magic:
+        raise ValueError(f"{path}: not a {kind} file (magic {raw[:4]!r})")
+    if len(raw) < 12:
+        raise ValueError(f"{path}: expected at least 12 bytes of preamble, found {len(raw)}")
+    found_version, header_len = struct.unpack_from("<II", raw, 4)
+    if found_version != version:
+        raise ValueError(f"{path}: unsupported {kind} version {found_version}")
+    payload_start = 12 + header_len
+    if len(raw) < payload_start:
+        raise ValueError(
+            f"{path}: truncated inside the header: expected at least {payload_start} bytes, "
+            f"found {len(raw)}"
+        )
+    try:
+        header = json.loads(raw[12:payload_start].decode())
+        expected = payload_start + payload_size(header)
+    except (ValueError, KeyError, TypeError) as err:
+        raise ValueError(f"{path}: unreadable {kind} header ({type(err).__name__}: {err})") from err
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes from the header, found {len(raw)}")
+    return header, memoryview(raw)[payload_start:]

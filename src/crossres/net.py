@@ -23,14 +23,11 @@ conv run in place on its contiguous product.
 from __future__ import annotations
 
 import functools
-import json
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .grid import SeededRng
+from .grid import SeededRng, read_framed, write_framed
 
 CHECKPOINT_MAGIC = b"XRDN"
 CHECKPOINT_VERSION = 1
@@ -544,53 +541,26 @@ class AdamW:
 
 
 def save_checkpoint(path, net: DenoiserNet) -> None:
-    """Write magic, version, architecture header, then raw little-endian float64."""
-    header = json.dumps(
-        {
-            "channels": list(net.spec.channels),
-            "time_embed_dim": net.spec.time_embed_dim,
-            "class_count": net.spec.class_count,
-            "param_count": int(net.params.size),
-        }
-    ).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(net.params.astype("<f8").tobytes())
+    """A framed file: architecture header, then raw little-endian float64."""
+    header = {
+        "channels": list(net.spec.channels),
+        "time_embed_dim": net.spec.time_embed_dim,
+        "class_count": net.spec.class_count,
+        "param_count": int(net.params.size),
+    }
+    write_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, net.params.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> DenoiserNet:
     """Read a `save_checkpoint` file; rejects foreign, truncated or padded files."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (magic {raw[:4]!r})")
-    if len(raw) < 12:
-        raise ValueError(f"{path}: expected at least 12 bytes of preamble, found {len(raw)}")
-    version, header_len = struct.unpack_from("<II", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    payload_start = 12 + header_len
-    if len(raw) < payload_start:
-        raise ValueError(
-            f"{path}: truncated inside the header: expected at least {payload_start} bytes, "
-            f"found {len(raw)}"
-        )
+    header, payload = read_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
+                                  lambda h: 8 * int(h["param_count"]))
     try:
-        header = json.loads(raw[12:payload_start].decode())
-        expected = payload_start + 8 * int(header["param_count"])
         spec = NetSpec(
             channels=tuple(header["channels"]),
             time_embed_dim=header["time_embed_dim"],
             class_count=header["class_count"],
         )
+        return DenoiserNet(spec, np.frombuffer(payload, dtype="<f8").astype(np.float64))
     except (ValueError, KeyError, TypeError) as err:
         raise ValueError(f"{path}: unreadable checkpoint header ({type(err).__name__}: {err})") from err
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes from the header, found {len(raw)}")
-    params = np.frombuffer(raw, dtype="<f8", offset=payload_start).astype(np.float64)
-    try:
-        return DenoiserNet(spec, params)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err

@@ -148,7 +148,8 @@ class TestCli:
     # does work: each out-of-range value below used to end in a traceback
     # (some only after sampling or training, or, for the net spec, after the
     # dataset loads), in a nan null width, in a silently skipped teacher
-    # phase, a dataset of nan images, or in gradient ascent (a negative lr).
+    # phase, a dataset of nan images, in gradient ascent (a negative lr), or
+    # in an inverted snr_clamp that pins every fake-score weight.
     @pytest.mark.parametrize("line, key", [
         ("distill.nonsense = 1", "distill.nonsense"),
         ("distill.n_steps = four", "distill.n_steps"),
@@ -174,13 +175,20 @@ class TestCli:
         ("teacher.time_embed_dim = 0", "teacher.time_embed_dim"),
         ("distill.resolutions = (8.5, 16)", "distill.resolutions"),
         ("teacher.channels = (1, 24.5, 1)", "teacher.channels"),
+        ("data.high_res = 0", "data.high_res"),
+        ("data.size_lo = 0.05", "data.size_lo"),
+        ("data.center_lo = 0.1", "data.center_lo"),
+        ("data.intensity_hi = -1.0", "data.intensity_hi"),
+        ("distill.pseudo_huber_scale = 0.0", "distill.pseudo_huber_scale"),
+        ("distill.snr_clamp = (20.0, 0.05)", "distill.snr_clamp"),
     ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-low-res", "data-empty-tier",
             "data-supersample", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
             "distill-batch-size", "fewer-steps-than-stages", "stage-without-step", "eval-set-too-small",
             "eval-teacher-steps", "eval-contact-sheet", "eval-permutations", "teacher-negative-lr",
             "teacher-zero-lr", "distill-negative-lr-generator", "distill-zero-lr-fake",
             "teacher-one-channel-entry", "teacher-zero-time-embed", "fractional-resolution",
-            "fractional-channel-count"])
+            "fractional-channel-count", "data-zero-high-res", "data-degenerate-size", "data-center-off-canvas",
+            "data-inverted-intensity", "distill-zero-huber-scale", "distill-inverted-snr-clamp"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -220,22 +228,43 @@ class TestCli:
         assert err.startswith("error: ") and str(ckpt) in err
         assert not (out / "distill").exists()
 
-    @pytest.mark.parametrize("entry, damaged, named", [
-        (b"\nn_high = ", b"\nn_hgih = ", "n_high"),
-        (b"\nn_classes = 3", b"\nn_classes = 0", "0 classes"),
-    ], ids=["missing-key", "no-classes"])
-    def test_damaged_dataset_header_is_reported(self, tmp_path, micro_config, capsys, entry, damaged, named):
+    # the micro config records n_per_class_low = 6 and 3 classes, so n_low = 18
+    @pytest.mark.parametrize("edits, named", [
+        ([(b'"n_high": ', b'"n_hgih": ')], "n_high"),
+        ([(b'"n_classes": 3', b'"n_classes": 0')], "data.n_classes"),
+        ([(b'"n_low": 18', b'"n_low": 17')], "n_low"),
+        ([(b'"n_per_class_low": 6', b'"n_per_class_low": 5'), (b'"n_low": 18', b'"n_low": 15')],
+         "bytes from the header"),
+    ], ids=["missing-key", "no-classes", "count-off-config", "count-does-not-tile"])
+    def test_damaged_dataset_header_is_reported(self, tmp_path, micro_config, capsys, edits, named):
         out = tmp_path / "run"
         common = ["--config", str(micro_config), "--out", str(out)]
         assert main(["gen-data", *common]) == 0
         dataset = out / "dataset.bin"
         raw = dataset.read_bytes()
-        assert entry in raw
-        dataset.write_bytes(raw.replace(entry, damaged, 1))
+        for entry, damaged in edits:
+            assert entry in raw
+            raw = raw.replace(entry, damaged, 1)
+        dataset.write_bytes(raw)
         capsys.readouterr()
         assert main(["train-teacher", *common]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(dataset) in err and named in err
+        assert not (out / "teacher.ckpt").exists()
+
+    def test_out_of_range_class_id_is_reported(self, tmp_path, micro_config, capsys):
+        out = tmp_path / "run"
+        common = ["--config", str(micro_config), "--out", str(out)]
+        assert main(["gen-data", *common]) == 0
+        dataset = out / "dataset.bin"
+        raw = bytearray(dataset.read_bytes())
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        raw[12 + header_len + 5] = 7  # the class id byte of low-tier sample 5
+        dataset.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["train-teacher", *common]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(dataset) in err and "class id 7" in err
         assert not (out / "teacher.ckpt").exists()
 
     def test_full_micro_pipeline(self, tmp_path, micro_config, capsys):

@@ -96,7 +96,16 @@ class TestGenDataset:
         assert np.array_equal(loaded.low_images, direct.low_images)
         assert np.array_equal(loaded.high_images, direct.high_images)
         assert np.array_equal(loaded.low_classes, direct.low_classes)
-        assert np.array_equal(loaded.low_jitter, direct.low_jitter)
+        assert np.array_equal(loaded.high_classes, direct.high_classes)
+
+    def test_loaded_config_is_the_generating_config(self, tmp_path):
+        cfg = data.DataConfig(n_per_class_low=2, n_per_class_high=1, n_classes=2,
+                              size_lo=0.25, center_hi=0.58, supersample=2)
+        path = tmp_path / "shapes.bin"
+        data.gen_dataset(cfg, SeededRng(23), path)
+        loaded = data.load_dataset(path)
+        assert loaded.config == cfg
+        assert loaded.seed == 23
 
     def test_rejects_invalid_config(self):
         with pytest.raises(ValueError, match="noise_std_max"):
@@ -106,7 +115,7 @@ class TestGenDataset:
 
 
 class TestLoadRejectsBadFiles:
-    @pytest.mark.parametrize("case", ["truncated", "trailing-bytes", "foreign"])
+    @pytest.mark.parametrize("case", ["truncated", "trailing-bytes", "foreign", "text-header"])
     def test_error_names_path_and_reason(self, tmp_path, case):
         path = tmp_path / "shapes.bin"
         data.gen_dataset(data.DataConfig(n_per_class_low=2, n_per_class_high=2), SeededRng(19), path)
@@ -116,6 +125,7 @@ class TestLoadRejectsBadFiles:
             "truncated": (raw[:-1], f"expected {n} bytes from the header, found {n - 1}"),
             "trailing-bytes": (raw + b"\0", f"expected {n} bytes from the header, found {n + 1}"),
             "foreign": (b"P5\n4 4\n255\n" + bytes(16), "not a crossres dataset"),
+            "text-header": (b"format = crossres-shapes-v1\nseed = 19\n---\n" + raw[12:], "not a crossres dataset"),
         }[case]
         path.write_bytes(bad)
         with pytest.raises(ValueError, match=f"shapes.bin: {reason}"):

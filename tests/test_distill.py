@@ -1,6 +1,7 @@
 """Distillation engine: losses, stop-gradient contract, chain gradients,
 stage sampling, and the training smoke test."""
 import csv
+import itertools
 from dataclasses import fields, replace
 
 import numpy as np
@@ -33,6 +34,14 @@ def desk_config(**overrides):
     )
     base.update(overrides)
     return distill.DistillConfig(**base)
+
+
+def seed_on_stage(partition, stage, first_seed, draw=distill.sample_stage_and_timestep):
+    """The first seed from first_seed on whose full-phase (stage, timestep)
+    draw lands on `stage`; `draw` is bound here, so a test may patch the
+    module's draw with one built on this."""
+    return next(seed for seed in itertools.count(first_seed)
+                if draw(partition, "full", SeededRng(seed))[0] == stage)
 
 
 class TestPseudoHuber:
@@ -284,8 +293,8 @@ class TestChainGradient:
         fake = tiny_net(34)
         gen = tiny_net(35)
         class_ids = [1, 0]
-        weights = (1.0, 0.0) if stage == 1 else (0.0, 1.0)
-        drawn, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(36), weights)
+        seed = seed_on_stage(p, stage, 36)
+        drawn, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(seed))
         assert drawn == stage
         sigma_target = teacher_t / sch.T_MAX
         trace = cascade.schedule_trace(p, cfg.n_steps)
@@ -420,11 +429,10 @@ class TestTrainStep:
                 return fn(net, x, *args, **kwargs)
             return wrapper
 
-        weights = tuple(1.0 if k == stage else 0.0 for k in (1, 2))
         draw = distill.sample_stage_and_timestep
         select = distill.select_state_index
         monkeypatch.setattr(distill, "sample_stage_and_timestep",
-                            lambda part, phase, rng: draw(part, phase, rng, weights))
+                            lambda part, phase, rng: draw(part, phase, SeededRng(seed_on_stage(part, stage, rng.seed))))
 
         def recording_select(*args):
             selected.append(select(*args))

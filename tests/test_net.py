@@ -1,5 +1,6 @@
 """Denoiser network: exact gradients, optimizer recurrence, checkpoints."""
 import copy
+import hashlib
 import itertools
 import pickle
 import re
@@ -378,6 +379,17 @@ class TestCheckpoint:
         loaded = nets.load_checkpoint(path)
         assert loaded.spec == n.spec
         assert np.array_equal(loaded.params, n.params)
+
+    def test_format_is_pinned(self, tmp_path):
+        # magic, u32 version 1, u32 header length, JSON header, <f8 params
+        spec = nets.NetSpec(channels=(1, 3, 1), time_embed_dim=4, class_count=2)
+        path = tmp_path / "pinned.ckpt"
+        nets.save_checkpoint(path, nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(7))))
+        raw = path.read_bytes()
+        assert raw[:12] == b"XRDN" + struct.pack("<II", 1, 81)
+        assert raw[12:93] == b'{"channels": [1, 3, 1], "time_embed_dim": 4, "class_count": 2, "param_count": 94}'
+        assert len(raw) == 93 + 8 * 94
+        assert hashlib.sha256(raw).hexdigest() == "7b3e2d5ef4614e67d60097aa7967184b8e9e1438b0ae43ee4c01c5c7c6d85b86"
 
     def test_refuses_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
