@@ -40,7 +40,6 @@ __all__ = [
     "StepTape",
     "CascadeRun",
     "mix_noise",
-    "implied_noise",
     "transition",
     "step_vjp",
     "schedule_trace",
@@ -59,17 +58,10 @@ def mix_noise(predicted: ImageGrid, gaussian: ImageGrid, alpha: float) -> ImageG
     The weights satisfy alpha^2 + beta^2 = 1, so two independent
     unit-variance inputs mix to unit variance.
     """
-    if np.shape(predicted) != np.shape(gaussian):
-        raise ValueError(f"shape mismatch {np.shape(predicted)} vs {np.shape(gaussian)}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     beta = np.sqrt(1.0 - alpha * alpha)
     return alpha * np.asarray(predicted) + beta * np.asarray(gaussian)
-
-
-def implied_noise(x: ImageGrid, v: ImageGrid, sigma: float) -> ImageGrid:
-    """Model-implied noise of a state: x + (1 - sigma) * v = x0_hat + v."""
-    return np.asarray(x) + (1.0 - sigma) * np.asarray(v)
 
 
 def transition(
@@ -90,7 +82,8 @@ def transition(
     """
     x0_hat = x - sigma * v
     clean_up = bilinear_upsample(x0_hat, res, res)
-    predicted = bilinear_upsample(implied_noise(x, v, sigma), res, res)
+    # the model-implied noise x0_hat + v, written x + (1 - sigma) v
+    predicted = bilinear_upsample(x + (1.0 - sigma) * v, res, res)
     eps = np.stack([rng.normal(clean_up.shape[1:]) for rng in rngs])
     x_next = (1.0 - sigma_next) * clean_up + sigma_next * mix_noise(predicted, eps, alpha)
     return clean_up, x_next
@@ -104,14 +97,6 @@ class CascadeParams:
     class_id: int | None = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.n_steps < self.partition.num_stages:
-            raise ValueError(
-                f"n_steps={self.n_steps} < num_stages={self.partition.num_stages}"
-            )
-        if not 0.0 <= self.alpha_inference <= 1.0:
-            raise ValueError(f"alpha_inference must lie in [0, 1], got {self.alpha_inference}")
-
 
 @dataclass
 class InferenceTrace:
@@ -121,20 +106,29 @@ class InferenceTrace:
         return sum(r.transition for r in self.records)
 
     def validate(self, partition: TrajectoryPartition) -> None:
+        """The trace invariants, each stated once: the steps visit stages
+        1..K in order, one stage at a time, each at least once; each step
+        runs at its stage's resolution; a step is a transition exactly when
+        the next step (after the last, the sample, in stage K) is in another
+        stage; and the teacher sigma falls strictly."""
         k = partition.num_stages
-        if self.transitions() != k - 1:
-            raise CascadeError(f"expected {k - 1} transitions, got {self.transitions()}")
-        resolutions = [r.resolution for r in self.records]
-        if any(b < a for a, b in zip(resolutions, resolutions[1:])):
-            raise CascadeError("resolutions must be non-decreasing along the trace")
-        if resolutions[-1] != partition.final_resolution:
-            raise CascadeError("trace must end at the final resolution")
-        for a, b in zip(self.records, self.records[1:]):
-            if (a.resolution != b.resolution) != a.transition:
-                raise CascadeError("resolution must change exactly at transition steps")
+        stages = [r.stage for r in self.records]
+        steps_ok = all(b in (a, a + 1) for a, b in zip(stages, stages[1:]))
+        if stages[:1] != [1] or stages[-1] != k or not steps_ok:
+            raise CascadeError(
+                f"schedule visits stages {stages}; the cascade must visit each of 1..{k} in order, "
+                "one stage at a time, with at least one step each"
+            )
+        for r, next_stage in zip(self.records, stages[1:] + [k]):
+            if r.resolution != partition.stages[r.stage - 1].resolution:
+                raise CascadeError(f"step {r.step} runs at {r.resolution} px, not at stage {r.stage}'s "
+                                   f"{partition.stages[r.stage - 1].resolution} px")
+            if r.transition != (next_stage != r.stage):
+                raise CascadeError(f"step {r.step} has transition = {r.transition} but goes from "
+                                   f"stage {r.stage} to stage {next_stage}")
         sigmas = [r.teacher_sigma for r in self.records]
         if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
-            raise CascadeError("teacher-equivalent logSNR must increase strictly")
+            raise CascadeError(f"teacher sigma must fall strictly along the trace, got {sigmas}")
 
     def write_csv(self, path) -> None:
         """One row per step, `ScheduleStep`'s fields as the columns."""
@@ -186,23 +180,10 @@ def schedule_trace(partition: TrajectoryPartition, n_steps: int) -> InferenceTra
 
     Every step's stage, noise level, resolution and kind are fixed before
     any state exists, so a cascade is checked before its first forward.
-    This is the one place a schedule is built and checked; a caller builds
-    it once and hands it to every `run_cascade` of the run.
+    This is the one place a schedule is built; a caller builds it once and
+    hands it to every `run_cascade` of the run.
     """
-    rows = inference_schedule(n_steps, partition)
-    stages_seen = sorted({r.stage for r in rows})
-    if stages_seen != list(range(1, partition.num_stages + 1)):
-        raise CascadeError(
-            f"schedule visits stages {stages_seen}; every stage of 1..{partition.num_stages} "
-            "needs at least one step"
-        )
-    for a, b in zip(rows, rows[1:]):
-        if b.stage not in (a.stage, a.stage + 1):
-            raise CascadeError(
-                f"step {a.step}: stage jumps from {a.stage} to {b.stage}; "
-                "the cascade only advances one stage at a time"
-            )
-    trace = InferenceTrace(rows)
+    trace = InferenceTrace(inference_schedule(n_steps, partition))
     trace.validate(partition)
     return trace
 

@@ -145,8 +145,10 @@ def _parse_value(text: str, current):
 
 
 def parse_overrides(text: str) -> dict[str, str]:
-    """Key-path overrides from config-file text; values stay as strings."""
+    """Key-path overrides from config-file text; values stay as strings.
+    A key set on two lines is rejected."""
     overrides: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -154,7 +156,11 @@ def parse_overrides(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key.path = value', got {raw!r}")
         key, _, value = line.partition("=")
-        overrides[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{key} is set twice, on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
+        overrides[key] = value.strip()
     return overrides
 
 

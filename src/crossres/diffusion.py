@@ -25,16 +25,10 @@ from .schedule import build_partition
 def add_noise(x0: ImageGrid, eps: ImageGrid, sigma) -> ImageGrid:
     """Rectified-flow interpolation (1 - sigma) * x0 + sigma * eps; sigma
     may be an array that broadcasts against x0, e.g. one per image."""
-    if np.shape(x0) != np.shape(eps):
-        raise ValueError(f"shape mismatch {np.shape(x0)} vs {np.shape(eps)}")
     sigma = np.asarray(sigma, dtype=np.float64)
     if not np.all((sigma >= 0.0) & (sigma <= 1.0)):
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
     return (1.0 - sigma) * np.asarray(x0) + sigma * np.asarray(eps)
-
-
-def velocity_target(x0: ImageGrid, eps: ImageGrid) -> ImageGrid:
-    return np.asarray(eps) - np.asarray(x0)
 
 
 def teacher_loss(
@@ -51,7 +45,7 @@ def teacher_loss(
     sigma = np.array([s for s, _ in draws])
     eps = np.stack([e for _, e in draws])
     x_t = add_noise(x0, eps, sigma[:, None, None, None])
-    target = velocity_target(x0, eps)
+    target = eps - x0  # the rectified-flow velocity
     scale = 1.0 / target.size  # the mean over images of per-image means
 
     def loss_of(sl, pred):
@@ -97,10 +91,15 @@ class TeacherModel:
 
 
 def tensor_stats(arr: np.ndarray) -> str:
-    """NaN-ignoring mean/std/min/max of a tensor, for divergence messages."""
+    """Mean/std/min/max over a tensor's finite entries, and its count of
+    non-finite entries, for divergence messages."""
+    finite = arr[np.isfinite(arr)]
+    count = f"nonfinite={arr.size - finite.size}/{arr.size}"
+    if finite.size == 0:
+        return count
     return (
-        f"mean={np.nanmean(arr):.4g} std={np.nanstd(arr):.4g} "
-        f"min={np.nanmin(arr):.4g} max={np.nanmax(arr):.4g}"
+        f"mean={finite.mean():.4g} std={finite.std():.4g} "
+        f"min={finite.min():.4g} max={finite.max():.4g} {count}"
     )
 
 

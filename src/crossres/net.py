@@ -495,32 +495,30 @@ def clip_global_norm(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return grads
 
 
+# AdamW's second-moment decay and denominator floor; every caller keeps them
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamW:
-    """Adaptive-moment optimizer with decoupled weight decay.
-
-    Defaults follow the training recipe used throughout this package:
-    beta1 = 0 (no momentum), beta2 = 0.999, bias correction on, global
-    gradient-norm clipping applied before the moment update.
+    """Adaptive-moment optimizer as the training recipe runs it: no first
+    moment (beta1 = 0, so the step direction is the gradient itself), no
+    weight decay, a bias-corrected second moment, and global gradient-norm
+    clipping applied before the moment update.
     """
 
     lr: float
-    beta1: float = 0.0
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     clip_norm: float = 1.0
     step_count: int = 0
     clipped: int = 0
     skipped: int = 0
-    m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, bool]:
         """One update; counts clipped steps, and skips (and counts) steps
         with non-finite gradients."""
-        if self.m is None:
-            self.m = np.zeros_like(params)
+        if self.v is None:
             self.v = np.zeros_like(params)
         if not np.all(np.isfinite(grads)):
             self.skipped += 1
@@ -529,15 +527,9 @@ class AdamW:
         if g is not grads:
             self.clipped += 1
         self.step_count += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        m_hat = self.m / (1.0 - self.beta1**self.step_count)
-        v_hat = self.v / (1.0 - self.beta2**self.step_count)
-        update = m_hat / (np.sqrt(v_hat) + self.eps)
-        new_params = params - self.lr * update
-        if self.weight_decay:
-            new_params = new_params - self.lr * self.weight_decay * params
-        return new_params, True
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
+        v_hat = self.v / (1.0 - ADAM_BETA2**self.step_count)
+        return params - self.lr * (g / (np.sqrt(v_hat) + ADAM_EPS)), True
 
 
 def save_checkpoint(path, net: DenoiserNet) -> None:
@@ -552,7 +544,8 @@ def save_checkpoint(path, net: DenoiserNet) -> None:
 
 
 def load_checkpoint(path) -> DenoiserNet:
-    """Read a `save_checkpoint` file; rejects foreign, truncated or padded files."""
+    """Read a `save_checkpoint` file; rejects foreign, truncated or padded
+    files, and non-finite parameters."""
     header, payload = read_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
                                   lambda h: 8 * int(h["param_count"]))
     try:
@@ -561,6 +554,10 @@ def load_checkpoint(path) -> DenoiserNet:
             time_embed_dim=header["time_embed_dim"],
             class_count=header["class_count"],
         )
-        return DenoiserNet(spec, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+        net = DenoiserNet(spec, np.frombuffer(payload, dtype="<f8").astype(np.float64))
     except (ValueError, KeyError, TypeError) as err:
         raise ValueError(f"{path}: unreadable checkpoint header ({type(err).__name__}: {err})") from err
+    bad = int(np.count_nonzero(~np.isfinite(net.params)))
+    if bad:
+        raise ValueError(f"{path}: {bad} of {net.params.size} parameters are non-finite")
+    return net

@@ -108,7 +108,7 @@ class TestInfer:
     def test_rejects_fewer_steps_than_stages(self):
         p = desk_partition()
         with pytest.raises(ValueError):
-            cascade.CascadeParams(p, n_steps=1, class_id=0, seed=13)
+            cascade.infer(random_net(11), cascade.CascadeParams(p, n_steps=1, class_id=0, seed=13))
 
 
 class TestCutShort:
@@ -198,7 +198,53 @@ class TestNaiveCascade:
         trace.validate(p)
 
 
+def restaged(records, p, stages):
+    """A trace of these rows with these stages, each at its stage's
+    resolution and with the transition flags its stages imply."""
+    after = stages[1:] + [p.num_stages]
+    return cascade.InferenceTrace([
+        replace(r, stage=s, resolution=p.stages[s - 1].resolution, transition=s != n)
+        for r, s, n in zip(records, stages, after)
+    ])
+
+
+def three_stage_trace():
+    # 4/8/16 px, N = 6: two steps per stage
+    p = sch.build_partition([sch.sigma_to_logsnr(0.7), sch.sigma_to_logsnr(0.4)], [4, 8, 16])
+    trace = cascade.schedule_trace(p, 6)
+    assert [r.stage for r in trace.records] == [1, 1, 2, 2, 3, 3]
+    return trace, p
+
+
+def two_stage_trace():
+    p = desk_partition()
+    return cascade.schedule_trace(p, 4), p
+
+
+def edit_record(trace, j, **changes):
+    records = list(trace.records)
+    records[j] = replace(records[j], **changes)
+    return cascade.InferenceTrace(records)
+
+
 class TestTraceValidation:
+    # each corruption breaks one invariant and keeps the others
+    @pytest.mark.parametrize("make, corrupt, message", [
+        (three_stage_trace, lambda t, p: restaged(t.records[:2] + t.records[4:], p, [1, 1, 3, 3]),
+         "schedule visits stages"),
+        (three_stage_trace, lambda t, p: restaged(t.records, p, [1, 1, 3, 3, 2, 2]), "schedule visits stages"),
+        (two_stage_trace, lambda t, p: edit_record(t, 0, resolution=16), "runs at 16 px"),
+        (two_stage_trace, lambda t, p: edit_record(t, 0, transition=True), "transition = True"),
+        (two_stage_trace, lambda t, p: edit_record(t, 2, teacher_sigma=t.records[1].teacher_sigma),
+         "sigma must fall"),
+    ], ids=["skipped-stage", "stage-out-of-order", "wrong-resolution", "flipped-transition",
+            "sigma-not-falling"])
+    def test_each_invariant_is_checked(self, make, corrupt, message):
+        trace, p = make()
+        trace.validate(p)
+        with pytest.raises(cascade.CascadeError, match=message):
+            corrupt(trace, p).validate(p)
+
     def test_corrupted_transition_count_caught(self):
         p = desk_partition()
         _, trace = cascade.infer(random_net(18), cascade.CascadeParams(p, 4, 1.0, 0, 19))

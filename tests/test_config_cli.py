@@ -11,6 +11,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crossres
@@ -181,6 +182,7 @@ class TestCli:
         ("data.intensity_hi = -1.0", "data.intensity_hi"),
         ("distill.pseudo_huber_scale = 0.0", "distill.pseudo_huber_scale"),
         ("distill.snr_clamp = (20.0, 0.05)", "distill.snr_clamp"),
+        ("distill.n_steps = 4\ndistill.n_steps = 40", "distill.n_steps"),
     ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-low-res", "data-empty-tier",
             "data-supersample", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
             "distill-batch-size", "fewer-steps-than-stages", "stage-without-step", "eval-set-too-small",
@@ -188,7 +190,8 @@ class TestCli:
             "teacher-zero-lr", "distill-negative-lr-generator", "distill-zero-lr-fake",
             "teacher-one-channel-entry", "teacher-zero-time-embed", "fractional-resolution",
             "fractional-channel-count", "data-zero-high-res", "data-degenerate-size", "data-center-off-canvas",
-            "data-inverted-intensity", "distill-zero-huber-scale", "distill-inverted-snr-clamp"])
+            "data-inverted-intensity", "distill-zero-huber-scale", "distill-inverted-snr-clamp",
+            "duplicate-key"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -197,6 +200,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "run").exists()
+
+    def test_duplicate_key_names_both_lines(self):
+        with pytest.raises(cfgmod.ConfigError, match="distill.n_steps is set twice, on lines 1 and 3"):
+            cfgmod.parse_overrides("distill.n_steps = 4\n# again\ndistill.n_steps = 40\n")
+
+    def test_diverged_distill_names_step_phase_stage(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        spec = nets.NetSpec()
+        nets.save_checkpoint(out / "teacher.ckpt", nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
+        cfg_file = tmp_path / "diverge.cfg"
+        cfg_file.write_text(_load_run_pipeline().FAST_OVERRIDES + "distill.lr_generator = 1e300\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["distill", "--out", str(out), "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert re.fullmatch(r"error: non-finite \S.* at step 1 phase warmup stage 1: .*", last)
+
+    def test_non_finite_checkpoint_is_reported(self, tmp_path, capsys):
+        spec = nets.NetSpec(channels=(1, 4, 1))
+        params = nets.init_params(spec, SeededRng(0))
+        params[5] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        nets.save_checkpoint(ckpt, nets.DenoiserNet(spec, params))
+        out = tmp_path / "run"
+        assert main(["sample", "--out", str(out), "--checkpoint", str(ckpt), "--count", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and "1 of" in err and "non-finite" in err
+        assert not (out / "samples").exists()
 
     def test_distill_follows_the_teacher_classes(self, tmp_path):
         # the config has 3 classes, the teacher checkpoint 2: class ids follow the teacher

@@ -1,4 +1,6 @@
 """Forward process, teacher objective, and Euler sampling."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,17 @@ class TestTeacherLoss:
         model = diffusion.train_teacher(ds, tcfg, SeededRng(10))
         assert model.trained_resolutions == [16]
         assert all(r["phase"] == "high" for r in model.log)
+
+
+class TestTensorStats:
+    def test_stats_over_finite_entries(self):
+        arr = np.array([1.0, np.nan, 3.0, np.inf])
+        assert diffusion.tensor_stats(arr) == "mean=2 std=1 min=1 max=3 nonfinite=2/4"
+
+    def test_all_nan_reads_count_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert diffusion.tensor_stats(np.full((2, 1, 8, 12), np.nan)) == "nonfinite=192/192"
 
 
 class TestEulerSampler:

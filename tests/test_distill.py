@@ -369,6 +369,15 @@ class TestTrainStep:
                                                r"nan; tensor stats mean="):
             distill.train_step(state, teacher.net, cfg.partition(), cfg, [0, 1], SeededRng(45))
 
+    def test_diverged_generator_names_step_phase_stage(self):
+        # nan generator states reach the fake-score loss, which names the step
+        cfg = desk_config()
+        teacher, state = self.make_state(cfg)
+        state.generator.params[:] = np.nan
+        with pytest.raises(RuntimeError, match=r"non-finite fake-score loss at step 0 phase warmup stage 1: "
+                                               r"nan; tensor stats nonfinite=(\d+)/\1$"):
+            distill.train_step(state, teacher.net, cfg.partition(), cfg, [0, 1], SeededRng(45))
+
     def test_single_resolution_reduction(self):
         # alpha = 0 and a single stage at the final resolution: the step is
         # plain distribution matching (transform never changes resolution)

@@ -100,12 +100,6 @@ class TestBilinearUpsample:
             assert np.array_equal(up[i], grid.bilinear_upsample(x[i], 11, 13))
             assert np.array_equal(back[i], grid.bilinear_upsample_t(y[i], 5, 7))
 
-    def test_rejects_non_finite_batch(self):
-        x = np.zeros((2, 1, 4, 4))
-        x[1, 0, 2, 2] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            grid.bilinear_upsample(x, 8, 8)
-
     def test_taps_are_shared_and_read_only(self):
         taps = grid._axis_taps(8, 16)
         assert grid._axis_taps(8, 16) is taps

@@ -333,21 +333,46 @@ class TestOptimizer:
         assert np.allclose(pa, pb, atol=1e-15)
 
     def test_three_step_recurrence_matches_hand_oracle(self):
-        lr, b1, b2, eps = 0.1, 0.0, 0.999, 1e-8
-        opt = nets.AdamW(lr=lr, beta1=b1, beta2=b2, eps=eps, clip_norm=1e9)
+        lr, b2, eps = 0.1, 0.999, 1e-8
+        opt = nets.AdamW(lr=lr, clip_norm=1e9)
         p = np.array([1.0])
         g = np.array([0.5])
-        m = v = 0.0
+        v = 0.0
         expected = 1.0
         for t in range(1, 4):
-            m = b1 * m + (1 - b1) * 0.5
             v = b2 * v + (1 - b2) * 0.25
-            m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
-            expected -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            expected -= lr * 0.5 / (np.sqrt(v_hat) + eps)
             p, ok = opt.step(p, g)
             assert ok
             assert p[0] == pytest.approx(expected, rel=1e-14)
+
+    def test_matches_the_first_moment_recurrence_bit_for_bit(self):
+        # the AdamW recurrence with a first moment and weight decay, at the
+        # recipe's beta1 = 0 and weight_decay = 0, is the oracle
+        lr, clip_norm, b1, b2, eps, weight_decay = 0.05, 1.0, 0.0, 0.999, 1e-8, 0.0
+        rng = SeededRng(7)
+        opt = nets.AdamW(lr=lr, clip_norm=clip_norm)
+        params = expected = rng.normal(64)
+        m = v = np.zeros(64)
+        t = 0
+        for step in range(50):
+            grads = rng.normal(64) * float(rng.uniform(0.0, 0.4))  # norms about 0 to 3
+            if step % 7 == 3:
+                grads[step] = np.nan
+            params, ok = opt.step(params, grads)
+            assert ok == (step % 7 != 3)
+            if ok:
+                g = nets.clip_global_norm(grads, clip_norm)
+                t += 1
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1**t)
+                v_hat = v / (1.0 - b2**t)
+                new = expected - lr * (m_hat / (np.sqrt(v_hat) + eps))
+                expected = new - lr * weight_decay * expected if weight_decay else new
+            assert np.array_equal(params, expected)
+        assert opt.skipped == 7 and 0 < opt.clipped < opt.step_count == 43
 
     def test_clipped_and_skipped_steps_counted(self):
         opt = nets.AdamW(lr=1e-3, clip_norm=1.0)
@@ -362,13 +387,6 @@ class TestOptimizer:
         params = np.array([1.0])
         new, ok = opt.step(params, np.array([np.nan]))
         assert not ok and np.array_equal(new, params) and opt.skipped == 1
-
-    def test_weight_decay_decoupled(self):
-        opt = nets.AdamW(lr=0.1, weight_decay=0.5, clip_norm=1e9)
-        params = np.array([2.0])
-        new, _ = opt.step(params, np.zeros(1))
-        # zero gradient: only the decay term acts
-        assert new[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, rel=1e-14)
 
 
 class TestCheckpoint:
