@@ -2,7 +2,7 @@
 """End-to-end toy pipeline: data -> teacher -> distill (both arms) -> eval.
 
 Runs the full desk-scale experiment into one run directory and prints the
-headline comparison. Expect roughly 10-25 minutes on one CPU core at the
+headline comparison. Expect roughly 75-80 seconds on one CPU core at the
 default budgets; pass --fast for a quick structural smoke run.
 """
 import argparse

@@ -131,8 +131,12 @@ def _run_phase(
             model.log.append({"phase": phase, "step": step, "loss": loss_mean})
 
 
+# A diverging run overflows to inf and nan; the loss check names it, and
+# numpy's warnings on the way there would only bury that one line.
+@np.errstate(over="ignore", invalid="ignore")
 def train_teacher(dataset: ShapeDataset, config: TeacherConfig, rng: SeededRng) -> TeacherModel:
-    """Curriculum training: low-tier phase, then high-tier fine-tune."""
+    """Curriculum training: low-tier phase, then high-tier fine-tune; each
+    phase trains at the resolution of its tier's rasters."""
     spec = config.net_spec(dataset.config.n_classes)
     params = nets.init_params(spec, rng.derive("teacher-init"))
     opt = nets.AdamW(lr=config.lr, clip_norm=config.clip_norm)
@@ -143,14 +147,14 @@ def train_teacher(dataset: ShapeDataset, config: TeacherConfig, rng: SeededRng) 
             config.phase1_steps, config.batch_size, "low", config.log_every,
             rng.derive("teacher-phase1"),
         )
-        model.trained_resolutions.append(dataset.config.low_res)
+        model.trained_resolutions.append(dataset.low_images.shape[-1])
     if config.phase2_steps > 0:
         _run_phase(
             model, opt, dataset.high_images, dataset.high_classes,
             config.phase2_steps, config.batch_size, "high", config.log_every,
             rng.derive("teacher-phase2"),
         )
-        model.trained_resolutions.append(dataset.config.high_res)
+        model.trained_resolutions.append(dataset.high_images.shape[-1])
     return model
 
 

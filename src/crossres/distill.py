@@ -415,6 +415,7 @@ def train_step(
     return record
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is reported by the loss checks, as in train_teacher
 def train(
     teacher: TeacherModel,
     config: DistillConfig,

@@ -300,7 +300,8 @@ def _conv_backward(d: np.ndarray, saved: np.ndarray, weight: np.ndarray,
 
 def _batch_inputs(net: DenoiserNet, x, sigma, class_ids) -> tuple[np.ndarray, np.ndarray, list]:
     """Check a batch: x (N, C, H, W), one sigma in [0, 1] per image (a
-    scalar serves all), class ids as a length-N sequence or None."""
+    scalar serves all), class ids as None or a length-N sequence whose
+    entries are all None or all set."""
     spec = net.spec
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or x.shape[1] != spec.channels[0] or x.shape[0] == 0:
@@ -315,11 +316,14 @@ def _batch_inputs(net: DenoiserNet, x, sigma, class_ids) -> tuple[np.ndarray, np
     class_ids = [None] * n if class_ids is None else list(class_ids)
     if len(class_ids) != n:
         raise ValueError(f"{len(class_ids)} class ids for {n} images")
+    unset = class_ids.count(None)
+    if unset == n:
+        return x, sigma, class_ids
+    if unset:
+        raise ValueError(f"class ids must be all None or all set, got {unset} None among {n}: {class_ids}")
+    if spec.class_count == 0:
+        raise ValueError("net is unconditional but class_id was given")
     for class_id in class_ids:
-        if class_id is None:
-            continue
-        if spec.class_count == 0:
-            raise ValueError("net is unconditional but class_id was given")
         if not 0 <= class_id < spec.class_count:
             raise ValueError(f"class_id {class_id} out of range [0, {spec.class_count})")
     return x, sigma, class_ids
@@ -338,12 +342,8 @@ def _forward_chunk(net: DenoiserNet, x: np.ndarray, sigma: np.ndarray, class_ids
     n, _, hh, ww = x.shape
     last = spec.num_layers - 1
     feats = time_features(sigma, spec.time_embed_dim)
-    labelled = [i for i, c in enumerate(class_ids) if c is not None]
-    ids = [class_ids[i] for i in labelled]
-    if len(labelled) == n:
-        labelled = slice(None)  # a basic index: no gather, no scatter
-    cache = {"saved": [], "pre": [], "dact": [], "scale": [], "feats": feats,
-             "labelled": labelled, "ids": ids}
+    ids = None if class_ids[0] is None else class_ids  # the batch is checked: all set or none
+    cache = {"saved": [], "pre": [], "dact": [], "scale": [], "feats": feats, "ids": ids}
     saved = _conv_input(x.transpose(1, 0, 2, 3))
     for l in range(spec.num_layers):
         z = _conv_product(saved, views[f"conv{l}.weight"], n, hh, ww)
@@ -354,12 +354,8 @@ def _forward_chunk(net: DenoiserNet, x: np.ndarray, sigma: np.ndarray, class_ids
             out = np.add(valid, bias[:, None, None, None], out=out)
             break
         z += bias[:, None, None]
-        if l == 0 and ids:
-            embed = views["class_embed"].take(ids, axis=0).T[:, :, None]
-            if len(ids) == n:
-                z += embed
-            else:
-                z[:, labelled] += embed
+        if l == 0 and ids is not None:
+            z += views["class_embed"].take(ids, axis=0).T[:, :, None]
         film = feats @ views[f"film{l}.weight"].T + views[f"film{l}.bias"]
         c_out = spec.channels[l + 1]
         scale, offset = film[:, :c_out].T, film[:, c_out:].T  # (C, n)
@@ -399,8 +395,8 @@ def _backward_chunk(net: DenoiserNet, cache: dict, upstream: np.ndarray, grads: 
             scale = 1.0 + cache["scale"][l]
             d *= scale[:, :, None, None]
             d_shift = d_offset * scale  # per-image gradient of an additive shift
-            if l == 0 and cache["ids"]:
-                np.add.at(grads["class_embed"], cache["ids"], d_shift[:, cache["labelled"]].T)
+            if l == 0 and cache["ids"] is not None:
+                np.add.at(grads["class_embed"], cache["ids"], d_shift.T)
             grads[f"conv{l}.bias"] += d_shift.sum(axis=1)
         else:
             grads[f"conv{l}.bias"] += np.sum(d, axis=(1, 2, 3))
@@ -419,7 +415,8 @@ def forward(
     """Velocity predictions for a batch x (N, C, H, W), same shape as x.
 
     `sigma` holds one noise level per image (a scalar serves all);
-    `class_ids` one class id per image, each possibly None, or is None.
+    `class_ids` one class id per image, or is None (or all None) for an
+    unconditional call.
     With keep_cache=True returns (prediction, cache); passing that cache to
     `backward` on the same inputs and parameters spares it the forward.
     The cache holds every chunk of the batch.

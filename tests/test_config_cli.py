@@ -49,21 +49,32 @@ class TestConfig:
                 "distill.alpha": "0.5",
                 "distill.resolutions": "(4, 8, 16)",
                 "eval.n_permutations": "40",
-                "data.blur_prob": "0.25",
+                "data.n_classes": "2",
             },
         )
         assert out.seed == 7
         assert out.distill.alpha == 0.5
         assert out.distill.resolutions == (4, 8, 16)
         assert out.eval.n_permutations == 40
-        assert out.data.blur_prob == 0.25
+        assert out.data.n_classes == 2
 
-    def test_unknown_key_rejected_with_path(self):
+    def test_unknown_key_rejected_with_path(self, tmp_path, capsys):
         # removed keys: the ablation arm is rm_disabled_config, --preset picks the
         # starting values, and the timestep scale is the constant schedule.T_MAX
         for key in ("distill.bogus", "distill.rm_enabled", "preset", "distill.t_max"):
             with pytest.raises(cfgmod.ConfigError, match=f"unknown config key: {key}"):
                 cfgmod.apply_overrides(cfgmod.toy_default(), {key: "1"})
+        # the shape family and its corruption are constants of crossres.data
+        bad = tmp_path / "bad.cfg"
+        for name in REMOVED_DATA_KEYS:
+            bad.write_text(f"data.{name} = 1\n")
+            assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+            assert capsys.readouterr().err == f"error: unknown config key: data.{name}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_settable_value_count(self):
+        # a new config key shows up here as a test diff
+        assert len(cfgmod._walk(cfgmod.RunConfig())) == 32
 
     def test_defaults_are_toy_default(self):
         assert cfgmod.toy_default() == cfgmod.RunConfig()
@@ -73,9 +84,9 @@ class TestConfig:
         assert d.partition() == schedule.build_partition([], [16])
         assert d.warmup_steps == 0
 
-    def test_invalid_jitter_names_key_path(self):
-        cfg = cfgmod.apply_overrides(cfgmod.toy_default(), {"data.noise_std_max": "5.0"})
-        with pytest.raises(cfgmod.ConfigError, match="noise_std_max"):
+    def test_invalid_value_names_key_path(self):
+        cfg = cfgmod.apply_overrides(cfgmod.toy_default(), {"data.n_per_class_high": "0"})
+        with pytest.raises(cfgmod.ConfigError, match="data.n_per_class_high must be at least 1, got 0"):
             cfgmod.validate_config(cfg)
 
     def test_hash_changes_with_values(self):
@@ -92,6 +103,12 @@ class TestConfig:
         config_bytes = (tmp_path / "run" / "config.txt").read_bytes()
         manifest = (tmp_path / "run" / "manifest.txt").read_text()
         assert f"config_hash = {hashlib.sha256(config_bytes).hexdigest()}" in manifest
+
+
+REMOVED_DATA_KEYS = (
+    "low_res", "high_res", "noise_std_max", "blur_prob", "intensity_shift", "intensity_jitter", "size_lo",
+    "size_hi", "center_lo", "center_hi", "intensity_lo", "intensity_hi", "supersample",
+)
 
 
 MICRO_OVERRIDES = """
@@ -149,15 +166,14 @@ class TestCli:
     # does work: each out-of-range value below used to end in a traceback
     # (some only after sampling or training, or, for the net spec, after the
     # dataset loads), in a nan null width, in a silently skipped teacher
-    # phase, a dataset of nan images, in gradient ascent (a negative lr), or
+    # phase, in gradient ascent (a negative lr), or
     # in an inverted snr_clamp that pins every fake-score weight.
     @pytest.mark.parametrize("line, key", [
         ("distill.nonsense = 1", "distill.nonsense"),
         ("distill.n_steps = four", "distill.n_steps"),
         ("distill.resolutions = (8, x)", "distill.resolutions"),
-        ("data.low_res = 0", "data.low_res"),
         ("data.n_per_class_low = 0", "data.n_per_class_low"),
-        ("data.supersample = 0", "data.supersample"),
+        ("data.n_classes = 4", "data.n_classes"),
         ("teacher.phase1_steps = -5", "teacher.phase1_steps"),
         ("teacher.log_every = 0", "teacher.log_every"),
         ("teacher.batch_size = 0", "teacher.batch_size"),
@@ -176,21 +192,16 @@ class TestCli:
         ("teacher.time_embed_dim = 0", "teacher.time_embed_dim"),
         ("distill.resolutions = (8.5, 16)", "distill.resolutions"),
         ("teacher.channels = (1, 24.5, 1)", "teacher.channels"),
-        ("data.high_res = 0", "data.high_res"),
-        ("data.size_lo = 0.05", "data.size_lo"),
-        ("data.center_lo = 0.1", "data.center_lo"),
-        ("data.intensity_hi = -1.0", "data.intensity_hi"),
         ("distill.pseudo_huber_scale = 0.0", "distill.pseudo_huber_scale"),
         ("distill.snr_clamp = (20.0, 0.05)", "distill.snr_clamp"),
         ("distill.n_steps = 4\ndistill.n_steps = 40", "distill.n_steps"),
-    ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-low-res", "data-empty-tier",
-            "data-supersample", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
+    ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-empty-tier",
+            "data-too-many-classes", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
             "distill-batch-size", "fewer-steps-than-stages", "stage-without-step", "eval-set-too-small",
             "eval-teacher-steps", "eval-contact-sheet", "eval-permutations", "teacher-negative-lr",
             "teacher-zero-lr", "distill-negative-lr-generator", "distill-zero-lr-fake",
             "teacher-one-channel-entry", "teacher-zero-time-embed", "fractional-resolution",
-            "fractional-channel-count", "data-zero-high-res", "data-degenerate-size", "data-center-off-canvas",
-            "data-inverted-intensity", "distill-zero-huber-scale", "distill-inverted-snr-clamp",
+            "fractional-channel-count", "distill-zero-huber-scale", "distill-inverted-snr-clamp",
             "duplicate-key"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
@@ -205,19 +216,20 @@ class TestCli:
         with pytest.raises(cfgmod.ConfigError, match="distill.n_steps is set twice, on lines 1 and 3"):
             cfgmod.parse_overrides("distill.n_steps = 4\n# again\ndistill.n_steps = 40\n")
 
-    def test_diverged_distill_names_step_phase_stage(self, tmp_path, capsys):
+    def test_diverged_distill_names_step_phase_stage(self, tmp_path):
+        # in a process of its own, so that numpy's RuntimeWarnings would reach stderr
         out = tmp_path / "run"
         out.mkdir()
         spec = nets.NetSpec()
         nets.save_checkpoint(out / "teacher.ckpt", nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
         cfg_file = tmp_path / "diverge.cfg"
         cfg_file.write_text(_load_run_pipeline().FAST_OVERRIDES + "distill.lr_generator = 1e300\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["distill", "--out", str(out), "--config", str(cfg_file)]) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        last = err.strip().splitlines()[-1]
-        assert re.fullmatch(r"error: non-finite \S.* at step 1 phase warmup stage 1: .*", last)
+        env = {**os.environ, "PYTHONPATH": str(Path(crossres.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "crossres", "distill", "--out", str(out), "--config",
+                               str(cfg_file)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        # the error line is all of stderr: no traceback, no numpy warning
+        assert re.fullmatch(r"error: non-finite \S.* at step 1 phase warmup stage 1: [^\n]*\n", proc.stderr)
 
     def test_non_finite_checkpoint_is_reported(self, tmp_path, capsys):
         spec = nets.NetSpec(channels=(1, 4, 1))
@@ -261,13 +273,13 @@ class TestCli:
         assert err.startswith("error: ") and str(ckpt) in err
         assert not (out / "distill").exists()
 
-    # the micro config records n_per_class_low = 6 and 3 classes, so n_low = 18
+    # the micro config records 6 samples per class and tier and 3 classes;
+    # each edit keeps the header's length
     @pytest.mark.parametrize("edits, named", [
-        ([(b'"n_high": ', b'"n_hgih": ')], "n_high"),
+        ([(b'"seed": ', b'"sede": ')], "KeyError: 'seed'"),
         ([(b'"n_classes": 3', b'"n_classes": 0')], "data.n_classes"),
-        ([(b'"n_low": 18', b'"n_low": 17')], "n_low"),
-        ([(b'"n_per_class_low": 6', b'"n_per_class_low": 5'), (b'"n_low": 18', b'"n_low": 15')],
-         "bytes from the header"),
+        ([(b'"n_per_class_high": 6', b'"n_per_class_high": 0')], "data.n_per_class_high must be at least 1"),
+        ([(b'"n_per_class_low": 6', b'"n_per_class_low": 5')], "bytes from the header"),
     ], ids=["missing-key", "no-classes", "count-off-config", "count-does-not-tile"])
     def test_damaged_dataset_header_is_reported(self, tmp_path, micro_config, capsys, edits, named):
         out = tmp_path / "run"

@@ -1,4 +1,7 @@
 """Shape rendering, dataset generation, and the engineered tier gap."""
+import itertools
+import struct
+
 import numpy as np
 import pytest
 
@@ -53,23 +56,28 @@ class TestRenderShape:
 
 
 class TestGenDataset:
-    def test_zero_jitter_low_tier_is_clean(self):
-        cfg = data.DataConfig(
-            n_per_class_low=4, n_per_class_high=2,
-            noise_std_max=0.0, blur_prob=0.0,
-            intensity_shift=0.0, intensity_jitter=0.0,
-        )
+    def test_low_tier_is_the_corrupted_render(self):
+        from scipy.ndimage import correlate1d
+
+        cfg = data.DataConfig(n_per_class_low=4, n_per_class_high=2)
         ds = data.generate_samples(cfg, SeededRng(5))
-        # regenerate the clean renders from the same per-sample streams
-        for tier, count in ((data.TIER_LOW, cfg.n_per_class_low),):
-            idx = 0
-            for class_id in range(cfg.n_classes):
-                for i in range(count):
-                    sub = SeededRng(5).derive(f"sample:{tier}:{class_id}:{i}")
-                    pose = data.sample_pose(cfg, sub)
-                    clean = data.render_shape(class_id, pose, cfg.low_res)
-                    assert np.allclose(ds.low_images[idx], clean, atol=1e-12)
-                    idx += 1
+        # rebuild each low-tier sample from its own stream and the constants:
+        # dim and jitter the pose, render, maybe blur, add pixel noise
+        blurred = 0
+        for idx, (class_id, i) in enumerate(itertools.product(range(cfg.n_classes), range(cfg.n_per_class_low))):
+            sub = SeededRng(5).derive(f"sample:{data.TIER_LOW}:{class_id}:{i}")
+            pose = data.sample_pose(sub)
+            jitter = sub.uniform(-data.INTENSITY_JITTER, data.INTENSITY_JITTER)
+            dimmed = float(np.clip(pose.intensity - data.INTENSITY_SHIFT + jitter, 0.05, 1.0))
+            want = data.render_shape(class_id, data.Pose(pose.center, pose.size, dimmed), data.LOW_RES)
+            if sub.uniform() < data.BLUR_PROB:
+                blurred += 1
+                for axis in (1, 2):
+                    want = correlate1d(want, [0.25, 0.5, 0.25], axis=axis, mode="nearest")
+            want = want + sub.uniform(0.0, data.NOISE_STD_MAX) * sub.normal(want.shape)
+            assert np.allclose(ds.low_images[idx], want, rtol=0.0, atol=1e-12), (class_id, i)
+        assert ds.low_images.shape == (12, 1, data.LOW_RES, data.LOW_RES)
+        assert 0 < blurred < 12  # both branches ran
 
     def test_mean_intensity_margin(self):
         # The engineered gap: low tier is systematically dimmer than the
@@ -99,8 +107,7 @@ class TestGenDataset:
         assert np.array_equal(loaded.high_classes, direct.high_classes)
 
     def test_loaded_config_is_the_generating_config(self, tmp_path):
-        cfg = data.DataConfig(n_per_class_low=2, n_per_class_high=1, n_classes=2,
-                              size_lo=0.25, center_hi=0.58, supersample=2)
+        cfg = data.DataConfig(n_per_class_low=2, n_per_class_high=1, n_classes=2)
         path = tmp_path / "shapes.bin"
         data.gen_dataset(cfg, SeededRng(23), path)
         loaded = data.load_dataset(path)
@@ -108,14 +115,14 @@ class TestGenDataset:
         assert loaded.seed == 23
 
     def test_rejects_invalid_config(self):
-        with pytest.raises(ValueError, match="noise_std_max"):
-            data.DataConfig(noise_std_max=2.0).validate()
-        with pytest.raises(ValueError, match="blur_prob"):
-            data.DataConfig(blur_prob=-0.5).validate()
+        with pytest.raises(ValueError, match="data.n_per_class_low must be at least 1, got 0"):
+            data.DataConfig(n_per_class_low=0).validate()
+        with pytest.raises(ValueError, match=r"data.n_classes must lie in \[1, 3\]"):
+            data.DataConfig(n_classes=4).validate()
 
 
 class TestLoadRejectsBadFiles:
-    @pytest.mark.parametrize("case", ["truncated", "trailing-bytes", "foreign", "text-header"])
+    @pytest.mark.parametrize("case", ["truncated", "trailing-bytes", "foreign", "text-header", "version-2"])
     def test_error_names_path_and_reason(self, tmp_path, case):
         path = tmp_path / "shapes.bin"
         data.gen_dataset(data.DataConfig(n_per_class_low=2, n_per_class_high=2), SeededRng(19), path)
@@ -126,6 +133,8 @@ class TestLoadRejectsBadFiles:
             "trailing-bytes": (raw + b"\0", f"expected {n} bytes from the header, found {n + 1}"),
             "foreign": (b"P5\n4 4\n255\n" + bytes(16), "not a crossres dataset"),
             "text-header": (b"format = crossres-shapes-v1\nseed = 19\n---\n" + raw[12:], "not a crossres dataset"),
+            # version 2 also recorded the shape family's geometry and corruption
+            "version-2": (raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported crossres dataset version 2"),
         }[case]
         path.write_bytes(bad)
         with pytest.raises(ValueError, match=f"shapes.bin: {reason}"):

@@ -90,7 +90,9 @@ class TestTeacherLoss:
         tcfg = diffusion.TeacherConfig(
             channels=(1, 6, 1), phase1_steps=0, phase2_steps=10, batch_size=4, lr=1e200
         )
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the named error, and no numpy warning on the way to it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="diverged"):
                 diffusion.train_teacher(ds, tcfg, SeededRng(32))
 

@@ -62,8 +62,9 @@ class TestForward:
         (1.5, [0, 1], r"sigma must lie in \[0, 1\], got \[1.5 1.5\]"),
         ([0.5, np.nan], [0, 1], r"sigma must lie in \[0, 1\], got \[0.5 nan\]"),
         (np.nan, None, r"sigma must lie in \[0, 1\], got \[nan nan\]"),
-        (0.5, [None, 5], r"class_id 5 out of range \[0, 3\)"),
+        (0.5, [1, 5], r"class_id 5 out of range \[0, 3\)"),
         (0.5, [2, -1], r"class_id -1 out of range \[0, 3\)"),
+        (0.5, [None, 1], r"class ids must be all None or all set, got 1 None among 2: \[None, 1\]"),
     ])
     def test_batch_checks_name_the_bad_value(self, sigma, class_ids, message):
         with pytest.raises(ValueError, match=message):
@@ -72,7 +73,7 @@ class TestForward:
     def test_unconditional_net_rejects_class_ids(self):
         n = make_net(nets.NetSpec(TINY.channels, 4, 0))
         with pytest.raises(ValueError, match="unconditional"):
-            nets.forward(n, np.zeros((2, 1, 8, 8)), 0.5, [None, 1])
+            nets.forward(n, np.zeros((2, 1, 8, 8)), 0.5, [1, 1])
         assert nets.forward(n, np.zeros((2, 1, 8, 8)), 0.5, [None, None]).shape == (2, 1, 8, 8)
 
     def test_deterministic(self):
@@ -181,8 +182,7 @@ class TestMatchesReferenceChunks:
         x = rng.normal((n, spec.channels[0], px, px))
         up = rng.normal((n, spec.channels[-1], px, px))
         sigmas = {"scalar": 0.37, "per-image": rng.uniform(0.0, 1.0, size=n)}
-        ids = {"none": None, "all": [k % spec.class_count for k in range(n)],
-               "mixed": [None if k % 2 else k % spec.class_count for k in range(n)]}
+        ids = {"none": None, "all-none": [None] * n, "all": [k % spec.class_count for k in range(n)]}
         return x, up, sigmas, ids
 
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
