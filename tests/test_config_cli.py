@@ -167,7 +167,9 @@ class TestCli:
     # (some only after sampling or training, or, for the net spec, after the
     # dataset loads), in a nan null width, in a silently skipped teacher
     # phase, in gradient ascent (a negative lr), or
-    # in an inverted snr_clamp that pins every fake-score weight.
+    # in an inverted snr_clamp that pins every fake-score weight. The data-*
+    # cases other than the counts set keys that are now constants of
+    # crossres.data, so they are reported as unknown.
     @pytest.mark.parametrize("line, key", [
         ("distill.nonsense = 1", "distill.nonsense"),
         ("distill.n_steps = four", "distill.n_steps"),
@@ -192,6 +194,12 @@ class TestCli:
         ("teacher.time_embed_dim = 0", "teacher.time_embed_dim"),
         ("distill.resolutions = (8.5, 16)", "distill.resolutions"),
         ("teacher.channels = (1, 24.5, 1)", "teacher.channels"),
+        ("data.low_res = 0", "data.low_res"),
+        ("data.supersample = 0", "data.supersample"),
+        ("data.high_res = 0", "data.high_res"),
+        ("data.size_lo = 0.05", "data.size_lo"),
+        ("data.center_lo = 0.1", "data.center_lo"),
+        ("data.intensity_hi = -1.0", "data.intensity_hi"),
         ("distill.pseudo_huber_scale = 0.0", "distill.pseudo_huber_scale"),
         ("distill.snr_clamp = (20.0, 0.05)", "distill.snr_clamp"),
         ("distill.n_steps = 4\ndistill.n_steps = 40", "distill.n_steps"),
@@ -201,8 +209,9 @@ class TestCli:
             "eval-teacher-steps", "eval-contact-sheet", "eval-permutations", "teacher-negative-lr",
             "teacher-zero-lr", "distill-negative-lr-generator", "distill-zero-lr-fake",
             "teacher-one-channel-entry", "teacher-zero-time-embed", "fractional-resolution",
-            "fractional-channel-count", "distill-zero-huber-scale", "distill-inverted-snr-clamp",
-            "duplicate-key"])
+            "fractional-channel-count", "data-low-res", "data-supersample", "data-zero-high-res",
+            "data-degenerate-size", "data-center-off-canvas", "data-inverted-intensity",
+            "distill-zero-huber-scale", "distill-inverted-snr-clamp", "duplicate-key"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
