@@ -169,8 +169,10 @@ def step_vjp(
         return grads, d_next + gx
     src_h, src_w = tape.x_in.shape[-2:]
     sn, a = tape.sigma_next, tape.alpha
-    d_x0 = bilinear_upsample_t(((1.0 - sn) + sn * a) * d_next, src_h, src_w)
-    d_v = bilinear_upsample_t(sn * a * d_next, src_h, src_w) - tape.sigma_in * d_x0
+    # U is linear, so the transition's two upsampled terms share one transpose
+    g = bilinear_upsample_t(d_next, src_h, src_w)
+    d_x0 = ((1.0 - sn) + sn * a) * g
+    d_v = sn * a * g - tape.sigma_in * d_x0
     grads, gx = nets.backward(net, tape.x_in, tape.sigma_in, class_ids, d_v)
     return grads, d_x0 + gx
 

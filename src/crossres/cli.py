@@ -97,7 +97,7 @@ def cmd_train_teacher(args) -> int:
 def cmd_distill(args) -> int:
     cfg = _resolve_config(args)
     teacher_net = _load(nets.load_checkpoint, _teacher_path(cfg), "train-teacher")
-    teacher = diffusion.TeacherModel(net=teacher_net, trained_resolutions=list(cfg.distill.resolutions))
+    teacher = diffusion.TeacherModel(net=teacher_net)
     run = cfgmod.RunDirectory(cfg.out_dir, cfg)
     ckpt_dir = run.file("distill")
     ckpt_dir.mkdir(parents=True, exist_ok=True)

@@ -85,7 +85,7 @@ class TeacherConfig:
 @dataclass
 class TeacherModel:
     net: nets.DenoiserNet
-    trained_resolutions: list[int]
+    trained_resolutions: list[int] = field(default_factory=list)  # empty when loaded
     log: list[dict] = field(default_factory=list)
     opt: nets.AdamW | None = None  # the optimizer that trained it; None when loaded
 
@@ -140,7 +140,7 @@ def train_teacher(dataset: ShapeDataset, config: TeacherConfig, rng: SeededRng) 
     spec = config.net_spec(dataset.config.n_classes)
     params = nets.init_params(spec, rng.derive("teacher-init"))
     opt = nets.AdamW(lr=config.lr, clip_norm=config.clip_norm)
-    model = TeacherModel(net=nets.DenoiserNet(spec, params), trained_resolutions=[], opt=opt)
+    model = TeacherModel(net=nets.DenoiserNet(spec, params), opt=opt)
     if config.phase1_steps > 0:
         _run_phase(
             model, opt, dataset.low_images, dataset.low_classes,

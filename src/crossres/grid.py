@@ -83,20 +83,28 @@ class SeededRng:
 
 
 @functools.cache
-def _axis_taps(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Half-pixel-center bilinear taps for one axis (align-corners OFF).
+def _axis_matrix(src: int, dst: int) -> np.ndarray:
+    """The (dst, src) matrix of half-pixel-center bilinear interpolation
+    along one axis (align-corners OFF).
 
-    Returns (lo index, hi index, lo weight, hi weight); indices are clamped
-    to the source range so edges replicate. Built once per (src, dst) and
-    shared by every caller, so the arrays are read-only.
+    Output sample i reads source coordinate (i + 0.5) src / dst - 0.5,
+    clamped to the source range so edges replicate; its row is the tent
+    max(0, 1 - |coord - j|) over source samples j. Built once per
+    (src, dst) and shared by every caller, so it is read-only.
     """
-    coords = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
-    lo = np.floor(coords).astype(np.int64)
-    w_hi = coords - lo
-    taps = (np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), 1 - w_hi, w_hi)
-    for t in taps:
-        t.flags.writeable = False
-    return taps
+    if dst < src:
+        raise ValueError(f"target size {dst} smaller than source size {src}")
+    coords = np.clip((np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5, 0, src - 1)
+    matrix = np.maximum(0.0, 1.0 - np.abs(coords[:, None] - np.arange(src)))
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _images(x, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 3:
+        raise ValueError(f"{name} input: expected (..., channels, height, width), got shape {x.shape}")
+    return x
 
 
 def bilinear_upsample(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
@@ -104,36 +112,22 @@ def bilinear_upsample(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray
     (target_h, target_w); x is (C, H, W) or has more leading batch axes.
 
     Half-pixel-center convention, which preserves the mean under integer
-    scale factors. This is a linear operator; `bilinear_upsample_t` is its
-    exact transpose (the gradient-propagation contract).
+    scale factors. The operator is separable, ``A_h @ x @ A_w.T`` with one
+    `_axis_matrix` per axis; `bilinear_upsample_t` applies its transpose
+    (the gradient-propagation contract).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 3:
-        raise ValueError(f"bilinear_upsample input: expected (..., channels, height, width), got shape {x.shape}")
+    x = _images(x, "bilinear_upsample")
     h, w = x.shape[-2:]
-    if target_h < h or target_w < w:
-        raise ValueError(f"target ({target_h},{target_w}) smaller than source ({h},{w})")
-    y0, y1, wy0, wy1 = _axis_taps(h, target_h)
-    x0, x1, wx0, wx1 = _axis_taps(w, target_w)
-    top, bot = x[..., y0, :], x[..., y1, :]
-    top = top[..., x0] * wx0 + top[..., x1] * wx1
-    bot = bot[..., x0] * wx0 + bot[..., x1] * wx1
-    return top * wy0[:, None] + bot * wy1[:, None]
+    return _axis_matrix(h, target_h) @ x @ _axis_matrix(w, target_w).T
 
 
 def bilinear_upsample_t(y: np.ndarray, source_h: int, source_w: int) -> np.ndarray:
     """Transpose of `bilinear_upsample` back onto a (source_h, source_w)
-    grid, over the last two axes of y."""
-    y = np.asarray(y, dtype=np.float64)
+    grid, over the last two axes of y: ``A_h.T @ y @ A_w``. It accepts
+    exactly the shapes the forward could have produced."""
+    y = _images(y, "bilinear_upsample_t")
     th, tw = y.shape[-2:]
-    y0, y1, wy0, wy1 = _axis_taps(source_h, th)
-    x0, x1, wx0, wx1 = _axis_taps(source_w, tw)
-    out = np.zeros(y.shape[:-2] + (source_h, source_w), dtype=np.float64)
-    for rows, rw in ((y0, wy0), (y1, wy1)):
-        for cols, cw in ((x0, wx0), (x1, wx1)):
-            contrib = y * rw[:, None] * cw
-            np.add.at(out, (..., rows[:, None], cols[None, :]), contrib)
-    return out
+    return _axis_matrix(source_h, th).T @ y @ _axis_matrix(source_w, tw)
 
 
 def write_pgm(path, image: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crossres import cascade, config as cfgmod, net as nets, schedule as sch
-from crossres.grid import SeededRng, bilinear_upsample
+from crossres.grid import SeededRng, bilinear_upsample, bilinear_upsample_t
 from numerics import relative_error
 
 
@@ -177,6 +177,35 @@ class TestBatch:
         trace = cascade.schedule_trace(desk_partition(), 4)
         with pytest.raises(ValueError, match="at least one"):
             cascade.run_cascade(random_net(27), trace, 0.5, [], [])
+
+
+def two_transpose_step_vjp(net, tape, class_ids, d_next):
+    """The transition adjoint that transposed the upsample once per
+    scaled copy of d_next: the reference for the one-transpose form."""
+    src_h, src_w = tape.x_in.shape[-2:]
+    sn, a = tape.sigma_next, tape.alpha
+    d_x0 = bilinear_upsample_t(((1.0 - sn) + sn * a) * d_next, src_h, src_w)
+    d_v = bilinear_upsample_t(sn * a * d_next, src_h, src_w) - tape.sigma_in * d_x0
+    grads, gx = nets.backward(net, tape.x_in, tape.sigma_in, class_ids, d_v)
+    return grads, d_x0 + gx
+
+
+class TestTransitionAdjoint:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_one_transpose_matches_two(self, alpha, monkeypatch):
+        net = random_net(40)
+        class_ids = [0, 2, 1]
+        run = cascade.run_cascade(net, cascade.schedule_trace(desk_partition(), 4), alpha, class_ids,
+                                  [41, 42, 43], keep_tape=True)
+        (tape,) = [t for t in run.tape if t.kind == "transition"]
+        d_next = SeededRng(44).normal((3, 1, 16, 16))
+        ref_grads, ref_dx = two_transpose_step_vjp(net, tape, class_ids, d_next)
+        calls = []
+        monkeypatch.setattr(cascade, "bilinear_upsample_t", lambda *a: calls.append(a) or bilinear_upsample_t(*a))
+        grads, dx = cascade.step_vjp(net, tape, class_ids, d_next)
+        assert len(calls) == 1
+        assert relative_error(dx, ref_dx) <= 1e-13
+        assert relative_error(grads, ref_grads) <= 1e-13
 
 
 class TestNaiveCascade:

@@ -100,11 +100,21 @@ class TestBilinearUpsample:
             assert np.array_equal(up[i], grid.bilinear_upsample(x[i], 11, 13))
             assert np.array_equal(back[i], grid.bilinear_upsample_t(y[i], 5, 7))
 
-    def test_taps_are_shared_and_read_only(self):
-        taps = grid._axis_taps(8, 16)
-        assert grid._axis_taps(8, 16) is taps
+    def test_axis_matrix_is_shared_and_read_only(self):
+        matrix = grid._axis_matrix(8, 16)
+        assert grid._axis_matrix(8, 16) is matrix
         with pytest.raises(ValueError):
-            taps[0][0] = 1
+            matrix[0, 0] = 1
+
+    def test_transpose_rejects_what_the_forward_rejects(self):
+        # a 16 px y cannot come from upsampling a 32 px source
+        with pytest.raises(ValueError, match="target size 16 smaller than source size 32"):
+            grid.bilinear_upsample_t(np.ones((1, 16, 16)), 32, 32)
+
+    @pytest.mark.parametrize("fn", [grid.bilinear_upsample, grid.bilinear_upsample_t], ids=["forward", "transpose"])
+    def test_rejects_input_without_channel_axis(self, fn):
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., channels, height, width\), got shape \(4, 4\)"):
+            fn(np.ones((4, 4)), 4, 4)
 
 
 class TestAreaDownsample:
