@@ -196,9 +196,14 @@ def validate_config(cfg: RunConfig) -> None:
     try:
         for section in (cfg.data, cfg.teacher, d, cfg.eval):
             section.validate()
-        partition = d.partition()
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    try:
+        partition = d.partition()
+    except ValueError as err:
+        raise ConfigError(f"distill.thresholds = {_format_value(d.thresholds)}, distill.resolutions = "
+                          f"{_format_value(d.resolutions)}, distill.flow_shift = "
+                          f"{_format_value(d.flow_shift)}: {err}") from err
     try:
         schedule_trace(partition, d.n_steps)
     except (ValueError, CascadeError) as err:

@@ -70,8 +70,9 @@ class TeacherConfig:
         for key, least in (("phase1_steps", 0), ("phase2_steps", 0), ("batch_size", 1), ("log_every", 1)):
             if getattr(self, key) < least:
                 raise ValueError(f"teacher.{key} must be at least {least}, got {getattr(self, key)}")
-        if not self.lr > 0.0:
-            raise ValueError(f"teacher.lr must be positive, got {self.lr}")
+        for key in ("lr", "clip_norm"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"teacher.{key} must be positive, got {getattr(self, key)}")
         try:
             self.net_spec(0)
         except ValueError as err:

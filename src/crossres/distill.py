@@ -33,7 +33,7 @@ from . import net as nets
 from .cascade import CascadeRun, InferenceTrace, StepTape, run_cascade, schedule_trace, step_vjp, transition
 from .diffusion import TeacherModel, tensor_stats
 from .grid import SeededRng, write_csv
-from .schedule import T_MAX, TrajectoryPartition, build_partition, sigma_to_logsnr, unshift_sigma
+from .schedule import T_MAX, TrajectoryPartition, build_partition, sigma_to_logsnr
 
 PHASE_WARMUP = "warmup"
 PHASE_FULL = "full"
@@ -83,7 +83,7 @@ class DistillConfig:
             raise ValueError("distill.warmup_steps and distill.steps must be non-negative")
         if self.batch_size < 1:
             raise ValueError(f"distill.batch_size must be at least 1, got {self.batch_size}")
-        for key in ("lr_generator", "lr_fake"):
+        for key in ("lr_generator", "lr_fake", "clip_norm"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"distill.{key} must be positive, got {getattr(self, key)}")
         if not 0.0 < self.lr_final_fraction <= 1.0:
@@ -178,7 +178,7 @@ def sample_stage_and_timestep(
     stage = partition.stages[stage_index - 1]
     lo, hi = stage.shifted_interval
     shifted_t = float(rng.uniform(lo, hi))
-    teacher_sigma = unshift_sigma(shifted_t / T_MAX, stage.resolution, partition.final_resolution)
+    teacher_sigma = stage.unshift(shifted_t / T_MAX)
     return stage_index, shifted_t, teacher_sigma * T_MAX
 
 

@@ -165,7 +165,7 @@ def cost_model_speedup(
     return cost(base_steps, base_res) * cfg / sum(cost(s, r) for s, r in method)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     n_per_set: int = 256
     teacher_steps: int = 32

@@ -8,9 +8,10 @@ rectified-flow interpolation ``x_t = (1 - sigma) * x0 + sigma * eps``:
 * ``t = sigma * T_MAX``, the timestep used for display (T_MAX = 1000).
 
 A :class:`TrajectoryPartition` splits [0, T_MAX] into K resolution stages
-at logSNR thresholds; each stage also carries the image of its interval
-under the resolution-induced logSNR shift. Timesteps stay continuous
-internally; rounding to integers happens only when printing.
+at logSNR thresholds; each stage owns the resolution-induced logSNR shift
+onto it (its factor ``rho`` and the maps ``shift`` and ``unshift``).
+Timesteps stay continuous internally; rounding to integers happens only
+when printing.
 """
 from __future__ import annotations
 
@@ -21,9 +22,6 @@ __all__ = [
     "T_MAX",
     "logsnr_to_sigma",
     "sigma_to_logsnr",
-    "shift_logsnr",
-    "shifted_sigma",
-    "unshift_sigma",
     "apply_flow_shift",
     "ResolutionStage",
     "TrajectoryPartition",
@@ -50,40 +48,6 @@ def sigma_to_logsnr(sigma: float) -> float:
     return 2.0 * math.log((1.0 - sigma) / sigma)
 
 
-def shift_logsnr(logsnr: float, res: int, final_res: int) -> float:
-    """Resolution-compensated logSNR: add 2 ln(res / final_res).
-
-    Moving to a lower resolution lowers the logSNR (raises sigma), so a
-    low-resolution stage sees more noise at the matched corruption state.
-    Identity when res == final_res.
-    """
-    if res <= 0 or final_res <= 0:
-        raise ValueError("resolutions must be positive")
-    return logsnr + 2.0 * math.log(res / final_res)
-
-
-def shifted_sigma(sigma: float, res: int, final_res: int) -> float:
-    """Sigma after the resolution shift of `shift_logsnr`.
-
-    Algebraically identical to sigma -> logsnr -> shift -> sigma on (0, 1)
-    but written in the closed form sigma / (sigma + rho * (1 - sigma)),
-    rho = res / final_res, which the endpoints 0 and 1 pass through
-    unchanged (they are fixed points of the shift).
-    """
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
-    rho = res / final_res
-    return sigma / (sigma + rho * (1.0 - sigma))
-
-
-def unshift_sigma(sigma_shifted: float, res: int, final_res: int) -> float:
-    """Inverse of `shifted_sigma`: recover the teacher-space sigma."""
-    if not 0.0 <= sigma_shifted <= 1.0:
-        raise ValueError(f"sigma must lie in [0, 1], got {sigma_shifted}")
-    rho = res / final_res
-    return rho * sigma_shifted / (1.0 - sigma_shifted * (1.0 - rho))
-
-
 def apply_flow_shift(u: float, shift: float) -> float:
     """Monotone reparameterization shift*u / (1 + (shift-1)*u) of a step fraction."""
     if not 0.0 <= u <= 1.0:
@@ -95,17 +59,40 @@ def apply_flow_shift(u: float, shift: float) -> float:
 
 @dataclass(frozen=True)
 class ResolutionStage:
-    """One resolution segment of the trajectory.
+    """One resolution segment of the trajectory and the shift onto it.
 
-    Intervals are (low, high) timestep pairs; ``teacher_interval`` lives on
-    the teacher's [0, T_MAX] axis and ``shifted_interval`` is its image
-    under the resolution shift.
+    ``rho = resolution / final_resolution``. The shift adds 2 ln(rho) to
+    the logSNR: a lower resolution lowers the logSNR (raises sigma), so a
+    low-resolution stage sees more noise at the matched corruption state;
+    the final stage (rho = 1) maps every sigma to itself. Intervals are
+    (low, high) timestep pairs; ``teacher_interval`` lives on the
+    teacher's [0, T_MAX] axis and ``shifted_interval`` is its image under
+    the shift.
     """
 
     index: int  # 1-based
     resolution: int
+    rho: float
     teacher_interval: tuple[float, float]
-    shifted_interval: tuple[float, float]
+
+    def shift(self, sigma: float) -> float:
+        """Sigma after the shift, in the closed form sigma / (sigma + rho (1 - sigma))
+        of sigma -> logSNR + 2 ln(rho) -> sigma, which the endpoints 0 and 1
+        pass through unchanged (they are fixed points of the shift)."""
+        if not 0.0 <= sigma <= 1.0:
+            raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
+        return sigma / (sigma + self.rho * (1.0 - sigma))
+
+    def unshift(self, sigma_shifted: float) -> float:
+        """Inverse of `shift`: recover the teacher-space sigma."""
+        if not 0.0 <= sigma_shifted <= 1.0:
+            raise ValueError(f"sigma must lie in [0, 1], got {sigma_shifted}")
+        return self.rho * sigma_shifted / (1.0 - sigma_shifted * (1.0 - self.rho))
+
+    @property
+    def shifted_interval(self) -> tuple[float, float]:
+        lo, hi = self.teacher_interval
+        return T_MAX * self.shift(lo / T_MAX), T_MAX * self.shift(hi / T_MAX)
 
 
 @dataclass(frozen=True)
@@ -146,9 +133,10 @@ def build_partition(
     """Stage layout from logSNR thresholds and per-stage resolutions.
 
     ``len(resolutions) == len(thresholds) + 1``; thresholds must increase
-    strictly in logSNR and resolutions strictly in size, and the last
-    resolution is the teacher's. Each threshold maps to a boundary
-    timestep via `logsnr_to_sigma`.
+    strictly in logSNR and resolutions strictly in size from at least 1,
+    and the last resolution is the teacher's. Each threshold maps to a
+    boundary timestep via `logsnr_to_sigma`, and each stage's ``rho`` is
+    its resolution over the last.
     """
     thresholds = [float(v) for v in thresholds]
     resolutions = [int(r) for r in resolutions]
@@ -160,38 +148,27 @@ def build_partition(
         raise ValueError(f"thresholds must be strictly increasing, got {thresholds}")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError(f"resolutions must be strictly increasing, got {resolutions}")
-    if flow_shift < 1.0:
-        raise ValueError(f"flow shift must be >= 1, got {flow_shift}")
+    if resolutions[0] < 1:
+        raise ValueError(f"resolutions must be at least 1, got {resolutions}")
+    if not 1.0 <= flow_shift < math.inf:
+        raise ValueError(f"flow shift must be finite and >= 1, got {flow_shift}")
 
     final_res = resolutions[-1]
     # Boundary timesteps, descending from T_MAX to 0: ascending logSNR
     # thresholds map to descending boundary sigmas, and threshold k sits
     # between stage k and stage k+1.
     bounds = [T_MAX] + [T_MAX * logsnr_to_sigma(v) for v in thresholds] + [0.0]
-    stages = []
-    for i, res in enumerate(resolutions, start=1):
-        lo, hi = bounds[i], bounds[i - 1]
-        shifted = (
-            T_MAX * shifted_sigma(lo / T_MAX, res, final_res),
-            T_MAX * shifted_sigma(hi / T_MAX, res, final_res),
-        )
-        stages.append(
-            ResolutionStage(
-                index=i,
-                resolution=res,
-                teacher_interval=(lo, hi),
-                shifted_interval=shifted,
-            )
-        )
-    return TrajectoryPartition(stages=tuple(stages), flow_shift=float(flow_shift))
+    stages = tuple(
+        ResolutionStage(index=i, resolution=res, rho=res / final_res, teacher_interval=(bounds[i], bounds[i - 1]))
+        for i, res in enumerate(resolutions, start=1)
+    )
+    return TrajectoryPartition(stages=stages, flow_shift=float(flow_shift))
 
 
 def map_timestep(t: float, partition: TrajectoryPartition) -> tuple[int, float]:
     """Locate the stage owning teacher timestep t and shift t onto it."""
     stage = partition.stage_of(t)
-    sigma = t / T_MAX
-    shifted = T_MAX * shifted_sigma(sigma, stage.resolution, partition.final_resolution)
-    return stage.index, shifted
+    return stage.index, T_MAX * stage.shift(t / T_MAX)
 
 
 @dataclass(frozen=True)

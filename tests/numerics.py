@@ -1,14 +1,17 @@
 """Numerics that only the tests read: the net's finite-difference
 gradient check, the relative error the tests bound, the area
-downsampling that compares the dataset's two resolution tiers, and the
-oracles the net and the noise source must match bit for bit: the strided
-chunk code of the net and the eager Box-Muller generator.
+downsampling that compares the dataset's two resolution tiers, the
+logSNR form of the resolution shift that the stage map's closed form
+must match, and the oracles the net and the noise source must match bit
+for bit: the strided chunk code of the net and the eager Box-Muller
+generator.
 
 Test modules import it as ``from numerics import ...``.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +125,14 @@ def area_downsample(x: ImageGrid, factor: int) -> ImageGrid:
     if h % factor or w % factor:
         raise ValueError(f"size ({h},{w}) not divisible by factor {factor}")
     return x.reshape(c, h // factor, factor, w // factor, factor).mean(axis=(2, 4))
+
+
+def shift_logsnr(logsnr: float, res: int, final_res: int) -> float:
+    """Resolution-compensated logSNR: add 2 ln(res / final_res), the form
+    `ResolutionStage.shift` computes in closed form on sigma."""
+    if res <= 0 or final_res <= 0:
+        raise ValueError("resolutions must be positive")
+    return logsnr + 2.0 * math.log(res / final_res)
 
 
 # --- Oracles kept from earlier versions of the package -------------------

@@ -8,7 +8,7 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +89,13 @@ class TestConfig:
         with pytest.raises(cfgmod.ConfigError, match="data.n_per_class_high must be at least 1, got 0"):
             cfgmod.validate_config(cfg)
 
+    def test_sections_are_frozen(self):
+        cfg = cfgmod.toy_default()
+        for section in (cfg.data, cfg.teacher, cfg.distill, cfg.eval):
+            name = fields(section)[0].name
+            with pytest.raises(FrozenInstanceError):
+                setattr(section, name, getattr(section, name))
+
     def test_hash_changes_with_values(self):
         a = cfgmod.toy_default()
         b = cfgmod.apply_overrides(a, {"seed": "99"})
@@ -166,8 +173,10 @@ class TestCli:
     # does work: each out-of-range value below used to end in a traceback
     # (some only after sampling or training, or, for the net spec, after the
     # dataset loads), in a nan null width, in a silently skipped teacher
-    # phase, in gradient ascent (a negative lr), or
-    # in an inverted snr_clamp that pins every fake-score weight. The data-*
+    # phase, in gradient ascent (a negative lr), in clipping silently
+    # switched off (a clip_norm <= 0), in a sigma above 1 (a negative
+    # resolution), or in an inverted snr_clamp that pins every fake-score
+    # weight; a bad partition was reported without its key. The data-*
     # cases other than the counts set keys that are now constants of
     # crossres.data, so they are reported as unknown.
     @pytest.mark.parametrize("line, key", [
@@ -202,6 +211,13 @@ class TestCli:
         ("data.intensity_hi = -1.0", "data.intensity_hi"),
         ("distill.pseudo_huber_scale = 0.0", "distill.pseudo_huber_scale"),
         ("distill.snr_clamp = (20.0, 0.05)", "distill.snr_clamp"),
+        ("distill.resolutions = (0, 16)", "distill.resolutions"),
+        ("distill.resolutions = (-8, 16)", "distill.resolutions"),
+        ("distill.resolutions = (16, 8)", "distill.resolutions"),
+        ("distill.flow_shift = 0.5", "distill.flow_shift"),
+        ("distill.flow_shift = nan", "distill.flow_shift"),
+        ("teacher.clip_norm = 0.0", "teacher.clip_norm"),
+        ("distill.clip_norm = -1.0", "distill.clip_norm"),
         ("distill.n_steps = 4\ndistill.n_steps = 40", "distill.n_steps"),
     ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-empty-tier",
             "data-too-many-classes", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
@@ -211,7 +227,9 @@ class TestCli:
             "teacher-one-channel-entry", "teacher-zero-time-embed", "fractional-resolution",
             "fractional-channel-count", "data-low-res", "data-supersample", "data-zero-high-res",
             "data-degenerate-size", "data-center-off-canvas", "data-inverted-intensity",
-            "distill-zero-huber-scale", "distill-inverted-snr-clamp", "duplicate-key"])
+            "distill-zero-huber-scale", "distill-inverted-snr-clamp", "zero-resolution",
+            "negative-resolution", "decreasing-resolutions", "flow-shift-below-one", "nan-flow-shift",
+            "teacher-zero-clip-norm", "distill-negative-clip-norm", "duplicate-key"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")

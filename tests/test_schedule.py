@@ -1,4 +1,4 @@
-"""Schedule arithmetic: conversions, shifts, partitions, golden timestep tables."""
+"""Schedule arithmetic: conversions, the stage map, partitions, golden timestep tables."""
 import math
 
 import pytest
@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossres import schedule as sch
+from crossres.config import PRESETS
+from numerics import shift_logsnr
 
 # Closed-form constants (oracle: exact evaluation of the conversion
 # formulas; e.g. 2*ln(1/3) for the sigma = 0.75 logSNR).
@@ -69,18 +71,25 @@ class TestConversions:
         assert sch.logsnr_to_sigma(logsnr + delta) < sch.logsnr_to_sigma(logsnr)
 
 
+def stage_at(res, final_res):
+    """The map of a `res` px stage in a run that ends at `final_res` px."""
+    return sch.ResolutionStage(index=1, resolution=res, rho=res / final_res, teacher_interval=(0.0, 1000.0))
+
+
 class TestShift:
     def test_identity_when_same_resolution(self):
-        assert sch.shift_logsnr(-1.234, 640, 640) == -1.234
+        stage = sch.build_partition([], [640]).stages[0]
+        assert stage.rho == 1.0
+        assert stage.shift(0.37) == 0.37 and stage.unshift(0.37) == 0.37
 
     def test_derived_shift(self):
-        got = sch.shift_logsnr(LOGSNR_075, 512, 1024)
+        got = sch.sigma_to_logsnr(stage_at(512, 1024).shift(0.75))
         assert got == pytest.approx(LOGSNR_075 + 2.0 * math.log(0.5), rel=1e-12)
         assert got == pytest.approx(-3.58351893845611, rel=1e-9)
 
     def test_table_anchor_via_sigma(self):
         # teacher t = 750 at 512px of a 1024px run lands at t = 857
-        shifted = 1000.0 * sch.shifted_sigma(0.75, 512, 1024)
+        shifted = 1000.0 * stage_at(512, 1024).shift(0.75)
         assert round(shifted) == 857
 
     @given(
@@ -91,30 +100,40 @@ class TestShift:
     )
     @settings(max_examples=100)
     def test_shift_composition(self, logsnr, ra, rb, rc):
-        once = sch.shift_logsnr(sch.shift_logsnr(logsnr, ra, rb), rb, rc)
-        assert once == pytest.approx(sch.shift_logsnr(logsnr, ra, rc), rel=1e-12, abs=1e-12)
+        sigma = sch.logsnr_to_sigma(logsnr)
+        once = stage_at(rb, rc).shift(stage_at(ra, rb).shift(sigma))
+        assert once == pytest.approx(stage_at(ra, rc).shift(sigma), rel=1e-12, abs=1e-12)
 
     @given(st.floats(min_value=0.001, max_value=0.999))
     @settings(max_examples=100)
     def test_shift_direction(self, sigma):
         # lower resolution carries more noise at the matched state
-        assert sch.shifted_sigma(sigma, 512, 1024) > sigma
+        assert stage_at(512, 1024).shift(sigma) > sigma
 
     @given(st.floats(min_value=0.001, max_value=0.999))
     @settings(max_examples=100)
     def test_closed_form_matches_chain(self, sigma):
-        chain = sch.logsnr_to_sigma(sch.shift_logsnr(sch.sigma_to_logsnr(sigma), 480, 720))
-        assert sch.shifted_sigma(sigma, 480, 720) == pytest.approx(chain, rel=1e-12)
+        chain = sch.logsnr_to_sigma(shift_logsnr(sch.sigma_to_logsnr(sigma), 480, 720))
+        assert stage_at(480, 720).shift(sigma) == pytest.approx(chain, rel=1e-12)
 
     def test_endpoints_fixed(self):
-        assert sch.shifted_sigma(0.0, 512, 1024) == 0.0
-        assert sch.shifted_sigma(1.0, 512, 1024) == 1.0
+        stage = stage_at(512, 1024)
+        assert stage.shift(0.0) == 0.0 and stage.unshift(0.0) == 0.0
+        assert stage.shift(1.0) == 1.0 and stage.unshift(1.0) == 1.0
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=100)
     def test_unshift_inverts(self, sigma):
-        shifted = sch.shifted_sigma(sigma, 480, 720)
-        assert sch.unshift_sigma(shifted, 480, 720) == pytest.approx(sigma, abs=1e-12)
+        stage = stage_at(480, 720)
+        assert stage.unshift(stage.shift(sigma)) == pytest.approx(sigma, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5])
+    def test_rejects_sigma_outside_unit_interval(self, bad):
+        stage = stage_at(480, 720)
+        with pytest.raises(ValueError):
+            stage.shift(bad)
+        with pytest.raises(ValueError):
+            stage.unshift(bad)
 
 
 class TestFlowShift:
@@ -175,6 +194,9 @@ class TestPartition:
             sch.build_partition([-2.5], [1024, 512])
         with pytest.raises(ValueError):
             sch.build_partition([-2.5], [512])
+        for resolutions in ([0, 16], [-8, 16]):
+            with pytest.raises(ValueError, match="resolutions must be at least 1"):
+                sch.build_partition([-2.5], resolutions)
 
     def test_boundary_belongs_to_earlier_stage(self):
         p = sch.build_partition([-2.5], [512, 1024])
@@ -184,14 +206,13 @@ class TestPartition:
 
     def test_shifted_interval_is_image_of_teacher(self):
         p = wan_partition()
+        assert [stage.rho for stage in p.stages] == [480 / 720, 1.0]
         for stage in p.stages:
             lo, hi = stage.teacher_interval
-            assert stage.shifted_interval[0] == pytest.approx(
-                1000 * sch.shifted_sigma(lo / 1000, stage.resolution, 720), rel=1e-12
-            )
-            assert stage.shifted_interval[1] == pytest.approx(
-                1000 * sch.shifted_sigma(hi / 1000, stage.resolution, 720), rel=1e-12
-            )
+            assert stage.shifted_interval[0] == pytest.approx(1000 * stage.shift(lo / 1000), rel=1e-12)
+            assert stage.shifted_interval[1] == pytest.approx(1000 * stage.shift(hi / 1000), rel=1e-12)
+            back = [1000 * stage.unshift(t / 1000) for t in stage.shifted_interval]
+            assert back == pytest.approx([lo, hi], rel=1e-12)
 
 
 class TestMapTimestep:
@@ -242,6 +263,15 @@ class TestInferenceSchedule:
         paper_shifted_head = [1000, 974, 937]
         for row, ref in zip(rows[:3], paper_shifted_head):
             assert abs(round(row.shifted_t) - ref) <= 1
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_rows_follow_the_stage_map(self, name):
+        p = PRESETS[name]().distill.partition()
+        for n in range(p.num_stages, 13):
+            for row in sch.inference_schedule(n, p):
+                stage = p.stages[row.stage - 1]
+                assert row.shifted_sigma == pytest.approx(stage.shift(row.teacher_sigma), abs=1e-12)
+                assert stage.unshift(row.shifted_sigma) == pytest.approx(row.teacher_sigma, abs=1e-12)
 
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValueError):
