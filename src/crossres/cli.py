@@ -27,7 +27,7 @@ def _resolve_config(args) -> cfgmod.RunConfig:
     cfg = cfgmod.preset(args.preset)
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
+        if not path.is_file():
             raise PrerequisiteError(f"config file not found: {path}")
         cfg = cfgmod.apply_overrides(cfg, cfgmod.parse_overrides(path.read_text()))
     if getattr(args, "seed", None) is not None:
@@ -83,10 +83,10 @@ def cmd_train_teacher(args) -> int:
     cfg = _resolve_config(args)
     ds = _load(data.load_dataset, _dataset_path(cfg), "gen-data")
     run = cfgmod.RunDirectory(cfg.out_dir, cfg)
-    model = diffusion.train_teacher(ds, cfg.teacher, _root_rng(cfg).derive("teacher"))
+    model, _ = diffusion.train_teacher(
+        ds, cfg.teacher, _root_rng(cfg).derive("teacher"), log_path=run.file("teacher-log.csv"),
+    )
     nets.save_checkpoint(run.file("teacher.ckpt"), model.net)
-    write_csv(run.file("teacher-log.csv"), ["phase", "step", "loss"],
-              ([row["phase"], row["step"], row["loss"]] for row in model.log))
     run.record_time("train-teacher")
     run.finalize()
     print(f"teacher checkpoint at {run.file('teacher.ckpt')}")
@@ -171,9 +171,9 @@ def cmd_eval(args) -> int:
         rng=_root_rng(cfg).derive("eval"),
         out_dir=Path(cfg.out_dir) / "eval",
     )
-    methods = ["student-cascade", "naive-cascade"] + (["rm-disabled-cascade"] if rm_net is not None else [])
-    for method in methods:
-        print(f"{method}: mmd_to_reference = {report.value(method, 'mmd_to_reference'):.6f}")
+    for method, metric, value in report.rows:
+        if metric == "mmd_to_reference" and method != "reference-null":
+            print(f"{method}: mmd_to_reference = {value:.6f}")
     print(f"null width = {report.null_width:.6f}")
     print(f"report at {Path(cfg.out_dir) / 'eval' / 'report.csv'}")
     return 0
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     except (PrerequisiteError, cfgmod.ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
+    except (RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -10,15 +10,15 @@ distributions observable at all.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import net as nets
 from .cascade import run_cascade, schedule_trace
 from .data import ShapeDataset
-from .grid import ImageGrid, SeededRng
+from .grid import ImageGrid, SeededRng, write_csv
 from .schedule import build_partition
 
 
@@ -64,17 +64,18 @@ class TeacherConfig:
     batch_size: int = 16
     lr: float = 1e-3
     clip_norm: float = 1.0
-    log_every: int = 50
 
     def validate(self) -> None:
-        for key, least in (("phase1_steps", 0), ("phase2_steps", 0), ("batch_size", 1), ("log_every", 1)):
+        for key, least in (("phase1_steps", 0), ("phase2_steps", 0), ("batch_size", 1)):
             if getattr(self, key) < least:
                 raise ValueError(f"teacher.{key} must be at least {least}, got {getattr(self, key)}")
         for key in ("lr", "clip_norm"):
-            if not getattr(self, key) > 0.0:
-                raise ValueError(f"teacher.{key} must be positive, got {getattr(self, key)}")
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ValueError(f"teacher.{key} must be positive and finite, got {getattr(self, key)}")
         try:
             self.net_spec(0)
+            if self.channels[0] != 1 or self.channels[-1] != 1:
+                raise ValueError("the first and last widths must be 1, the dataset's one channel")
         except ValueError as err:
             raise ValueError(f"teacher.channels = {self.channels}, teacher.time_embed_dim = "
                              f"{self.time_embed_dim}: {err}") from None
@@ -87,8 +88,14 @@ class TeacherConfig:
 class TeacherModel:
     net: nets.DenoiserNet
     trained_resolutions: list[int] = field(default_factory=list)  # empty when loaded
-    log: list[dict] = field(default_factory=list)
     opt: nets.AdamW | None = None  # the optimizer that trained it; None when loaded
+
+
+@dataclass
+class TeacherStepRecord:
+    phase: str
+    step: int
+    loss: float
 
 
 def tensor_stats(arr: np.ndarray) -> str:
@@ -104,59 +111,65 @@ def tensor_stats(arr: np.ndarray) -> str:
     )
 
 
-def _run_phase(
-    model: TeacherModel,
-    opt: nets.AdamW,
-    images: np.ndarray,
-    classes: np.ndarray,
-    steps: int,
-    batch_size: int,
-    phase: str,
-    log_every: int,
+def abort_if_bad(value: float, what: str, where: str, ref: np.ndarray) -> None:
+    """The divergence check of both trainings: a non-finite `value` raises
+    a RuntimeError naming `what`, `where` and the statistics of `ref`."""
+    if not np.isfinite(value):
+        raise RuntimeError(f"non-finite {what} at {where}: {value}; tensor stats {tensor_stats(ref)}")
+
+
+def training_loop(record_type: type, steps: Iterator, log_path=None) -> list:
+    """The loop of both trainings: `steps` runs one update per record it
+    yields. Returns the records; with `log_path`, each is a row of that CSV
+    (header: `record_type`'s fields), written as its step finishes. numpy's
+    overflow warnings are silenced: `abort_if_bad` names a divergence."""
+    records = []
+
+    def rows():
+        for record in steps:
+            records.append(record)
+            yield astuple(record)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if log_path is None:
+            return list(steps)
+        write_csv(log_path, [f.name for f in fields(record_type)], rows())
+    return records
+
+
+def train_teacher(
+    dataset: ShapeDataset,
+    config: TeacherConfig,
     rng: SeededRng,
-) -> None:
-    n = len(images)
-    for step in range(steps):
-        idx = rng.choice(n, size=min(batch_size, n), replace=True)
-        sample_rngs = [rng.derive(f"{phase}:{step}:{k}") for k in range(len(idx))]
-        loss_mean, grads = teacher_loss(
-            model.net, images[idx], [int(c) for c in classes[idx]], sample_rngs
-        )
-        if not np.isfinite(loss_mean):
-            raise RuntimeError(
-                f"teacher training diverged at {phase} step {step}: "
-                f"loss {loss_mean}, images {tensor_stats(images[idx])}"
-            )
-        model.net.params, _ = opt.step(model.net.params, grads)
-        if step % log_every == 0 or step == steps - 1:
-            model.log.append({"phase": phase, "step": step, "loss": loss_mean})
-
-
-# A diverging run overflows to inf and nan; the loss check names it, and
-# numpy's warnings on the way there would only bury that one line.
-@np.errstate(over="ignore", invalid="ignore")
-def train_teacher(dataset: ShapeDataset, config: TeacherConfig, rng: SeededRng) -> TeacherModel:
+    log_path=None,
+) -> tuple[TeacherModel, list[TeacherStepRecord]]:
     """Curriculum training: low-tier phase, then high-tier fine-tune; each
-    phase trains at the resolution of its tier's rasters."""
+    phase trains at the resolution of its tier's rasters. Every step
+    yields a record; with `log_path`, each is a CSV row (`training_loop`)."""
     spec = config.net_spec(dataset.config.n_classes)
     params = nets.init_params(spec, rng.derive("teacher-init"))
     opt = nets.AdamW(lr=config.lr, clip_norm=config.clip_norm)
     model = TeacherModel(net=nets.DenoiserNet(spec, params), opt=opt)
-    if config.phase1_steps > 0:
-        _run_phase(
-            model, opt, dataset.low_images, dataset.low_classes,
-            config.phase1_steps, config.batch_size, "low", config.log_every,
-            rng.derive("teacher-phase1"),
-        )
-        model.trained_resolutions.append(dataset.low_images.shape[-1])
-    if config.phase2_steps > 0:
-        _run_phase(
-            model, opt, dataset.high_images, dataset.high_classes,
-            config.phase2_steps, config.batch_size, "high", config.log_every,
-            rng.derive("teacher-phase2"),
-        )
-        model.trained_resolutions.append(dataset.high_images.shape[-1])
-    return model
+    phases = (
+        ("low", dataset.low_images, dataset.low_classes, config.phase1_steps, "teacher-phase1"),
+        ("high", dataset.high_images, dataset.high_classes, config.phase2_steps, "teacher-phase2"),
+    )
+
+    def steps():
+        for phase, images, classes, n_steps, label in phases:
+            if n_steps == 0:
+                continue
+            phase_rng = rng.derive(label)
+            for step in range(n_steps):
+                idx = phase_rng.choice(len(images), size=min(config.batch_size, len(images)), replace=True)
+                sample_rngs = [phase_rng.derive(f"{phase}:{step}:{k}") for k in range(len(idx))]
+                loss, grads = teacher_loss(model.net, images[idx], [int(c) for c in classes[idx]], sample_rngs)
+                abort_if_bad(loss, "teacher loss", f"step {step} phase {phase}", model.net.params)
+                model.net.params, _ = opt.step(model.net.params, grads)
+                yield TeacherStepRecord(phase, step, loss)
+            model.trained_resolutions.append(images.shape[-1])
+
+    return model, training_loop(TeacherStepRecord, steps(), log_path)
 
 
 def euler_sample(

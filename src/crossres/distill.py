@@ -25,14 +25,14 @@ whole chain is validated against finite differences in the test suite.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import net as nets
 from .cascade import CascadeRun, InferenceTrace, StepTape, run_cascade, schedule_trace, step_vjp, transition
-from .diffusion import TeacherModel, tensor_stats
-from .grid import SeededRng, write_csv
+from .diffusion import TeacherModel, abort_if_bad, training_loop
+from .grid import SeededRng
 from .schedule import T_MAX, TrajectoryPartition, build_partition, sigma_to_logsnr
 
 PHASE_WARMUP = "warmup"
@@ -75,23 +75,19 @@ class DistillConfig:
     pseudo_huber_scale: float = 0.00054
 
     def validate(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"distill.alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.alpha_inference <= 1.0:
-            raise ValueError(f"distill.alpha_inference must lie in [0, 1], got {self.alpha_inference}")
-        if self.warmup_steps < 0 or self.steps < 0:
-            raise ValueError("distill.warmup_steps and distill.steps must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError(f"distill.batch_size must be at least 1, got {self.batch_size}")
-        for key in ("lr_generator", "lr_fake", "clip_norm"):
-            if not getattr(self, key) > 0.0:
-                raise ValueError(f"distill.{key} must be positive, got {getattr(self, key)}")
+        for key in ("alpha", "alpha_inference"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"distill.{key} must lie in [0, 1], got {getattr(self, key)}")
+        for key, least in (("warmup_steps", 0), ("steps", 0), ("batch_size", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"distill.{key} must be at least {least}, got {getattr(self, key)}")
+        for key in ("lr_generator", "lr_fake", "clip_norm", "pseudo_huber_scale"):
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ValueError(f"distill.{key} must be positive and finite, got {getattr(self, key)}")
         if not 0.0 < self.lr_final_fraction <= 1.0:
             raise ValueError("distill.lr_final_fraction must lie in (0, 1]")
-        if len(self.snr_clamp) != 2 or not 0.0 < self.snr_clamp[0] <= self.snr_clamp[1]:
-            raise ValueError(f"distill.snr_clamp must be (lo, hi) with 0 < lo <= hi, got {self.snr_clamp}")
-        if not self.pseudo_huber_scale > 0.0:
-            raise ValueError(f"distill.pseudo_huber_scale must be positive, got {self.pseudo_huber_scale}")
+        if len(self.snr_clamp) != 2 or not 0.0 < self.snr_clamp[0] <= self.snr_clamp[1] < np.inf:
+            raise ValueError(f"distill.snr_clamp must be (lo, hi) with 0 < lo <= hi < inf, got {self.snr_clamp}")
 
     def lr_scale(self, step: int) -> float:
         """Linear decay from 1 at step 0 to lr_final_fraction at the last step.
@@ -346,11 +342,6 @@ class TrainStepRecord:
     fake_grad_norm: float
 
 
-def _abort_if_bad(value: float, what: str, where: str, ref: np.ndarray) -> None:
-    if not np.isfinite(value):
-        raise RuntimeError(f"non-finite {what} at {where}: {value}; tensor stats {tensor_stats(ref)}")
-
-
 def train_step(
     state: DistillState,
     teacher: nets.DenoiserNet,
@@ -389,14 +380,14 @@ def train_step(
         state.fake, tape.x_high, sigma_target, tape.clean_up,
         sigma_stage, class_ids, config.snr_clamp,
     )
-    _abort_if_bad(fake_loss, "fake-score loss", where, tape.x_high)
+    abort_if_bad(fake_loss, "fake-score loss", where, tape.x_high)
     state.fake.params, _ = state.opt_fake.step(state.fake.params, fake_grads)
 
     # generator update against the just-updated fake score
     gen_loss, upstream = generator_loss(
         tape.x_high, sigma_target, state.fake, teacher, class_ids, config.pseudo_huber_scale,
     )
-    _abort_if_bad(gen_loss, "generator loss", where, tape.x_high)
+    abort_if_bad(gen_loss, "generator loss", where, tape.x_high)
     gen_grads, d_state = backward_transform(state.generator, tape, class_ids, upstream)
     gen_grads += cascade_chain_backward(state.generator, run, sel, class_ids, d_state)
     state.generator.params, _ = state.opt_generator.step(state.generator.params, gen_grads)
@@ -415,7 +406,6 @@ def train_step(
     return record
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence is reported by the loss checks, as in train_teacher
 def train(
     teacher: TeacherModel,
     config: DistillConfig,
@@ -423,30 +413,23 @@ def train(
     log_path=None,
 ) -> tuple[DistillState, list[TrainStepRecord]]:
     """Drive the full distillation run. Class ids are drawn from the
-    teacher net's classes. With `log_path`, each step's record is a row of
-    that CSV, written as the step finishes."""
+    teacher net's classes. With `log_path`, each step's record is a CSV
+    row (`training_loop`)."""
     config.validate()
     n_classes = teacher.net.spec.class_count
     partition = config.partition()
     state = init_distill_state(teacher, config)
-    records: list[TrainStepRecord] = []
 
-    def log_rows():
+    def steps():
         batch_rng = rng.derive("batches")
         for _ in range(config.steps):
             if n_classes > 0:
                 class_ids = [int(batch_rng.integers(0, n_classes)) for _ in range(config.batch_size)]
             else:
                 class_ids = [None] * config.batch_size
-            records.append(train_step(state, teacher.net, partition, config, class_ids, rng))
-            yield astuple(records[-1])
+            yield train_step(state, teacher.net, partition, config, class_ids, rng)
 
-    if log_path is None:
-        for _ in log_rows():
-            pass
-    else:
-        write_csv(log_path, [f.name for f in fields(TrainStepRecord)], log_rows())
-    return state, records
+    return state, training_loop(TrainStepRecord, steps(), log_path)
 
 
 def rm_disabled_config(config: DistillConfig) -> DistillConfig:

@@ -49,6 +49,8 @@ class NetSpec:
     def __post_init__(self) -> None:
         if len(self.channels) < 2:
             raise ValueError("need at least one convolution layer")
+        if min(self.channels) < 1:
+            raise ValueError(f"every channel width must be at least 1, got {self.channels}")
         if self.time_embed_dim % 2 or self.time_embed_dim <= 0:
             raise ValueError("time_embed_dim must be positive and even")
 

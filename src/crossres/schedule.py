@@ -52,8 +52,8 @@ def apply_flow_shift(u: float, shift: float) -> float:
     """Monotone reparameterization shift*u / (1 + (shift-1)*u) of a step fraction."""
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u}")
-    if shift < 1.0:
-        raise ValueError(f"flow shift must be >= 1, got {shift}")
+    if not 1.0 <= shift < math.inf:
+        raise ValueError(f"flow shift must be finite and >= 1, got {shift}")
     return shift * u / (1.0 + (shift - 1.0) * u)
 
 

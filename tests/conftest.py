@@ -30,9 +30,10 @@ def toy_dataset(toy_config):
 
 @pytest.fixture(scope="session")
 def toy_teacher(toy_config, toy_dataset):
-    return diffusion.train_teacher(
+    model, _ = diffusion.train_teacher(
         toy_dataset, toy_config.teacher, SeededRng(ROOT_SEED).derive("teacher")
     )
+    return model
 
 
 @pytest.fixture(scope="session")

@@ -74,7 +74,7 @@ class TestConfig:
 
     def test_settable_value_count(self):
         # a new config key shows up here as a test diff
-        assert len(cfgmod._walk(cfgmod.RunConfig())) == 32
+        assert len(cfgmod._walk(cfgmod.RunConfig())) == 31
 
     def test_defaults_are_toy_default(self):
         assert cfgmod.toy_default() == cfgmod.RunConfig()
@@ -174,11 +174,13 @@ class TestCli:
     # (some only after sampling or training, or, for the net spec, after the
     # dataset loads), in a nan null width, in a silently skipped teacher
     # phase, in gradient ascent (a negative lr), in clipping silently
-    # switched off (a clip_norm <= 0), in a sigma above 1 (a negative
-    # resolution), or in an inverted snr_clamp that pins every fake-score
-    # weight; a bad partition was reported without its key. The data-*
-    # cases other than the counts set keys that are now constants of
-    # crossres.data, so they are reported as unknown.
+    # switched off (a clip_norm <= 0 or inf), in a sigma above 1 (a negative
+    # resolution), in an inverted snr_clamp that pins every fake-score
+    # weight, or in a 2-channel prediction broadcast against 1-channel
+    # targets; a bad partition was reported without its key. The data-*
+    # cases other than the counts, and teacher.log_every (the teacher logs
+    # every step), set keys that no longer exist, so they are reported as
+    # unknown.
     @pytest.mark.parametrize("line, key", [
         ("distill.nonsense = 1", "distill.nonsense"),
         ("distill.n_steps = four", "distill.n_steps"),
@@ -186,7 +188,7 @@ class TestCli:
         ("data.n_per_class_low = 0", "data.n_per_class_low"),
         ("data.n_classes = 4", "data.n_classes"),
         ("teacher.phase1_steps = -5", "teacher.phase1_steps"),
-        ("teacher.log_every = 0", "teacher.log_every"),
+        ("teacher.log_every = 50", "teacher.log_every"),
         ("teacher.batch_size = 0", "teacher.batch_size"),
         ("distill.batch_size = 0", "distill.batch_size"),
         ("distill.n_steps = 1", "distill.n_steps"),
@@ -219,6 +221,15 @@ class TestCli:
         ("teacher.clip_norm = 0.0", "teacher.clip_norm"),
         ("distill.clip_norm = -1.0", "distill.clip_norm"),
         ("distill.n_steps = 4\ndistill.n_steps = 40", "distill.n_steps"),
+        ("teacher.channels = (1, 0, 1)", "teacher.channels"),
+        ("teacher.channels = (1, -3, 1)", "teacher.channels"),
+        ("teacher.channels = (2, 8, 1)", "teacher.channels"),
+        ("teacher.channels = (1, 8, 2)", "teacher.channels"),
+        ("teacher.lr = inf", "teacher.lr"),
+        ("teacher.clip_norm = inf", "teacher.clip_norm"),
+        ("distill.clip_norm = inf", "distill.clip_norm"),
+        ("distill.pseudo_huber_scale = inf", "distill.pseudo_huber_scale"),
+        ("distill.snr_clamp = (0.05, inf)", "distill.snr_clamp"),
     ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-empty-tier",
             "data-too-many-classes", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
             "distill-batch-size", "fewer-steps-than-stages", "stage-without-step", "eval-set-too-small",
@@ -229,7 +240,10 @@ class TestCli:
             "data-degenerate-size", "data-center-off-canvas", "data-inverted-intensity",
             "distill-zero-huber-scale", "distill-inverted-snr-clamp", "zero-resolution",
             "negative-resolution", "decreasing-resolutions", "flow-shift-below-one", "nan-flow-shift",
-            "teacher-zero-clip-norm", "distill-negative-clip-norm", "duplicate-key"])
+            "teacher-zero-clip-norm", "distill-negative-clip-norm", "duplicate-key",
+            "teacher-zero-width", "teacher-negative-width", "teacher-two-channel-input",
+            "teacher-two-channel-output", "teacher-infinite-lr", "teacher-infinite-clip-norm",
+            "distill-infinite-clip-norm", "distill-infinite-huber-scale", "distill-infinite-snr-clamp"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -257,6 +271,35 @@ class TestCli:
         assert proc.returncode == 1
         # the error line is all of stderr: no traceback, no numpy warning
         assert re.fullmatch(r"error: non-finite \S.* at step 1 phase warmup stage 1: [^\n]*\n", proc.stderr)
+
+    def test_diverged_teacher_names_step_phase_and_keeps_its_log(self, tmp_path, micro_config):
+        out = tmp_path / "run"
+        assert main(["gen-data", "--out", str(out), "--config", str(micro_config)]) == 0
+        cfg_file = tmp_path / "diverge.cfg"
+        cfg_file.write_text(micro_config.read_text() + "teacher.lr = 1e300\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(crossres.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "crossres", "train-teacher", "--out", str(out), "--config",
+                               str(cfg_file)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        # the error line is all of stderr: no traceback, no numpy warning
+        failed = re.fullmatch(r"error: non-finite teacher loss at step (\d+) phase low: [^\n]*\n", proc.stderr)
+        assert failed, proc.stderr
+        # the log holds every step that finished before the failing one
+        with open(out / "teacher-log.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["phase", "step", "loss"]
+        assert [(phase, int(step)) for phase, step, _ in rows[1:]] == [("low", k) for k in range(int(failed[1]))]
+        assert not (out / "teacher.ckpt").exists()
+
+    def test_missing_csv_directory_is_one_error_line(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["schedule", "--csv", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+
+    def test_config_directory_is_rejected(self, tmp_path, capsys):
+        assert main(["schedule", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {tmp_path}\n"
 
     def test_non_finite_checkpoint_is_reported(self, tmp_path, capsys):
         spec = nets.NetSpec(channels=(1, 4, 1))

@@ -500,7 +500,7 @@ class TestTrainStep:
         tcfg = diffusion.TeacherConfig(
             channels=(1, 12, 12, 1), phase1_steps=300, phase2_steps=300, batch_size=8
         )
-        teacher = diffusion.train_teacher(ds, tcfg, SeededRng(401))
+        teacher, _ = diffusion.train_teacher(ds, tcfg, SeededRng(401))
         cfg = desk_config(warmup_steps=40, steps=500, batch_size=4)
         state = distill.init_distill_state(teacher, cfg)
         p = cfg.partition()

@@ -140,6 +140,11 @@ class TestFlowShift:
     def test_identity(self):
         assert sch.apply_flow_shift(0.37, 1.0) == 0.37
 
+    @pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
+    def test_rejects_shift_that_is_not_finite_and_at_least_one(self, bad):
+        with pytest.raises(ValueError, match="flow shift must be finite and >= 1"):
+            sch.apply_flow_shift(0.5, bad)
+
     def test_derived_values(self):
         assert sch.apply_flow_shift(0.75, 3.0) == pytest.approx(0.9, rel=1e-12)
         assert sch.apply_flow_shift(5.0 / 6.0, 5.0) == pytest.approx(0.9615384615384615, rel=1e-12)
