@@ -3,7 +3,7 @@
 One state machine drives both user-facing sampling and the recorded
 trajectories that distillation differentiates through. Within a stage the
 sampler takes Euler steps at the stage's shifted noise levels; when the
-next timestep belongs to the following stage it takes a `transition`: it
+next timestep belongs to the following stage it takes a transition: it
 recovers the clean estimate, upsamples it, and re-injects noise at the
 next shifted level.
 
@@ -13,9 +13,10 @@ trajectory) and a fresh Gaussian draw, weighted alpha / sqrt(1 - alpha^2).
 With alpha = 0 the transition is a pure stochastic re-noising; with
 alpha = 1 it continues the trajectory exactly.
 
-Distillation's projection into the teacher space is the same transition,
-taken to the final resolution at the drawn teacher noise level. Both kinds
-of step share one adjoint, `step_vjp`, which reads a `StepTape` record.
+Every step is a `StepTape` record: `step_forward` runs it and `step_vjp`
+differentiates it. Distillation's projection into the teacher space is
+one more transition record, taken to the final resolution at the drawn
+teacher noise level.
 
 A batch of cascades is one validated trace (`schedule_trace`, the
 schedule's rows) and one alpha_inference with one (class id, seed) per
@@ -40,7 +41,7 @@ __all__ = [
     "StepTape",
     "CascadeRun",
     "mix_noise",
-    "transition",
+    "step_forward",
     "step_vjp",
     "schedule_trace",
     "run_cascade",
@@ -62,31 +63,6 @@ def mix_noise(predicted: ImageGrid, gaussian: ImageGrid, alpha: float) -> ImageG
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     beta = np.sqrt(1.0 - alpha * alpha)
     return alpha * np.asarray(predicted) + beta * np.asarray(gaussian)
-
-
-def transition(
-    x: np.ndarray,
-    v: np.ndarray,
-    sigma: float,
-    sigma_next: float,
-    alpha: float,
-    res: int,
-    rngs: Sequence[SeededRng],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Denoise, upsample to `res`, and re-noise at sigma_next, for a batch
-    x of states (N, C, H, W) with predicted velocities v.
-
-    x_next = (1 - s) U(x0_hat) + s mix_noise(U(x0_hat + v), eps, alpha)
-    with x0_hat = x - sigma * v, s = sigma_next and one fresh Gaussian eps
-    per image, drawn from that image's rng. Returns (U(x0_hat), x_next).
-    """
-    x0_hat = x - sigma * v
-    clean_up = bilinear_upsample(x0_hat, res, res)
-    # the model-implied noise x0_hat + v, written x + (1 - sigma) v
-    predicted = bilinear_upsample(x + (1.0 - sigma) * v, res, res)
-    eps = np.stack([rng.normal(clean_up.shape[1:]) for rng in rngs])
-    x_next = (1.0 - sigma_next) * clean_up + sigma_next * mix_noise(predicted, eps, alpha)
-    return clean_up, x_next
 
 
 @dataclass(frozen=True)
@@ -137,13 +113,12 @@ class InferenceTrace:
 
 @dataclass
 class StepTape:
-    """What `step_vjp` reads about one step of a batch."""
+    """One step of a batch: what `step_forward` runs and `step_vjp` reads."""
 
-    kind: str  # "euler" or "transition"
     x_in: np.ndarray  # states before the step (the recorded cascade states)
     sigma_in: float  # sigma conditioning the prediction
     sigma_next: float  # sigma of the successor state
-    alpha: float | None  # noise-mix weight of a transition; None for Euler
+    alpha: float | None  # noise-mix weight of a transition; None for an Euler step
 
 
 @dataclass
@@ -157,13 +132,42 @@ class CascadeRun:
     tape: list[StepTape] = field(default_factory=list)
 
 
+def step_forward(
+    net: nets.DenoiserNet,
+    tape: StepTape,
+    class_ids: Sequence[int | None],
+    res: int,
+    rngs: Sequence[SeededRng],
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Run one step of a batch of states (N, C, H, W); returns (x_next,
+    U(x0_hat)) for a transition and (x_next, None) for an Euler step.
+
+    An Euler step moves x to sigma_next along the predicted velocity v. A
+    transition denoises, upsamples to `res` and re-noises at sigma_next:
+    x_next = (1 - s) U(x0_hat) + s mix_noise(U(x0_hat + v), eps, alpha)
+    with x0_hat = x - sigma * v, s = sigma_next and one fresh Gaussian eps
+    per image, drawn from that image's rng.
+    """
+    x, sigma, sigma_next = tape.x_in, tape.sigma_in, tape.sigma_next
+    v = nets.forward(net, x, sigma, class_ids)
+    if tape.alpha is None:
+        return x - (sigma - sigma_next) * v, None
+    x0_hat = x - sigma * v
+    clean_up = bilinear_upsample(x0_hat, res, res)
+    # the model-implied noise x0_hat + v, written x + (1 - sigma) v
+    predicted = bilinear_upsample(x + (1.0 - sigma) * v, res, res)
+    eps = np.stack([rng.normal(clean_up.shape[1:]) for rng in rngs])
+    x_next = (1.0 - sigma_next) * clean_up + sigma_next * mix_noise(predicted, eps, tape.alpha)
+    return x_next, clean_up
+
+
 def step_vjp(
     net: nets.DenoiserNet, tape: StepTape, class_ids: Sequence[int | None], d_next: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of one recorded step: (param grads summed over the batch,
     grad at tape.x_in) from the gradient at the step's output. The fresh
     noise of a transition is a constant, so it needs no record."""
-    if tape.kind == "euler":
+    if tape.alpha is None:
         d_v = -(tape.sigma_in - tape.sigma_next) * d_next
         grads, gx = nets.backward(net, tape.x_in, tape.sigma_in, class_ids, d_v)
         return grads, d_next + gx
@@ -180,8 +184,8 @@ def step_vjp(
 def schedule_trace(partition: TrajectoryPartition, n_steps: int) -> InferenceTrace:
     """The validated trace of an n_steps cascade: the schedule's rows.
 
-    Every step's stage, noise level, resolution and kind are fixed before
-    any state exists, so a cascade is checked before its first forward.
+    Every step's stage, noise level, resolution and transition flag are
+    fixed before any state exists, so a cascade is checked before its first forward.
     This is the one place a schedule is built; a caller builds it once and
     hands it to every `run_cascade` of the run.
     """
@@ -219,33 +223,19 @@ def run_cascade(
     stop = len(records) if stop is None else stop
     if not 0 <= stop <= len(records):
         raise ValueError(f"stop must lie in [0, {len(records)}], got {stop}")
-    # terminal landing point: sigma = 0
+    # the successor of each step; the last lands at sigma = 0
     next_sigma = [r.shifted_sigma for r in records[1:]] + [0.0]
+    next_res = [r.resolution for r in records[1:]] + [records[-1].resolution]
 
     rngs = [SeededRng(seed) for seed in seeds]
     res0 = records[0].resolution
     x = np.stack([rng.normal((net.spec.channels[0], res0, res0)) for rng in rngs])
     tape: list[StepTape] = []
     for j, record in enumerate(records[:stop]):
-        sigma = record.shifted_sigma
-        v = nets.forward(net, x, sigma, class_ids)
-        if not record.transition:
-            x_next = x - (sigma - next_sigma[j]) * v
-        else:
-            _, x_next = transition(
-                x, v, sigma, next_sigma[j], alpha_inference, records[j + 1].resolution, rngs,
-            )
+        step = StepTape(x, record.shifted_sigma, next_sigma[j], alpha_inference if record.transition else None)
+        x, _ = step_forward(net, step, class_ids, next_res[j], rngs)
         if keep_tape:
-            tape.append(
-                StepTape(
-                    kind="transition" if record.transition else "euler",
-                    x_in=x,
-                    sigma_in=sigma,
-                    sigma_next=next_sigma[j],
-                    alpha=alpha_inference if record.transition else None,
-                )
-            )
-        x = x_next
+            tape.append(step)
     return CascadeRun(final=x, trace=trace, tape=tape)
 
 

@@ -32,8 +32,6 @@ def _resolve_config(args) -> cfgmod.RunConfig:
         cfg = cfgmod.apply_overrides(cfg, cfgmod.parse_overrides(path.read_text()))
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=args.out)
     cfgmod.validate_config(cfg)
     return cfg
 
@@ -42,16 +40,16 @@ def _root_rng(cfg: cfgmod.RunConfig) -> SeededRng:
     return SeededRng(cfg.seed)
 
 
-def _dataset_path(cfg: cfgmod.RunConfig) -> Path:
-    return Path(cfg.out_dir) / "dataset.bin"
+def _dataset_path(args) -> Path:
+    return Path(args.out) / "dataset.bin"
 
 
-def _teacher_path(cfg: cfgmod.RunConfig) -> Path:
-    return Path(cfg.out_dir) / "teacher.ckpt"
+def _teacher_path(args) -> Path:
+    return Path(args.out) / "teacher.ckpt"
 
 
-def _generator_path(cfg: cfgmod.RunConfig) -> Path:
-    return Path(cfg.out_dir) / "distill" / "generator-final.ckpt"
+def _generator_path(args) -> Path:
+    return Path(args.out) / "distill" / "generator-final.ckpt"
 
 
 def _load(loader, path: Path, hint: str):
@@ -71,7 +69,7 @@ def _print_optimizer(name: str, opt: nets.AdamW) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
-    run = cfgmod.RunDirectory(cfg.out_dir, cfg)
+    run = cfgmod.RunDirectory(args.out, cfg)
     data.gen_dataset(cfg.data, _root_rng(cfg).derive("dataset"), run.file("dataset.bin"))
     run.record_time("gen-data")
     run.finalize()
@@ -81,8 +79,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_teacher(args) -> int:
     cfg = _resolve_config(args)
-    ds = _load(data.load_dataset, _dataset_path(cfg), "gen-data")
-    run = cfgmod.RunDirectory(cfg.out_dir, cfg)
+    ds = _load(data.load_dataset, _dataset_path(args), "gen-data")
+    run = cfgmod.RunDirectory(args.out, cfg)
     model, _ = diffusion.train_teacher(
         ds, cfg.teacher, _root_rng(cfg).derive("teacher"), log_path=run.file("teacher-log.csv"),
     )
@@ -96,9 +94,9 @@ def cmd_train_teacher(args) -> int:
 
 def cmd_distill(args) -> int:
     cfg = _resolve_config(args)
-    teacher_net = _load(nets.load_checkpoint, _teacher_path(cfg), "train-teacher")
+    teacher_net = _load(nets.load_checkpoint, _teacher_path(args), "train-teacher")
     teacher = diffusion.TeacherModel(net=teacher_net)
-    run = cfgmod.RunDirectory(cfg.out_dir, cfg)
+    run = cfgmod.RunDirectory(args.out, cfg)
     ckpt_dir = run.file("distill")
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     arm = "rm-disabled" if args.rm_disabled else "final"
@@ -122,13 +120,13 @@ def cmd_sample(args) -> int:
         raise cfgmod.ConfigError(f"--count must be at least 1, got {args.count}")
     if args.many_step is not None and args.many_step < 1:
         raise cfgmod.ConfigError(f"--many-step must be at least 1, got {args.many_step}")
-    ckpt = Path(args.checkpoint) if args.checkpoint else _generator_path(cfg)
+    ckpt = Path(args.checkpoint) if args.checkpoint else _generator_path(args)
     net = _load(nets.load_checkpoint, ckpt, "distill")
     n_classes = net.spec.class_count
     if args.class_id is not None and not 0 <= args.class_id < n_classes:
         raise cfgmod.ConfigError(
             f"--class-id must be in [0, {n_classes}) for {ckpt}, got {args.class_id}")
-    out_dir = Path(cfg.out_dir) / "samples"
+    out_dir = Path(args.out) / "samples"
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = _root_rng(cfg)
     class_ids = ([args.class_id] * args.count if args.class_id is not None
@@ -153,11 +151,11 @@ def cmd_sample(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    teacher = _load(nets.load_checkpoint, _teacher_path(cfg), "train-teacher")
-    student = _load(nets.load_checkpoint, _generator_path(cfg), "distill")
-    rm_path = Path(cfg.out_dir) / "distill" / "generator-rm-disabled.ckpt"
+    teacher = _load(nets.load_checkpoint, _teacher_path(args), "train-teacher")
+    student = _load(nets.load_checkpoint, _generator_path(args), "distill")
+    rm_path = Path(args.out) / "distill" / "generator-rm-disabled.ckpt"
     rm_net = _load(nets.load_checkpoint, rm_path, "distill --rm-disabled") if rm_path.exists() else None
-    ds_path = _dataset_path(cfg)
+    ds_path = _dataset_path(args)
     ds = _load(data.load_dataset, ds_path, "gen-data") if ds_path.exists() else None
     report = evalsuite.evaluate_run(
         student=student,
@@ -169,13 +167,13 @@ def cmd_eval(args) -> int:
         alpha_inference=cfg.distill.alpha_inference,
         cfg=cfg.eval,
         rng=_root_rng(cfg).derive("eval"),
-        out_dir=Path(cfg.out_dir) / "eval",
+        out_dir=Path(args.out) / "eval",
     )
     for method, metric, value in report.rows:
         if metric == "mmd_to_reference" and method != "reference-null":
             print(f"{method}: mmd_to_reference = {value:.6f}")
     print(f"null width = {report.null_width:.6f}")
-    print(f"report at {Path(cfg.out_dir) / 'eval' / 'report.csv'}")
+    print(f"report at {Path(args.out) / 'eval' / 'report.csv'}")
     return 0
 
 
@@ -227,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", default="toy-default", choices=sorted(cfgmod.PRESETS))
         p.add_argument("--config", help="key-path = value override file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="run directory")
+        p.add_argument("--out", default="runs/toy", help="run directory")
 
     p = sub.add_parser("gen-data", help="generate the two-tier shape dataset")
     common(p)

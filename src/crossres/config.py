@@ -31,7 +31,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    out_dir: str = "runs/toy"
     data: DataConfig = field(default_factory=DataConfig)
     teacher: TeacherConfig = field(default_factory=TeacherConfig)
     distill: DistillConfig = field(default_factory=DistillConfig)

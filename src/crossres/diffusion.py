@@ -100,13 +100,17 @@ class TeacherStepRecord:
 
 def tensor_stats(arr: np.ndarray) -> str:
     """Mean/std/min/max over a tensor's finite entries, and its count of
-    non-finite entries, for divergence messages."""
+    non-finite entries, for divergence messages. The mean and std are taken
+    of the entries over their largest magnitude, so they do not overflow
+    near the largest float."""
     finite = arr[np.isfinite(arr)]
     count = f"nonfinite={arr.size - finite.size}/{arr.size}"
     if finite.size == 0:
         return count
+    scale = np.abs(finite).max() or 1.0
+    unit = finite / scale
     return (
-        f"mean={finite.mean():.4g} std={finite.std():.4g} "
+        f"mean={unit.mean() * scale:.4g} std={unit.std() * scale:.4g} "
         f"min={finite.min():.4g} max={finite.max():.4g} {count}"
     )
 

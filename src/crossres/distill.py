@@ -8,9 +8,10 @@ matching distributions in the teacher's (high-resolution) space:
 2. run the generator's own cascade up to the selected step, recording
    every state before it,
 3. project the selected state to the final resolution with the cascade's
-   own `transition` (denoise to a clean estimate, upsample, and re-noise
-   with an alpha-mix of model-implied and fresh Gaussian noise), taken at
-   the drawn teacher level and the training-time alpha,
+   own transition step, `step_forward` (denoise to a clean estimate,
+   upsample, and re-noise with an alpha-mix of model-implied and fresh
+   Gaussian noise), taken at the drawn teacher level and the training-time
+   alpha,
 4. update the fake score on a weighted denoising objective toward the
    projected clean estimate, then update the generator on the
    pseudo-Huber score-difference objective, with gradients flowing
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import net as nets
-from .cascade import CascadeRun, InferenceTrace, StepTape, run_cascade, schedule_trace, step_vjp, transition
+from .cascade import CascadeRun, InferenceTrace, StepTape, run_cascade, schedule_trace, step_forward, step_vjp
 from .diffusion import TeacherModel, abort_if_bad, training_loop
 from .grid import SeededRng
 from .schedule import T_MAX, TrajectoryPartition, build_partition, sigma_to_logsnr
@@ -210,15 +211,6 @@ def select_state_index(run: CascadeRun, stage: int, shifted_t: float) -> int:
     return best
 
 
-@dataclass
-class TransformTape(StepTape):
-    """Record of one batch's projection: the transition step to the final
-    resolution, plus its outputs."""
-
-    clean_up: np.ndarray  # U(x0_hat): the fake score's clean targets
-    x_high: np.ndarray
-
-
 def upsample_transform(
     generator: nets.DenoiserNet,
     x: np.ndarray,
@@ -228,27 +220,20 @@ def upsample_transform(
     alpha: float,
     final_res: int,
     rngs: Sequence[SeededRng],
-) -> TransformTape:
+) -> tuple[StepTape, np.ndarray, np.ndarray]:
     """Project a batch of cascade states into the teacher space at
     sigma_target: the cascade transition to final_res with sigma_next =
-    sigma_target, image i's fresh noise drawn from rngs[i].
+    sigma_target, image i's fresh noise drawn from rngs[i]. Returns the
+    step's tape, U(x0_hat) (the fake score's clean targets) and x_high.
     Differentiable end to end via `backward_transform`."""
-    v = nets.forward(generator, x, sigma_state, class_ids)
-    clean_up, x_high = transition(x, v, sigma_state, sigma_target, alpha, final_res, rngs)
-    return TransformTape(
-        kind="transition",
-        x_in=x,
-        sigma_in=sigma_state,
-        sigma_next=sigma_target,
-        alpha=alpha,
-        clean_up=clean_up,
-        x_high=x_high,
-    )
+    tape = StepTape(x, sigma_state, sigma_target, alpha)
+    x_high, clean_up = step_forward(generator, tape, class_ids, final_res, rngs)
+    return tape, clean_up, x_high
 
 
 def backward_transform(
     generator: nets.DenoiserNet,
-    tape: TransformTape,
+    tape: StepTape,
     class_ids: Sequence[int | None],
     d_x_high: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +354,7 @@ def train_step(
         [rng.derive(f"cascade:{state.step}:{i}").seed for i in range(len(class_ids))],
         config.alpha_inference, stop=sel,
     )
-    tape = upsample_transform(
+    tape, clean_up, x_high = upsample_transform(
         state.generator, run.final, sigma_state, class_ids,
         sigma_target, config.alpha, final_res,
         [rng.derive(f"transform:{state.step}:{i}") for i in range(len(class_ids))],
@@ -377,17 +362,17 @@ def train_step(
 
     # fake score update (clean targets and states are detached values)
     fake_loss, fake_grads = fake_score_loss(
-        state.fake, tape.x_high, sigma_target, tape.clean_up,
+        state.fake, x_high, sigma_target, clean_up,
         sigma_stage, class_ids, config.snr_clamp,
     )
-    abort_if_bad(fake_loss, "fake-score loss", where, tape.x_high)
+    abort_if_bad(fake_loss, "fake-score loss", where, x_high)
     state.fake.params, _ = state.opt_fake.step(state.fake.params, fake_grads)
 
     # generator update against the just-updated fake score
     gen_loss, upstream = generator_loss(
-        tape.x_high, sigma_target, state.fake, teacher, class_ids, config.pseudo_huber_scale,
+        x_high, sigma_target, state.fake, teacher, class_ids, config.pseudo_huber_scale,
     )
-    abort_if_bad(gen_loss, "generator loss", where, tape.x_high)
+    abort_if_bad(gen_loss, "generator loss", where, x_high)
     gen_grads, d_state = backward_transform(state.generator, tape, class_ids, upstream)
     gen_grads += cascade_chain_backward(state.generator, run, sel, class_ids, d_state)
     state.generator.params, _ = state.opt_generator.step(state.generator.params, gen_grads)

@@ -186,7 +186,7 @@ def write_framed(path, magic: bytes, version: int, header: dict, payload: bytes)
         f.write(payload)
 
 
-def read_framed(path, magic: bytes, version: int, kind: str,
+def read_framed(path, magic: bytes, version: int, what: str,
                 payload_size: Callable[[dict], int]) -> tuple[dict, memoryview]:
     """Read a `write_framed` file as (header, payload); rejects foreign,
     truncated or padded files with a ValueError that names the path.
@@ -196,12 +196,12 @@ def read_framed(path, magic: bytes, version: int, kind: str,
     """
     raw = Path(path).read_bytes()
     if raw[:4] != magic:
-        raise ValueError(f"{path}: not a {kind} file (magic {raw[:4]!r})")
+        raise ValueError(f"{path}: not a {what} file (magic {raw[:4]!r})")
     if len(raw) < 12:
         raise ValueError(f"{path}: expected at least 12 bytes of preamble, found {len(raw)}")
     found_version, header_len = struct.unpack_from("<II", raw, 4)
     if found_version != version:
-        raise ValueError(f"{path}: unsupported {kind} version {found_version}")
+        raise ValueError(f"{path}: unsupported {what} version {found_version}")
     payload_start = 12 + header_len
     if len(raw) < payload_start:
         raise ValueError(
@@ -212,7 +212,7 @@ def read_framed(path, magic: bytes, version: int, kind: str,
         header = json.loads(raw[12:payload_start].decode())
         expected = payload_start + payload_size(header)
     except (ValueError, KeyError, TypeError) as err:
-        raise ValueError(f"{path}: unreadable {kind} header ({type(err).__name__}: {err})") from err
+        raise ValueError(f"{path}: unreadable {what} header ({type(err).__name__}: {err})") from err
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes from the header, found {len(raw)}")
     return header, memoryview(raw)[payload_start:]

@@ -89,24 +89,23 @@ class TestCriterion03NumericalCorrectness:
             run = distill.generate_cascade_states(g, class_ids, trace, [17], 1.0)
             sel = distill.select_state_index(run, stage, shifted_t)
             src = run.tape[sel]
-            tape = distill.upsample_transform(
+            tape, _, x_high = distill.upsample_transform(
                 g, src.x_in, src.sigma_in, class_ids, sigma_target, 0.2, 16, [SeededRng(18)]
             )
-            return run, sel, tape
+            return run, sel, tape, x_high
 
-        run, sel, tape = chain(gen)
-        _, upstream = distill.generator_loss(tape.x_high, sigma_target, fake, teacher, class_ids)
+        run, sel, tape, x_high = chain(gen)
+        _, upstream = distill.generator_loss(x_high, sigma_target, fake, teacher, class_ids)
         grads, d_state = distill.backward_transform(gen, tape, class_ids, upstream)
         grads = grads + distill.cascade_chain_backward(gen, run, sel, class_ids, d_state)
 
-        v_f = nets.forward(fake, tape.x_high, sigma_target, class_ids)
-        v_t = nets.forward(teacher, tape.x_high, sigma_target, class_ids)
-        y0 = tape.x_high + sigma_target * (v_f - v_t)
-        c = distill.pseudo_huber_constant(tape.x_high.size)
+        v_f = nets.forward(fake, x_high, sigma_target, class_ids)
+        v_t = nets.forward(teacher, x_high, sigma_target, class_ids)
+        y0 = x_high + sigma_target * (v_f - v_t)
+        c = distill.pseudo_huber_constant(x_high.size)
 
         def loss_of(params):
-            _, _, t = chain(gen.with_params(params))
-            return distill.pseudo_huber(t.x_high - y0, c)[0]
+            return distill.pseudo_huber(chain(gen.with_params(params))[-1] - y0, c)[0]
 
         idx = SeededRng(19).choice(gen.params.size, size=80)
         fd = np.zeros(len(idx))
@@ -317,21 +316,11 @@ class TestCriterion10Reproducibility:
             assert cli(["sample", *common, "--count", "2"]) == 0
             assert cli(["eval", *common]) == 0
             outputs.append(out)
-        compared = []
-        for rel in (
-            "dataset.bin",
-            "teacher.ckpt",
-            "teacher-log.csv",
-            "distill/generator-final.ckpt",
-            "distill/fake-final.ckpt",
-            "distill-log-final.csv",
-            "samples/sample-000.pgm",
-            "samples/trace.csv",
-            "samples/stats.csv",
-            "eval/report.csv",
-        ):
-            a = (outputs[0] / rel).read_bytes()
-            b = (outputs[1] / rel).read_bytes()
-            assert a == b, f"{rel} differs between identical runs"
-            compared.append(rel)
+        # every file but the manifest, which holds wall times
+        files = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in outputs]
+        assert files[0] == files[1], "the two runs wrote different files"
+        compared = [rel for rel in files[0] if rel.name != "manifest.txt"]
+        for rel in compared:
+            assert (outputs[0] / rel).read_bytes() == (outputs[1] / rel).read_bytes(), \
+                f"{rel} differs between identical runs"
         _report("10", f"two pipeline runs byte-identical across {len(compared)} artifacts")

@@ -138,7 +138,7 @@ class TestCutShort:
             assert len(cut.tape) == stop
             for a, b in zip(cut.tape, full.tape[:stop]):
                 assert np.array_equal(a.x_in, b.x_in)
-                assert (a.kind, a.sigma_in, a.sigma_next, a.alpha) == (b.kind, b.sigma_in, b.sigma_next, b.alpha)
+                assert (a.sigma_in, a.sigma_next, a.alpha) == (b.sigma_in, b.sigma_next, b.alpha)
             assert cut.trace == full.trace
             cut.trace.validate(self.partition)
 
@@ -179,6 +179,27 @@ class TestBatch:
             cascade.run_cascade(random_net(27), trace, 0.5, [], [])
 
 
+class TestStepForward:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_replaying_the_tape_reproduces_the_run(self, alpha):
+        # every recorded step, run again, gives the next step's input, and
+        # the last gives the samples
+        net = random_net(45)
+        class_ids, seeds = [0, 2], [46, 47]
+        trace = cascade.schedule_trace(desk_partition(), 4)
+        run = cascade.run_cascade(net, trace, alpha, class_ids, seeds, keep_tape=True)
+        assert [t.alpha is not None for t in run.tape] == [r.transition for r in trace.records]
+        rngs = [SeededRng(seed) for seed in seeds]
+        for rng in rngs:  # past the base noise
+            rng.normal(run.tape[0].x_in.shape[1:])
+        next_res = [r.resolution for r in trace.records[1:]] + [16]
+        outs = [cascade.step_forward(net, t, class_ids, res, rngs) for t, res in zip(run.tape, next_res)]
+        assert [clean_up is None for _, clean_up in outs] == [t.alpha is None for t in run.tape]
+        for (x_next, _), t in zip(outs, run.tape[1:]):
+            assert np.array_equal(x_next, t.x_in)
+        assert np.array_equal(outs[-1][0], run.final)
+
+
 def two_transpose_step_vjp(net, tape, class_ids, d_next):
     """The transition adjoint that transposed the upsample once per
     scaled copy of d_next: the reference for the one-transpose form."""
@@ -197,7 +218,7 @@ class TestTransitionAdjoint:
         class_ids = [0, 2, 1]
         run = cascade.run_cascade(net, cascade.schedule_trace(desk_partition(), 4), alpha, class_ids,
                                   [41, 42, 43], keep_tape=True)
-        (tape,) = [t for t in run.tape if t.kind == "transition"]
+        (tape,) = [t for t in run.tape if t.alpha is not None]
         d_next = SeededRng(44).normal((3, 1, 16, 16))
         ref_grads, ref_dx = two_transpose_step_vjp(net, tape, class_ids, d_next)
         calls = []

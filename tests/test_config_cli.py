@@ -70,11 +70,15 @@ class TestConfig:
             bad.write_text(f"data.{name} = 1\n")
             assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
             assert capsys.readouterr().err == f"error: unknown config key: data.{name}\n"
+        # the run directory is --out alone, so it stays out of config_hash
+        bad.write_text("out_dir = elsewhere\n")
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error: unknown config key: out_dir\n"
         assert not (tmp_path / "run").exists()
 
     def test_settable_value_count(self):
         # a new config key shows up here as a test diff
-        assert len(cfgmod._walk(cfgmod.RunConfig())) == 31
+        assert len(cfgmod._walk(cfgmod.RunConfig())) == 30
 
     def test_defaults_are_toy_default(self):
         assert cfgmod.toy_default() == cfgmod.RunConfig()

@@ -130,6 +130,18 @@ class TestTensorStats:
         arr = np.array([1.0, np.nan, 3.0, np.inf])
         assert diffusion.tensor_stats(arr) == "mean=2 std=1 min=1 max=3 nonfinite=2/4"
 
+    def test_huge_finite_entries_do_not_overflow(self):
+        # a diverged net's parameters are finite but near the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert diffusion.tensor_stats(np.array([1e300, -1e300, 3.0])) == (
+                "mean=1 std=8.165e+299 min=-1e+300 max=1e+300 nonfinite=0/3")
+            assert diffusion.tensor_stats(np.full(4, 1e308)) == (
+                "mean=1e+308 std=0 min=1e+308 max=1e+308 nonfinite=0/4")
+
+    def test_all_zero_entries(self):
+        assert diffusion.tensor_stats(np.zeros(3)) == "mean=0 std=0 min=0 max=0 nonfinite=0/3"
+
     def test_all_nan_reads_count_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -9,7 +9,7 @@ import pytest
 
 from crossres import cascade, config as cfgmod, data, diffusion, distill, net as nets, schedule as sch
 from crossres.diffusion import TeacherModel
-from crossres.grid import SeededRng
+from crossres.grid import SeededRng, bilinear_upsample
 from numerics import relative_error
 
 SPEC = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=2)
@@ -246,18 +246,41 @@ class TestUpsampleTransform:
     def test_sigma_zero_returns_clean_upsample(self):
         gen = tiny_net(26)
         x = SeededRng(27).normal((1, 1, 8, 8))
-        tape = distill.upsample_transform(gen, x, 0.7, [0], 0.0, 0.2, 16, [SeededRng(28)])
-        assert np.allclose(tape.x_high, tape.clean_up, atol=1e-14)
+        _, clean_up, x_high = distill.upsample_transform(gen, x, 0.7, [0], 0.0, 0.2, 16, [SeededRng(28)])
+        assert np.allclose(x_high, clean_up, atol=1e-14)
 
     def test_alpha_one_at_final_resolution_renoises_own_trajectory(self):
         # U = identity at the final resolution; with alpha = 1 the output is
         # the state's own straight-line point at the target noise level
         gen = tiny_net(29)
         x = SeededRng(30).normal((1, 1, 16, 16))
-        tape = distill.upsample_transform(gen, x, 0.5, [1], 0.8, 1.0, 16, [SeededRng(31)])
+        _, _, x_high = distill.upsample_transform(gen, x, 0.5, [1], 0.8, 1.0, 16, [SeededRng(31)])
         v = nets.forward(gen, x, 0.5, [1])
         x0 = x - 0.5 * v
-        assert np.allclose(tape.x_high, x0 + 0.8 * v, atol=1e-12)
+        assert np.allclose(x_high, x0 + 0.8 * v, atol=1e-12)
+
+    def test_projection_is_the_cascade_transition(self):
+        # from a stage-1 state, at the schedule's next sigma and the cascade's
+        # alpha, the projection is the cascade's own transition
+        cfg = desk_config(alpha_inference=0.5)
+        trace = cascade.schedule_trace(cfg.partition(), cfg.n_steps)
+        gen = tiny_net(40)
+        class_ids, seeds = [1, 0], [41, 42]
+        run = distill.generate_cascade_states(gen, class_ids, trace, seeds, cfg.alpha_inference)
+        j = [r.transition for r in trace.records].index(True)
+        src = run.tape[j]
+        rngs = [SeededRng(seed) for seed in seeds]
+        for rng in rngs:  # past the base noise
+            rng.normal(src.x_in.shape[1:])
+        tape, clean_up, x_high = distill.upsample_transform(
+            gen, src.x_in, src.sigma_in, class_ids, trace.records[j + 1].shifted_sigma,
+            cfg.alpha_inference, 16, rngs,
+        )
+        assert np.array_equal(x_high, run.tape[j + 1].x_in)
+        assert tape.x_in is src.x_in
+        assert (tape.sigma_in, tape.sigma_next, tape.alpha) == (src.sigma_in, src.sigma_next, src.alpha)
+        v = nets.forward(gen, src.x_in, src.sigma_in, class_ids)
+        assert np.array_equal(clean_up, bilinear_upsample(src.x_in - src.sigma_in * v, 16, 16))
 
     def test_alpha_zero_mean_contract(self):
         # for a constant input image with alpha = 0 the output mean is
@@ -266,8 +289,8 @@ class TestUpsampleTransform:
         gen = nets.DenoiserNet(spec, np.zeros(nets.param_count(spec)))
         x = np.full((200, 1, 8, 8), 0.5)
         rngs = [SeededRng(32 + k) for k in range(200)]
-        tape = distill.upsample_transform(gen, x, 0.3, [None] * 200, 0.6, 0.0, 16, rngs)
-        assert tape.x_high.mean() == pytest.approx((1 - 0.6) * 0.5, abs=0.01)
+        _, _, x_high = distill.upsample_transform(gen, x, 0.3, [None] * 200, 0.6, 0.0, 16, rngs)
+        assert x_high.mean() == pytest.approx((1 - 0.6) * 0.5, abs=0.01)
 
 
 class TestChainGradient:
@@ -303,27 +326,27 @@ class TestChainGradient:
             run = distill.generate_cascade_states(g, class_ids, trace, [37, 137], cfg.alpha_inference)
             sel = distill.select_state_index(run, stage, shifted_t)
             src = run.tape[sel]
-            tape = distill.upsample_transform(
+            tape, _, x_high = distill.upsample_transform(
                 g, src.x_in, src.sigma_in, class_ids, sigma_target, cfg.alpha, 16,
                 [SeededRng(38), SeededRng(138)],
             )
-            return run, sel, tape
+            return run, sel, tape, x_high
 
-        run, sel, tape = x_high_of(gen)
-        assert any(t.kind == "transition" for t in run.tape[:sel]) == (stage == 2)
-        loss, upstream = distill.generator_loss(tape.x_high, sigma_target, fake, teacher, class_ids)
+        run, sel, tape, x_high = x_high_of(gen)
+        assert any(t.alpha is not None for t in run.tape[:sel]) == (stage == 2)
+        loss, upstream = distill.generator_loss(x_high, sigma_target, fake, teacher, class_ids)
         gp, d_state = distill.backward_transform(gen, tape, class_ids, upstream)
         gp = gp + distill.cascade_chain_backward(gen, run, sel, class_ids, d_state)
 
         # frozen stop-gradient target from the base x_high
-        v_f = nets.forward(fake, tape.x_high, sigma_target, class_ids)
-        v_t = nets.forward(teacher, tape.x_high, sigma_target, class_ids)
-        y0 = tape.x_high + sigma_target * (v_f - v_t)  # x_high + x0_teacher - x0_fake
-        c = distill.pseudo_huber_constant(tape.x_high[0].size)
+        v_f = nets.forward(fake, x_high, sigma_target, class_ids)
+        v_t = nets.forward(teacher, x_high, sigma_target, class_ids)
+        y0 = x_high + sigma_target * (v_f - v_t)  # x_high + x0_teacher - x0_fake
+        c = distill.pseudo_huber_constant(x_high[0].size)
 
         def loss_of(params: np.ndarray) -> float:
-            _, _, t = x_high_of(gen.with_params(params))
-            return np.mean([distill.pseudo_huber(r, c)[0] for r in t.x_high - y0])
+            x_high_p = x_high_of(gen.with_params(params))[-1]
+            return np.mean([distill.pseudo_huber(r, c)[0] for r in x_high_p - y0])
 
         assert loss_of(gen.params) == pytest.approx(loss, rel=1e-12)
         rng = SeededRng(39)
