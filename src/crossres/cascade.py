@@ -3,7 +3,7 @@
 One state machine drives both user-facing sampling and the recorded
 trajectories that distillation differentiates through. Within a stage the
 sampler takes Euler steps at the stage's shifted noise levels; when the
-next timestep belongs to the following stage it takes a transition: it
+next noise level belongs to the following stage it takes a transition: it
 recovers the clean estimate, upsamples it, and re-injects noise at the
 next shifted level.
 

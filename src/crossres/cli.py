@@ -1,11 +1,12 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: gen-data, train-teacher, distill, sample, eval, schedule,
-cost. Every command resolves a RunConfig (preset + optional config file
-+ flags), writes its artifacts into the run directory, and leaves a
-config copy and manifest behind. All randomness derives from the single
-root seed, so rerunning a command with the same config reproduces its
-outputs byte for byte.
+cost. Each but cost resolves a RunConfig (preset + config file + flags).
+gen-data, train-teacher and distill write into the run directory and
+leave a config copy and manifest there; sample and eval write under it;
+schedule prints its table (--csv also writes it). All randomness derives
+from the single root seed, so rerunning a command with the same config
+reproduces its outputs byte for byte.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import cascade, config as cfgmod, data, diffusion, distill, evalsuite, net as nets
 from .grid import SeededRng, write_csv, write_pgm
-from .schedule import sigma_to_logsnr
+from .schedule import T_MAX, sigma_to_logsnr
 
 
 class PrerequisiteError(RuntimeError):
@@ -186,10 +187,10 @@ def cmd_schedule(args) -> int:
     for r in rows:
         logsnr = sigma_to_logsnr(r.shifted_sigma) if 0 < r.shifted_sigma < 1 else float("-inf")
         print(
-            f"{r.step:>4} {r.stage:>5} {r.resolution:>5} {r.shifted_t:>9.1f} "
+            f"{r.step:>4} {r.stage:>5} {r.resolution:>5} {T_MAX * r.shifted_sigma:>9.1f} "
             f"{r.shifted_sigma:>8.4f} {logsnr:>9.3f}"
         )
-    print("timesteps:", "[" + ", ".join(str(round(r.shifted_t)) for r in rows) + "]")
+    print("timesteps:", "[" + ", ".join(str(round(T_MAX * r.shifted_sigma)) for r in rows) + "]")
     if args.csv:
         trace.write_csv(args.csv)
         print(f"csv written to {args.csv}")
@@ -221,11 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run=True):  # schedule takes no seed and writes no run directory
         p.add_argument("--preset", default="toy-default", choices=sorted(cfgmod.PRESETS))
         p.add_argument("--config", help="key-path = value override file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default="runs/toy", help="run directory")
+        if run:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--out", default="runs/toy", help="run directory")
 
     p = sub.add_parser("gen-data", help="generate the two-tier shape dataset")
     common(p)
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("schedule", help="print a timestep/resolution schedule table")
-    common(p)
+    common(p, run=False)
     p.add_argument("--csv", help="also write the table to this CSV path")
     p.set_defaults(func=cmd_schedule)
 

@@ -2,10 +2,10 @@
 format, and the reproducibility manifest.
 
 A config file is plain text, one ``section.key = value`` per line with
-``#`` comments. Unknown keys are rejected with their full path. Every
-command serializes the effective config into its run directory along
-with a manifest (config hash, package version, file inventory, wall
-times), so a run directory is self-describing.
+``#`` comments. Unknown keys are rejected with their full path.
+gen-data, train-teacher and distill serialize the effective config into
+the run directory along with a manifest (config hash, package version,
+file inventory, wall times), so a run directory is self-describing.
 """
 from __future__ import annotations
 
@@ -126,8 +126,6 @@ def _parse_scalar(text: str, target_type):
         return int(text)
     if target_type is float:
         return float(text)
-    if target_type is str:
-        return text
     raise ValueError(f"unsupported scalar type {target_type}")
 
 

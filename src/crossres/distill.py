@@ -3,7 +3,7 @@
 Compresses a multi-step teacher into a few-step cascaded generator by
 matching distributions in the teacher's (high-resolution) space:
 
-1. draw one (stage, timestep) pair per batch, warm-up gated to the
+1. draw one (stage, sigma) pair per batch, warm-up gated to the
    high-noise stages, and select the schedule step nearest it,
 2. run the generator's own cascade up to the selected step, recording
    every state before it,
@@ -34,7 +34,7 @@ from . import net as nets
 from .cascade import CascadeRun, InferenceTrace, StepTape, run_cascade, schedule_trace, step_forward, step_vjp
 from .diffusion import TeacherModel, abort_if_bad, training_loop
 from .grid import SeededRng
-from .schedule import T_MAX, TrajectoryPartition, build_partition, sigma_to_logsnr
+from .schedule import TrajectoryPartition, build_partition, sigma_to_logsnr
 
 PHASE_WARMUP = "warmup"
 PHASE_FULL = "full"
@@ -157,26 +157,24 @@ def warmup_stage_count(num_stages: int) -> int:
     return max(1, num_stages // 2)
 
 
-def sample_stage_and_timestep(
+def sample_stage_and_sigma(
     partition: TrajectoryPartition,
     phase: str,
     rng: SeededRng,
 ) -> tuple[int, float, float]:
-    """One Monte-Carlo (stage, timestep) draw.
+    """One Monte-Carlo (stage, sigma) draw.
 
     During warm-up only the first floor(K/2) (high-noise, low-resolution)
-    stages are eligible. The timestep is uniform on the stage's shifted
-    interval; the teacher-space timestep comes back through the shift
-    inverse. Returns (stage index, shifted t, teacher t).
+    stages are eligible. The stage sigma is uniform on the stage's shifted
+    interval; the teacher-space sigma comes back through the shift
+    inverse. Returns (stage index, sigma_stage, sigma_target).
     """
     k = partition.num_stages
     limit = warmup_stage_count(k) if phase == PHASE_WARMUP else k
-    stage_index = 1 + rng.choice_index(np.ones(limit))
-    stage = partition.stages[stage_index - 1]
+    stage = partition.stages[rng.choice_index(np.ones(limit))]
     lo, hi = stage.shifted_interval
-    shifted_t = float(rng.uniform(lo, hi))
-    teacher_sigma = stage.unshift(shifted_t / T_MAX)
-    return stage_index, shifted_t, teacher_sigma * T_MAX
+    sigma_stage = float(rng.uniform(lo, hi))
+    return stage.index, sigma_stage, stage.unshift(sigma_stage)
 
 
 def generate_cascade_states(
@@ -193,9 +191,9 @@ def generate_cascade_states(
     return run_cascade(generator, trace, alpha_inference, class_ids, seeds, keep_tape=True, stop=stop)
 
 
-def select_state_index(run: CascadeRun, stage: int, shifted_t: float) -> int:
+def select_state_index(run: CascadeRun, stage: int, sigma_stage: float) -> int:
     """The step of `stage` whose state is nearest the sampled shifted
-    timestep. Reads only the trace, so a plan serves as well as a run.
+    sigma. Reads only the trace, so a plan serves as well as a run.
 
     Ties resolve toward the earlier (noisier) step.
     """
@@ -203,7 +201,7 @@ def select_state_index(run: CascadeRun, stage: int, shifted_t: float) -> int:
     for j, record in enumerate(run.trace.records):
         if record.stage != stage:
             continue
-        dist = abs(record.shifted_sigma * T_MAX - shifted_t)
+        dist = abs(record.shifted_sigma - sigma_stage)
         if best is None or dist < best_dist:
             best, best_dist = j, dist
     if best is None:
@@ -320,7 +318,7 @@ class TrainStepRecord:
     step: int
     phase: str
     stage: int
-    teacher_t: float
+    teacher_sigma: float
     generator_loss: float
     fake_loss: float
     generator_grad_norm: float
@@ -338,16 +336,14 @@ def train_step(
     """One full update: fake score first, then generator (shared draw)."""
     phase = PHASE_WARMUP if state.step < config.warmup_steps else PHASE_FULL
     state.opt_generator.lr = config.lr_generator * config.lr_scale(state.step)
-    stage, shifted_t, teacher_t = sample_stage_and_timestep(partition, phase, rng.derive(f"draw:{state.step}"))
+    stage, sigma_stage, sigma_target = sample_stage_and_sigma(partition, phase, rng.derive(f"draw:{state.step}"))
     where = f"step {state.step} phase {phase} stage {stage}"
-    sigma_target = teacher_t / T_MAX
-    sigma_stage = shifted_t / T_MAX
     final_res = partition.final_resolution
 
     # Every sample follows the same schedule, so the selected step is
     # chosen once from the plan, and each cascade runs only up to it.
     plan = CascadeRun(final=None, trace=schedule_trace(partition, config.n_steps))
-    sel = select_state_index(plan, stage, shifted_t)
+    sel = select_state_index(plan, stage, sigma_stage)
     sigma_state = plan.trace.records[sel].shifted_sigma
     run = generate_cascade_states(
         state.generator, class_ids, plan.trace,
@@ -381,7 +377,7 @@ def train_step(
         step=state.step,
         phase=phase,
         stage=stage,
-        teacher_t=teacher_t,
+        teacher_sigma=sigma_target,
         generator_loss=gen_loss,
         fake_loss=fake_loss,
         generator_grad_norm=float(np.linalg.norm(gen_grads)),

@@ -1,17 +1,15 @@
 """Noise-level bookkeeping for multi-resolution trajectories.
 
-Everything here is arithmetic on three equivalent coordinates of the
-rectified-flow interpolation ``x_t = (1 - sigma) * x0 + sigma * eps``:
+Everything here is arithmetic on the noise fraction ``sigma`` in [0, 1]
+of the rectified-flow interpolation ``x_t = (1 - sigma) * x0 + sigma * eps``.
+Thresholds are given as ``logsnr = 2 ln((1 - sigma) / sigma)``, the log
+signal-to-noise ratio, and mapped to sigma once. The timestep
+``t = sigma * T_MAX`` (T_MAX = 1000) is a display unit only: the CLI's
+schedule table prints it, rounded, and nothing computes in it.
 
-* ``sigma`` in [0, 1], the noise fraction,
-* ``logsnr = 2 ln((1 - sigma) / sigma)``, the log signal-to-noise ratio,
-* ``t = sigma * T_MAX``, the timestep used for display (T_MAX = 1000).
-
-A :class:`TrajectoryPartition` splits [0, T_MAX] into K resolution stages
-at logSNR thresholds; each stage owns the resolution-induced logSNR shift
-onto it (its factor ``rho`` and the maps ``shift`` and ``unshift``).
-Timesteps stay continuous internally; rounding to integers happens only
-when printing.
+A :class:`TrajectoryPartition` splits sigma's [0, 1] into K resolution
+stages at logSNR thresholds; each stage owns the resolution-induced logSNR
+shift onto it (its factor ``rho`` and the maps ``shift`` and ``unshift``).
 """
 from __future__ import annotations
 
@@ -26,7 +24,6 @@ __all__ = [
     "ResolutionStage",
     "TrajectoryPartition",
     "build_partition",
-    "map_timestep",
     "ScheduleStep",
     "inference_schedule",
 ]
@@ -35,10 +32,14 @@ T_MAX = 1000.0  # timestep of sigma = 1; a display unit only
 
 
 def logsnr_to_sigma(logsnr: float) -> float:
-    """Noise fraction at a given logSNR: 1 / (1 + exp(logsnr / 2))."""
+    """Noise fraction at a given logSNR: 1 / (1 + exp(logsnr / 2)), in [0, 1]
+    for every finite logSNR."""
     if not math.isfinite(logsnr):
         raise ValueError(f"logsnr must be finite, got {logsnr}")
-    return 1.0 / (1.0 + math.exp(logsnr / 2.0))
+    try:
+        return 1.0 / (1.0 + math.exp(logsnr / 2.0))
+    except OverflowError:  # logsnr > ~1419: sigma is exp(-logsnr / 2) to double precision
+        return math.exp(-logsnr / 2.0)
 
 
 def sigma_to_logsnr(sigma: float) -> float:
@@ -65,9 +66,8 @@ class ResolutionStage:
     the logSNR: a lower resolution lowers the logSNR (raises sigma), so a
     low-resolution stage sees more noise at the matched corruption state;
     the final stage (rho = 1) maps every sigma to itself. Intervals are
-    (low, high) timestep pairs; ``teacher_interval`` lives on the
-    teacher's [0, T_MAX] axis and ``shifted_interval`` is its image under
-    the shift.
+    (low, high) sigma pairs; ``teacher_interval`` lives on the teacher's
+    [0, 1] axis and ``shifted_interval`` is its image under the shift.
     """
 
     index: int  # 1-based
@@ -92,7 +92,7 @@ class ResolutionStage:
     @property
     def shifted_interval(self) -> tuple[float, float]:
         lo, hi = self.teacher_interval
-        return T_MAX * self.shift(lo / T_MAX), T_MAX * self.shift(hi / T_MAX)
+        return self.shift(lo), self.shift(hi)
 
 
 @dataclass(frozen=True)
@@ -108,18 +108,18 @@ class TrajectoryPartition:
     def final_resolution(self) -> int:
         return self.stages[-1].resolution
 
-    def stage_of(self, t: float) -> ResolutionStage:
-        """Stage owning teacher timestep t.
+    def stage_of(self, sigma: float) -> ResolutionStage:
+        """Stage owning teacher sigma.
 
-        A timestep exactly on a boundary belongs to the earlier
-        (higher-noise) stage, so Algorithm-style membership tests on the
-        next step fire each transition exactly once.
+        A sigma exactly on a boundary belongs to the earlier (higher-noise)
+        stage, so Algorithm-style membership tests on the next step fire
+        each transition exactly once.
         """
-        if not 0.0 <= t <= T_MAX:
-            raise ValueError(f"timestep {t} outside [0, {T_MAX}]")
+        if not 0.0 <= sigma <= 1.0:
+            raise ValueError(f"sigma {sigma} outside [0, 1]")
         index = 1
         for stage in self.stages[:-1]:
-            if t >= stage.teacher_interval[0]:
+            if sigma >= stage.teacher_interval[0]:
                 break
             index += 1
         return self.stages[index - 1]
@@ -135,7 +135,7 @@ def build_partition(
     ``len(resolutions) == len(thresholds) + 1``; thresholds must increase
     strictly in logSNR and resolutions strictly in size from at least 1,
     and the last resolution is the teacher's. Each threshold maps to a
-    boundary timestep via `logsnr_to_sigma`, and each stage's ``rho`` is
+    boundary sigma via `logsnr_to_sigma`, and each stage's ``rho`` is
     its resolution over the last.
     """
     thresholds = [float(v) for v in thresholds]
@@ -154,10 +154,10 @@ def build_partition(
         raise ValueError(f"flow shift must be finite and >= 1, got {flow_shift}")
 
     final_res = resolutions[-1]
-    # Boundary timesteps, descending from T_MAX to 0: ascending logSNR
-    # thresholds map to descending boundary sigmas, and threshold k sits
-    # between stage k and stage k+1.
-    bounds = [T_MAX] + [T_MAX * logsnr_to_sigma(v) for v in thresholds] + [0.0]
+    # Boundary sigmas, descending from 1 to 0: ascending logSNR thresholds
+    # map to descending boundary sigmas, and threshold k sits between
+    # stage k and stage k+1.
+    bounds = [1.0] + [logsnr_to_sigma(v) for v in thresholds] + [0.0]
     stages = tuple(
         ResolutionStage(index=i, resolution=res, rho=res / final_res, teacher_interval=(bounds[i], bounds[i - 1]))
         for i, res in enumerate(resolutions, start=1)
@@ -165,15 +165,9 @@ def build_partition(
     return TrajectoryPartition(stages=stages, flow_shift=float(flow_shift))
 
 
-def map_timestep(t: float, partition: TrajectoryPartition) -> tuple[int, float]:
-    """Locate the stage owning teacher timestep t and shift t onto it."""
-    stage = partition.stage_of(t)
-    return stage.index, T_MAX * stage.shift(t / T_MAX)
-
-
 @dataclass(frozen=True)
 class ScheduleStep:
-    """One row of an inference schedule (continuous timesteps).
+    """One row of an inference schedule.
 
     ``transition`` marks a row whose successor lies in another stage; the
     last row's successor is the sample, which lies in the final stage.
@@ -182,9 +176,7 @@ class ScheduleStep:
     step: int
     stage: int
     resolution: int
-    teacher_t: float
     teacher_sigma: float
-    shifted_t: float
     shifted_sigma: float
     transition: bool
 
@@ -193,28 +185,24 @@ def inference_schedule(n_steps: int, partition: TrajectoryPartition) -> list[Sch
     """The N-step grid: uniform fractions, flow shift, then stage mapping.
 
     Step j uses fraction u_j = 1 - j/N; the teacher sigma is the
-    flow-shifted fraction and the row carries both the teacher timestep
-    and its resolution-shifted image on the owning stage.
+    flow-shifted fraction, and the row carries it and its
+    resolution-shifted image on the owning stage.
     """
     k = partition.num_stages
     if n_steps < k:
         raise ValueError(f"need at least one step per stage: N={n_steps} < K={k}")
     sigmas = [apply_flow_shift(1.0 - j / n_steps, partition.flow_shift) for j in range(n_steps)]
-    mapped = [map_timestep(sigma * T_MAX, partition) for sigma in sigmas]
-    rows = []
-    for j, (sigma, (stage_index, shifted_t)) in enumerate(zip(sigmas, mapped)):
-        # terminal landing point: the final stage
-        next_stage = mapped[j + 1][0] if j + 1 < n_steps else k
-        rows.append(
-            ScheduleStep(
-                step=j,
-                stage=stage_index,
-                resolution=partition.stages[stage_index - 1].resolution,
-                teacher_t=sigma * T_MAX,
-                teacher_sigma=sigma,
-                shifted_t=shifted_t,
-                shifted_sigma=shifted_t / T_MAX,
-                transition=next_stage != stage_index,
-            )
+    stages = [partition.stage_of(sigma) for sigma in sigmas]
+    # terminal landing point: the final stage
+    next_stages = [stage.index for stage in stages[1:]] + [k]
+    return [
+        ScheduleStep(
+            step=j,
+            stage=stage.index,
+            resolution=stage.resolution,
+            teacher_sigma=sigma,
+            shifted_sigma=stage.shift(sigma),
+            transition=next_stage != stage.index,
         )
-    return rows
+        for j, (sigma, stage, next_stage) in enumerate(zip(sigmas, stages, next_stages))
+    ]

@@ -33,18 +33,19 @@ class TestCriterion01ScheduleGoldens:
             (wan, 909.0, 937),
         ]
         for partition, teacher_t, expected in anchors:
-            stage, shifted = sch.map_timestep(teacher_t, partition)
-            assert stage == 1
+            stage = partition.stage_of(teacher_t / sch.T_MAX)
+            shifted = sch.T_MAX * stage.shift(teacher_t / sch.T_MAX)
+            assert stage.index == 1
             assert abs(round(shifted) - expected) <= 1, (teacher_t, shifted, expected)
 
         rows = sch.inference_schedule(4, sd35)
-        assert [round(r.teacher_t) for r in rows] == [1000, 900, 750, 500]
+        assert [round(sch.T_MAX * r.teacher_sigma) for r in rows] == [1000, 900, 750, 500]
 
         wan_rows = sch.inference_schedule(6, wan)
         for row, ref in zip(wan_rows, [1000, 962, 909, 834, 716, 505]):
-            assert abs(row.teacher_t - ref) <= 6.0
+            assert abs(sch.T_MAX * row.teacher_sigma - ref) <= 6.0
         for row, ref in zip(wan_rows[:3], [1000, 974, 937]):
-            assert abs(round(row.shifted_t) - ref) <= 1
+            assert abs(round(sch.T_MAX * row.shifted_sigma) - ref) <= 1
         _report("1", "shift anchors 857/947/974/937 within +-1; grids within stated bands")
 
 
@@ -80,14 +81,13 @@ class TestCriterion03NumericalCorrectness:
         teacher = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(14)))
         fake = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(15)))
         p = sch.build_partition([sch.sigma_to_logsnr(0.6)], [8, 16])
-        stage, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(16))
-        sigma_target = teacher_t / sch.T_MAX
+        stage, sigma_stage, sigma_target = distill.sample_stage_and_sigma(p, "full", SeededRng(16))
         class_ids = [0]
         trace = cascade.schedule_trace(p, 4)
 
         def chain(g):
             run = distill.generate_cascade_states(g, class_ids, trace, [17], 1.0)
-            sel = distill.select_state_index(run, stage, shifted_t)
+            sel = distill.select_state_index(run, stage, sigma_stage)
             src = run.tape[sel]
             tape, _, x_high = distill.upsample_transform(
                 g, src.x_in, src.sigma_in, class_ids, sigma_target, 0.2, 16, [SeededRng(18)]

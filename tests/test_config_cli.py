@@ -163,6 +163,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[1000, 947, 750, 500]" in out
 
+    @pytest.mark.parametrize("flag", [["--out", "elsewhere"], ["--seed", "7"]], ids=["out", "seed"])
+    def test_schedule_rejects_run_flags(self, tmp_path, capsys, monkeypatch, flag):
+        # schedule only prints (and writes --csv), so a run directory or seed would go unused
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_cost_table(self, capsys):
         assert main(["cost"]) == 0
         out = capsys.readouterr().out
@@ -234,6 +244,7 @@ class TestCli:
         ("distill.clip_norm = inf", "distill.clip_norm"),
         ("distill.pseudo_huber_scale = inf", "distill.pseudo_huber_scale"),
         ("distill.snr_clamp = (0.05, inf)", "distill.snr_clamp"),
+        ("distill.thresholds = (2000.0,)", "distill.thresholds"),
     ], ids=["unknown-key", "bad-int", "bad-tuple-entry", "data-empty-tier",
             "data-too-many-classes", "teacher-negative-phase", "teacher-log-every", "teacher-batch-size",
             "distill-batch-size", "fewer-steps-than-stages", "stage-without-step", "eval-set-too-small",
@@ -247,7 +258,8 @@ class TestCli:
             "teacher-zero-clip-norm", "distill-negative-clip-norm", "duplicate-key",
             "teacher-zero-width", "teacher-negative-width", "teacher-two-channel-input",
             "teacher-two-channel-output", "teacher-infinite-lr", "teacher-infinite-clip-norm",
-            "distill-infinite-clip-norm", "distill-infinite-huber-scale", "distill-infinite-snr-clamp"])
+            "distill-infinite-clip-norm", "distill-infinite-huber-scale", "distill-infinite-snr-clamp",
+            "threshold-past-exp-overflow"])
     def test_bad_config_key_is_reported(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -473,9 +485,9 @@ class TestCli:
         cfg_file = tmp_path / "five-steps.cfg"
         cfg_file.write_text("distill.n_steps = 5\n")
         out = tmp_path / "run"
-        common = ["--config", str(cfg_file), "--out", str(out)]
-        assert main(["schedule", *common, "--csv", str(tmp_path / "schedule.csv")]) == 0
-        assert main(["sample", *common, "--checkpoint", str(ckpt), "--count", "2"]) == 0
+        assert main(["schedule", "--config", str(cfg_file), "--csv", str(tmp_path / "schedule.csv")]) == 0
+        assert main(["sample", "--config", str(cfg_file), "--out", str(out), "--checkpoint", str(ckpt),
+                     "--count", "2"]) == 0
         table = (tmp_path / "schedule.csv").read_bytes()
         assert table == (out / "samples" / "trace.csv").read_bytes()
         assert table.splitlines()[0].decode() == ",".join(f.name for f in fields(schedule.ScheduleStep))

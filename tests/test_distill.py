@@ -36,8 +36,8 @@ def desk_config(**overrides):
     return distill.DistillConfig(**base)
 
 
-def seed_on_stage(partition, stage, first_seed, draw=distill.sample_stage_and_timestep):
-    """The first seed from first_seed on whose full-phase (stage, timestep)
+def seed_on_stage(partition, stage, first_seed, draw=distill.sample_stage_and_sigma):
+    """The first seed from first_seed on whose full-phase (stage, sigma)
     draw lands on `stage`; `draw` is bound here, so a test may patch the
     module's draw with one built on this."""
     return next(seed for seed in itertools.count(first_seed)
@@ -173,10 +173,10 @@ class TestStageSampling:
         p = self.partition()
         rng = SeededRng(17)
         for _ in range(200):
-            stage, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "warmup", rng)
+            stage, sigma_stage, sigma_target = distill.sample_stage_and_sigma(p, "warmup", rng)
             assert stage == 1
             lo, hi = p.stages[0].shifted_interval
-            assert lo <= shifted_t <= hi
+            assert lo <= sigma_stage <= hi
 
     def test_full_phase_uniform_over_stages(self):
         from scipy import stats as sps
@@ -185,7 +185,7 @@ class TestStageSampling:
         rng = SeededRng(18)
         counts = np.zeros(2)
         for _ in range(10_000):
-            stage, _, _ = distill.sample_stage_and_timestep(p, "full", rng)
+            stage, _, _ = distill.sample_stage_and_sigma(p, "full", rng)
             counts[stage - 1] += 1
         chi = sps.chisquare(counts)
         assert chi.pvalue > 1e-4
@@ -194,11 +194,42 @@ class TestStageSampling:
         p = self.partition()
         rng = SeededRng(19)
         for _ in range(200):
-            stage, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", rng)
+            stage, sigma_stage, sigma_target = distill.sample_stage_and_sigma(p, "full", rng)
             lo, hi = p.stages[stage - 1].shifted_interval
-            assert lo <= shifted_t <= hi
+            assert lo <= sigma_stage <= hi
             tlo, thi = p.stages[stage - 1].teacher_interval
-            assert tlo - 1e-9 <= teacher_t <= thi + 1e-9
+            assert tlo - 1e-12 <= sigma_target <= thi + 1e-12
+
+    @pytest.mark.parametrize("phase", ["warmup", "full"])
+    def test_sigma_draw_matches_timestep_arithmetic(self, phase):
+        # the reference is the draw written in timesteps t = 1000 sigma:
+        # uniform on the shifted interval in t, unshifted, then divided by 1000,
+        # with the nearest step chosen in t; the sigma draw rounds differently
+        # by a few ulp and picks the same stage and step
+        p = cfgmod.toy_default().distill.partition()
+        plan = cascade.CascadeRun(final=None, trace=cascade.schedule_trace(p, 4))
+        records = plan.trace.records
+
+        def reference(rng):
+            k = p.num_stages
+            stage = 1 + rng.choice_index(np.ones(distill.warmup_stage_count(k) if phase == "warmup" else k))
+            lo, hi = p.stages[stage - 1].shifted_interval
+            shifted_t = float(rng.uniform(1000.0 * lo, 1000.0 * hi))
+            teacher_t = 1000.0 * p.stages[stage - 1].unshift(shifted_t / 1000.0)
+            steps = [j for j, r in enumerate(records) if r.stage == stage]
+            sel = min(steps, key=lambda j: abs(records[j].shifted_sigma * 1000.0 - shifted_t))
+            return stage, shifted_t / 1000.0, teacher_t / 1000.0, sel
+
+        def ulps(got, want):
+            return abs(got - want) / np.spacing(abs(want))
+
+        for seed in range(10_000):
+            stage, sigma_stage, sigma_target = distill.sample_stage_and_sigma(p, phase, SeededRng(seed))
+            ref_stage, ref_stage_sigma, ref_target, ref_sel = reference(SeededRng(seed))
+            assert stage == ref_stage
+            assert ulps(sigma_stage, ref_stage_sigma) <= 2
+            assert ulps(sigma_target, ref_target) <= 4
+            assert distill.select_state_index(plan, stage, sigma_stage) == ref_sel
 
     def test_warmup_count_floor(self):
         assert distill.warmup_stage_count(2) == 1
@@ -233,10 +264,10 @@ class TestCascadeStates:
         cfg = desk_config()
         p = cfg.partition()
         run = distill.generate_cascade_states(tiny_net(24), [0], cascade.schedule_trace(p, 4), [25])
-        t0 = run.tape[0].sigma_in * sch.T_MAX
-        t1 = run.tape[1].sigma_in * sch.T_MAX
+        t0 = run.tape[0].sigma_in
+        t1 = run.tape[1].sigma_in
         assert distill.select_state_index(run, 1, t0) == 0
-        assert distill.select_state_index(run, 1, t1 - 1.0) == 1
+        assert distill.select_state_index(run, 1, t1 - 1e-3) == 1
         # equidistant draw resolves to the earlier step
         mid = 0.5 * (t0 + t1)
         assert distill.select_state_index(run, 1, mid) == 0
@@ -317,14 +348,13 @@ class TestChainGradient:
         gen = tiny_net(35)
         class_ids = [1, 0]
         seed = seed_on_stage(p, stage, 36)
-        drawn, shifted_t, teacher_t = distill.sample_stage_and_timestep(p, "full", SeededRng(seed))
+        drawn, sigma_stage, sigma_target = distill.sample_stage_and_sigma(p, "full", SeededRng(seed))
         assert drawn == stage
-        sigma_target = teacher_t / sch.T_MAX
         trace = cascade.schedule_trace(p, cfg.n_steps)
 
         def x_high_of(g: nets.DenoiserNet):
             run = distill.generate_cascade_states(g, class_ids, trace, [37, 137], cfg.alpha_inference)
-            sel = distill.select_state_index(run, stage, shifted_t)
+            sel = distill.select_state_index(run, stage, sigma_stage)
             src = run.tape[sel]
             tape, _, x_high = distill.upsample_transform(
                 g, src.x_in, src.sigma_in, class_ids, sigma_target, cfg.alpha, 16,
@@ -461,9 +491,9 @@ class TestTrainStep:
                 return fn(net, x, *args, **kwargs)
             return wrapper
 
-        draw = distill.sample_stage_and_timestep
+        draw = distill.sample_stage_and_sigma
         select = distill.select_state_index
-        monkeypatch.setattr(distill, "sample_stage_and_timestep",
+        monkeypatch.setattr(distill, "sample_stage_and_sigma",
                             lambda part, phase, rng: draw(part, phase, SeededRng(seed_on_stage(part, stage, rng.seed))))
 
         def recording_select(*args):

@@ -31,6 +31,13 @@ def wan_partition():
     return sch.build_partition([sch.sigma_to_logsnr(0.87)], [480, 720], flow_shift=5.0)
 
 
+def stage_map(t, partition):
+    """Stage index and shifted timestep of teacher timestep t: the stage
+    map stage_of(sigma).shift(sigma) at sigma = t / T_MAX, times T_MAX."""
+    stage = partition.stage_of(t / sch.T_MAX)
+    return stage.index, sch.T_MAX * stage.shift(t / sch.T_MAX)
+
+
 class TestConversions:
     def test_logsnr_zero_is_half(self):
         assert sch.logsnr_to_sigma(0.0) == pytest.approx(0.5, abs=0)
@@ -41,6 +48,16 @@ class TestConversions:
     def test_boundary_limits(self):
         assert sch.logsnr_to_sigma(80.0) == pytest.approx(0.0, abs=1e-12)
         assert sch.logsnr_to_sigma(-80.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_logsnr_does_not_overflow(self):
+        # exp(logsnr / 2) overflows past logsnr ~ 1419.57; sigma stays in
+        # [0, 1] and falls through that point down to 0
+        values = [1419.0, 1419.5, 1419.6, 1420.0, 2000.0, 1e300]
+        sigmas = [sch.logsnr_to_sigma(v) for v in values]
+        assert all(0.0 <= s <= 1.0 for s in sigmas)
+        assert all(b <= a for a, b in zip(sigmas, sigmas[1:]))
+        assert sigmas[-1] == 0.0 and sch.logsnr_to_sigma(-1e300) == 1.0
+        assert sigmas[0] == 1.0 / (1.0 + math.exp(709.5))  # the closed form wherever exp is finite
 
     def test_sigma_to_logsnr_values(self):
         assert sch.sigma_to_logsnr(0.5) == pytest.approx(0.0, abs=0)
@@ -73,7 +90,7 @@ class TestConversions:
 
 def stage_at(res, final_res):
     """The map of a `res` px stage in a run that ends at `final_res` px."""
-    return sch.ResolutionStage(index=1, resolution=res, rho=res / final_res, teacher_interval=(0.0, 1000.0))
+    return sch.ResolutionStage(index=1, resolution=res, rho=res / final_res, teacher_interval=(0.0, 1.0))
 
 
 class TestShift:
@@ -168,15 +185,15 @@ class TestPartition:
     def test_single_stage(self):
         p = sch.build_partition([], [1024])
         assert p.num_stages == 1
-        assert p.stages[0].teacher_interval == (0.0, 1000.0)
-        assert p.stages[0].shifted_interval == (0.0, 1000.0)
+        assert p.stages[0].teacher_interval == (0.0, 1.0)
+        assert p.stages[0].shifted_interval == (0.0, 1.0)
 
     def test_two_stage_boundary(self):
         p = sch.build_partition([-2.5], [512, 1024])
         lo, hi = p.stages[0].teacher_interval
         # sigma(-2.5) = 1/(1+exp(-1.25)) = 0.7772998611746911
-        assert lo == pytest.approx(777.2998611746911, rel=1e-12)
-        assert hi == 1000.0
+        assert lo == pytest.approx(0.7772998611746911, rel=1e-12)
+        assert hi == 1.0
         assert p.stages[1].teacher_interval == (0.0, lo)
 
     def test_three_stages(self):
@@ -185,12 +202,12 @@ class TestPartition:
         assert [s.resolution for s in p.stages] == [256, 512, 1024]
         bounds = [s.teacher_interval for s in p.stages]
         assert bounds[0][0] == bounds[1][1] and bounds[1][0] == bounds[2][1]
-        # intervals tile [0, T_MAX] downward, each with lo < hi
+        # intervals tile [0, 1] downward, each with lo < hi
         assert all(lo < hi for lo, hi in bounds)
-        assert bounds[0][1] == 1000.0 and bounds[2][0] == 0.0
+        assert bounds[0][1] == 1.0 and bounds[2][0] == 0.0
         # the more negative threshold (-6.0, noisier) owns the higher boundary
-        assert bounds[0][0] == pytest.approx(1000 * sch.logsnr_to_sigma(-6.0), rel=1e-12)
-        assert bounds[1][0] == pytest.approx(1000 * sch.logsnr_to_sigma(-2.5), rel=1e-12)
+        assert bounds[0][0] == pytest.approx(sch.logsnr_to_sigma(-6.0), rel=1e-12)
+        assert bounds[1][0] == pytest.approx(sch.logsnr_to_sigma(-2.5), rel=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -207,41 +224,41 @@ class TestPartition:
         p = sch.build_partition([-2.5], [512, 1024])
         boundary = p.stages[0].teacher_interval[0]
         assert p.stage_of(boundary).index == 1
-        assert p.stage_of(boundary - 1e-9).index == 2
+        assert p.stage_of(boundary - 1e-12).index == 2
 
     def test_shifted_interval_is_image_of_teacher(self):
         p = wan_partition()
         assert [stage.rho for stage in p.stages] == [480 / 720, 1.0]
         for stage in p.stages:
             lo, hi = stage.teacher_interval
-            assert stage.shifted_interval[0] == pytest.approx(1000 * stage.shift(lo / 1000), rel=1e-12)
-            assert stage.shifted_interval[1] == pytest.approx(1000 * stage.shift(hi / 1000), rel=1e-12)
-            back = [1000 * stage.unshift(t / 1000) for t in stage.shifted_interval]
+            assert stage.shifted_interval[0] == pytest.approx(stage.shift(lo), rel=1e-12)
+            assert stage.shifted_interval[1] == pytest.approx(stage.shift(hi), rel=1e-12)
+            back = [stage.unshift(s) for s in stage.shifted_interval]
             assert back == pytest.approx([lo, hi], rel=1e-12)
 
 
 class TestMapTimestep:
     def test_final_stage_unchanged(self):
         p = sd35_partition()
-        stage, shifted = sch.map_timestep(400.0, p)
+        stage, shifted = stage_map(400.0, p)
         assert stage == 2
         assert shifted == pytest.approx(400.0, rel=1e-12)
 
     def test_sd35_anchor(self):
-        stage, shifted = sch.map_timestep(900.0, sd35_partition())
+        stage, shifted = stage_map(900.0, sd35_partition())
         assert stage == 1
         assert round(shifted) == 947
 
     def test_sdxl_anchor(self):
-        stage, shifted = sch.map_timestep(750.0, sdxl_partition())
+        stage, shifted = stage_map(750.0, sdxl_partition())
         assert stage == 1
         assert round(shifted) == 857
 
     def test_wan_anchors(self):
         p = wan_partition()
-        stage, shifted = sch.map_timestep(962.0, p)
+        stage, shifted = stage_map(962.0, p)
         assert (stage, round(shifted)) == (1, 974)
-        stage, shifted = sch.map_timestep(909.0, p)
+        stage, shifted = stage_map(909.0, p)
         assert (stage, round(shifted)) == (1, 937)
 
 
@@ -250,13 +267,13 @@ class TestInferenceSchedule:
         rows = sch.inference_schedule(4, sdxl_partition())
         assert [r.stage for r in rows] == [1, 1, 2, 2]
         assert [r.resolution for r in rows] == [512, 512, 1024, 1024]
-        got = [round(r.shifted_t) for r in rows]
+        got = [round(sch.T_MAX * r.shifted_sigma) for r in rows]
         assert got == [1000, 857, 500, 250]
 
     def test_sd35_row(self):
         rows = sch.inference_schedule(4, sd35_partition())
-        assert [round(r.teacher_t) for r in rows] == [1000, 900, 750, 500]
-        assert [round(r.shifted_t) for r in rows] == [1000, 947, 750, 500]
+        assert [round(sch.T_MAX * r.teacher_sigma) for r in rows] == [1000, 900, 750, 500]
+        assert [round(sch.T_MAX * r.shifted_sigma) for r in rows] == [1000, 947, 750, 500]
         assert [r.resolution for r in rows] == [512, 512, 1024, 1024]
 
     def test_wan_row(self):
@@ -264,10 +281,10 @@ class TestInferenceSchedule:
         assert [r.stage for r in rows] == [1, 1, 1, 2, 2, 2]
         paper_unshifted = [1000, 962, 909, 834, 716, 505]
         for row, ref in zip(rows, paper_unshifted):
-            assert abs(row.teacher_t - ref) <= 6.0
+            assert abs(sch.T_MAX * row.teacher_sigma - ref) <= 6.0
         paper_shifted_head = [1000, 974, 937]
         for row, ref in zip(rows[:3], paper_shifted_head):
-            assert abs(round(row.shifted_t) - ref) <= 1
+            assert abs(round(sch.T_MAX * row.shifted_sigma) - ref) <= 1
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_rows_follow_the_stage_map(self, name):
