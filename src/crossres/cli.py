@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import cascade, config as cfgmod, data, diffusion, distill, evalsuite, net as nets
 from .grid import SeededRng, write_csv, write_pgm
-from .schedule import T_MAX, sigma_to_logsnr
+from .schedule import T_MAX, build_partition, sigma_to_logsnr
 
 
 class PrerequisiteError(RuntimeError):
@@ -132,16 +132,15 @@ def cmd_sample(args) -> int:
     rng = _root_rng(cfg)
     class_ids = ([args.class_id] * args.count if args.class_id is not None
                  else evalsuite.round_robin(args.count, n_classes))
-    if args.many_step is not None:
-        res = cfg.distill.resolutions[-1]
-        seeds = [rng.derive(f"euler:{i}").seed for i in range(args.count)]
-        images = diffusion.euler_sample(net, class_ids, res, args.many_step, seeds)
+    d = cfg.distill
+    if args.many_step is not None:  # the one-stage cascade at the final resolution
+        label, partition, n_steps = "euler", build_partition([], [d.resolutions[-1]]), args.many_step
     else:
-        d = cfg.distill
-        seeds = [rng.derive(f"cascade:{i}").seed for i in range(args.count)]
-        trace = cascade.schedule_trace(d.partition(), d.n_steps)
-        images = cascade.run_cascade(net, trace, d.alpha_inference, class_ids, seeds).final
-        trace.write_csv(out_dir / "trace.csv")  # every sample of the batch shares it
+        label, partition, n_steps = "cascade", d.partition(), d.n_steps
+    trace = cascade.schedule_trace(partition, n_steps)
+    seeds = [rng.derive(f"{label}:{i}").seed for i in range(args.count)]
+    images = cascade.run_cascade(net, trace, d.alpha_inference, class_ids, seeds).final
+    trace.write_csv(out_dir / "trace.csv")  # every sample of the batch shares it
     for i, img in enumerate(images):
         write_pgm(out_dir / f"sample-{i:03d}.pgm", img, lo=-0.25, hi=1.25)
     write_csv(out_dir / "stats.csv", ["index", "class_id", "mean", "variance"],
@@ -158,17 +157,12 @@ def cmd_eval(args) -> int:
     rm_net = _load(nets.load_checkpoint, rm_path, "distill --rm-disabled") if rm_path.exists() else None
     ds_path = _dataset_path(args)
     ds = _load(data.load_dataset, ds_path, "gen-data") if ds_path.exists() else None
+    d = cfg.distill
+    arms = evalsuite.headline_arms(
+        student, teacher, rm_net, cascade.schedule_trace(d.partition(), d.n_steps), d.alpha_inference
+    )
     report = evalsuite.evaluate_run(
-        student=student,
-        teacher=teacher,
-        rm_disabled=rm_net,
-        dataset=ds,
-        partition=cfg.distill.partition(),
-        n_steps=cfg.distill.n_steps,
-        alpha_inference=cfg.distill.alpha_inference,
-        cfg=cfg.eval,
-        rng=_root_rng(cfg).derive("eval"),
-        out_dir=Path(args.out) / "eval",
+        teacher, arms, ds, cfg.eval, _root_rng(cfg).derive("eval"), Path(args.out) / "eval"
     )
     for method, metric, value in report.rows:
         if metric == "mmd_to_reference" and method != "reference-null":

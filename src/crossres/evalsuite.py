@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import net as nets
-from .cascade import InferenceTrace, run_cascade, schedule_trace
+from .cascade import InferenceTrace, run_cascade
 from .data import ShapeDataset
 from .diffusion import euler_sample
 from .grid import SeededRng, write_csv, write_pgm
-from .schedule import TrajectoryPartition
 
 
 @dataclass
@@ -199,21 +198,45 @@ def sample_teacher_set(
     return SampleSet(euler_sample(teacher_net, round_robin(n, n_classes), res, steps, seeds), tag)
 
 
-def sample_cascade_set(
-    net: nets.DenoiserNet,
+@dataclass(frozen=True)
+class Arm:
+    """One sample set to score: `net` run down `trace`, a validated trace
+    from `schedule_trace`, at transition noise-mix `alpha`; `tag` names it."""
+
+    tag: str
+    net: nets.DenoiserNet
+    trace: InferenceTrace
+    alpha: float
+
+
+def headline_arms(
+    student: nets.DenoiserNet,
+    teacher: nets.DenoiserNet,
+    rm_disabled: nets.DenoiserNet | None,
     trace: InferenceTrace,
     alpha_inference: float,
-    n: int,
-    n_classes: int,
-    rng: SeededRng,
-    tag: str,
-) -> SampleSet:
-    """Cascade samples along `trace`; the index (not the tag) keys the
-    noise streams, so different arms drawn from the same rng share seeds
-    and classes."""
+) -> list[Arm]:
+    """The distilled cascade and its baselines, all on one trace.
+
+    The student runs the full method's inference (its configured noise-mix
+    alpha). Both ablation arms run the plain cascade with pure Gaussian
+    re-injection (alpha = 0): the optimized re-injection is part of the
+    method under test, so the naive teacher arm and the
+    single-resolution-distilled arm use the un-optimized transition.
+    """
+    arms = [Arm("student-cascade", student, trace, alpha_inference), Arm("naive-cascade", teacher, trace, 0.0)]
+    if rm_disabled is not None:
+        arms.append(Arm("rm-disabled-cascade", rm_disabled, trace, 0.0))
+    return arms
+
+
+def sample_cascade_set(arm: Arm, n: int, n_classes: int, rng: SeededRng) -> SampleSet:
+    """The arm's cascade samples; the index (not the tag) keys the noise
+    streams, so different arms drawn from the same rng share seeds and
+    classes."""
     seeds = [rng.derive(f"arm:{i}").seed for i in range(n)]
-    run = run_cascade(net, trace, alpha_inference, round_robin(n, n_classes), seeds)
-    return SampleSet(run.final, tag)
+    run = run_cascade(arm.net, arm.trace, arm.alpha, round_robin(n, n_classes), seeds)
+    return SampleSet(run.final, arm.tag)
 
 
 def contact_sheet(path, images: np.ndarray, cols: int = 16, lo: float = -0.25, hi: float = 1.25) -> None:
@@ -278,48 +301,26 @@ def evaluate_sets(
 
 
 def evaluate_run(
-    student: nets.DenoiserNet,
     teacher: nets.DenoiserNet,
-    rm_disabled: nets.DenoiserNet | None,
+    arms: list[Arm],
     dataset: ShapeDataset | None,
-    partition: TrajectoryPartition,
-    n_steps: int,
-    alpha_inference: float,
     cfg: EvalConfig,
     rng: SeededRng,
     out_dir,
 ) -> EvalReport:
-    """Sample all arms with matched seeds/classes, score them, write reports.
-
-    The student runs the full method's inference (its configured noise-mix
-    alpha). Both ablation arms run the plain cascade with pure Gaussian
-    re-injection (alpha = 0): the optimized re-injection is part of the
-    method under test, so the naive teacher arm and the
-    single-resolution-distilled arm use the un-optimized transition.
-    """
+    """Sample every arm with matched seeds/classes, score each against a
+    many-step teacher reference at the arms' final resolution, and write
+    the report and contact sheets."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    res = partition.final_resolution
-    n_classes = student.spec.class_count
+    res = arms[0].trace.records[-1].resolution
+    n_classes = teacher.spec.class_count
 
     reference = sample_teacher_set(
         teacher, res, cfg.n_per_set, cfg.teacher_steps, n_classes, rng.derive("reference"), "teacher-highres"
     )
-    arms = [
-        ("student-cascade", student, alpha_inference),
-        ("naive-cascade", teacher, 0.0),
-    ]
-    if rm_disabled is not None:
-        arms.append(("rm-disabled-cascade", rm_disabled, 0.0))
-    trace = schedule_trace(partition, n_steps)
-    candidates = [
-        sample_cascade_set(net_, trace, arm_alpha, cfg.n_per_set, n_classes, rng.derive("arms"), tag)
-        for tag, net_, arm_alpha in arms
-    ]
-    dataset_high = None
-    if dataset is not None:
-        dataset_high = SampleSet(dataset.high_images, "dataset-high")
-
+    candidates = [sample_cascade_set(arm, cfg.n_per_set, n_classes, rng.derive("arms")) for arm in arms]
+    dataset_high = SampleSet(dataset.high_images, "dataset-high") if dataset is not None else None
     report = evaluate_sets(reference, candidates, dataset_high, cfg, rng.derive("eval"))
     report.write_csv(out_dir / "report.csv")
     n_sheet = min(cfg.contact_sheet_n, cfg.n_per_set)

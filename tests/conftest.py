@@ -47,7 +47,9 @@ def toy_student(toy_config, toy_teacher):
 
 @pytest.fixture(scope="session")
 def toy_rm_disabled(toy_config, toy_teacher):
-    """Ablation arm: single-resolution distillation at matched budgets."""
+    """Ablation arm: single-resolution distillation at matched budgets.
+    It trains from the student's rng, as `crossres distill --rm-disabled`
+    does, so criterion 7 scores the net the CLI makes."""
     cfg = distill.rm_disabled_config(toy_config.distill)
-    state, _ = distill.train(toy_teacher, cfg, SeededRng(ROOT_SEED).derive("distill-rm"))
+    state, _ = distill.train(toy_teacher, cfg, SeededRng(ROOT_SEED).derive("distill"))
     return state

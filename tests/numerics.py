@@ -2,9 +2,9 @@
 gradient check, the relative error the tests bound, the area
 downsampling that compares the dataset's two resolution tiers, the
 logSNR form of the resolution shift that the stage map's closed form
-must match, and the oracles the net and the noise source must match bit
-for bit: the strided chunk code of the net and the eager Box-Muller
-generator.
+must match, the exact output law of a cascade on Gaussian data, and the
+oracles the net and the noise source must match bit for bit: the strided
+chunk code of the net and the eager Box-Muller generator.
 
 Test modules import it as ``from numerics import ...``.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crossres import net as nets
-from crossres.grid import ImageGrid, SeededRng
+from crossres.grid import ImageGrid, SeededRng, _axis_matrix
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -133,6 +133,61 @@ def shift_logsnr(logsnr: float, res: int, final_res: int) -> float:
     if res <= 0 or final_res <= 0:
         raise ValueError("resolutions must be positive")
     return logsnr + 2.0 * math.log(res / final_res)
+
+
+# --- The cascade on Gaussian data -----------------------------------------
+
+
+@dataclass(frozen=True)
+class GaussianModel:
+    """Data x0 ~ N(mean, cov) over the row-major pixels of a one-channel
+    image. Its rectified-flow velocity is affine in the state."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def velocity_map(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """(V, c) with v = V x + c: x0_hat = mu + (1 - s) Sigma C^-1 (x - (1 - s) mu),
+        C = (1 - s)^2 Sigma + s^2 I, and v = (x - x0_hat) / s."""
+        eye = np.eye(len(self.mean))
+        c = (1.0 - sigma) ** 2 * self.cov + sigma**2 * eye
+        a = (1.0 - sigma) * np.linalg.solve(c, self.cov).T  # Sigma C^-1; both are symmetric
+        b = self.mean - (1.0 - sigma) * (a @ self.mean)
+        return (eye - a) / sigma, -b / sigma
+
+    def velocity(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        """The velocity of a batch (N, 1, H, W) at noise level sigma."""
+        v_lin, v_off = self.velocity_map(sigma)
+        return (x.reshape(len(x), -1) @ v_lin.T + v_off).reshape(x.shape)
+
+
+def gaussian_cascade_moments(models: dict, trace, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the cascade's output along `trace` when the
+    net is `models[res].velocity`: every step is affine in the state, plus
+    independent noise. An Euler step maps x to x - (s - s') v. A transition
+    maps x to U((1 - s') x0_hat + s' alpha (x0_hat + v)) + s' sqrt(1 - alpha^2) eps,
+    with U the bilinear upsample and eps fresh unit noise."""
+    records = trace.records
+    res = records[0].resolution
+    mean, cov = np.zeros(res * res), np.eye(res * res)
+    for j, r in enumerate(records):
+        s = r.shifted_sigma
+        s_next = records[j + 1].shifted_sigma if j + 1 < len(records) else 0.0
+        v_lin, v_off = models[res].velocity_map(s)
+        eye = np.eye(res * res)
+        if r.transition:
+            res_next = records[j + 1].resolution
+            up = np.kron(_axis_matrix(res, res_next), _axis_matrix(res, res_next))
+            # x0_hat = x - s v and x0_hat + v = x + (1 - s) v
+            w_clean, w_pred = 1.0 - s_next, s_next * alpha
+            lin = up @ (w_clean * (eye - s * v_lin) + w_pred * (eye + (1.0 - s) * v_lin))
+            off = up @ ((w_pred * (1.0 - s) - w_clean * s) * v_off)
+            fresh = s_next**2 * (1.0 - alpha**2) * np.eye(res_next * res_next)
+            res = res_next
+        else:
+            lin, off, fresh = eye - (s - s_next) * v_lin, -(s - s_next) * v_off, 0.0
+        mean, cov = lin @ mean + off, lin @ cov @ lin.T + fresh
+    return mean, cov
 
 
 # --- Oracles kept from earlier versions of the package -------------------

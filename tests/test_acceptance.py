@@ -211,18 +211,10 @@ class TestCriterion06CrossResolutionGap:
 class TestCriterion07DistilledCascadeWins:
     def test_student_beats_baselines(self, toy_config, toy_teacher, toy_student, toy_rm_disabled, tmp_path):
         state, _ = toy_student
-        report = ev.evaluate_run(
-            student=state.generator,
-            teacher=toy_teacher.net,
-            rm_disabled=toy_rm_disabled.generator,
-            dataset=None,
-            partition=toy_config.distill.partition(),
-            n_steps=toy_config.distill.n_steps,
-            alpha_inference=toy_config.distill.alpha_inference,
-            cfg=toy_config.eval,
-            rng=SeededRng(26),
-            out_dir=tmp_path / "eval",
-        )
+        d = toy_config.distill
+        arms = ev.headline_arms(state.generator, toy_teacher.net, toy_rm_disabled.generator,
+                                cascade.schedule_trace(d.partition(), d.n_steps), d.alpha_inference)
+        report = ev.evaluate_run(toy_teacher.net, arms, None, toy_config.eval, SeededRng(26), tmp_path / "eval")
         student = report.value("student-cascade", "mmd_to_reference")
         naive = report.value("naive-cascade", "mmd_to_reference")
         rm_off = report.value("rm-disabled-cascade", "mmd_to_reference")

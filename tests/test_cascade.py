@@ -4,9 +4,9 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
-from crossres import cascade, config as cfgmod, net as nets, schedule as sch
+from crossres import cascade, config as cfgmod, evalsuite as ev, net as nets, schedule as sch
 from crossres.grid import SeededRng, bilinear_upsample, bilinear_upsample_t
-from numerics import relative_error
+from numerics import GaussianModel, gaussian_cascade_moments, relative_error
 
 
 def desk_partition(split_sigma=0.6, resolutions=(8, 16), flow_shift=1.0):
@@ -109,6 +109,62 @@ class TestInfer:
         p = desk_partition()
         with pytest.raises(ValueError):
             cascade.infer(random_net(11), cascade.CascadeParams(p, n_steps=1, class_id=0, seed=13))
+
+
+def pooled_gaussian_models(final_res=8, rank=12):
+    """A random Gaussian data model at `final_res` and its 2^k x 2^k area
+    pools at every coarser power-of-two resolution."""
+    rng = SeededRng(30)
+    d = final_res * final_res
+    basis = rng.normal((d, rank))
+    cov = 0.2 / rank * basis @ basis.T + 0.02 * np.eye(d)
+    mean = 0.5 + 0.3 * rng.normal(d)
+    models, res = {}, final_res
+    while res >= 1:
+        f = final_res // res
+        pool_axis = np.kron(np.eye(res), np.ones(f) / f)
+        pool = np.kron(pool_axis, pool_axis)
+        models[res] = GaussianModel(pool @ mean, pool @ cov @ pool.T)
+        res //= 2
+    return models
+
+
+class TestGaussianOracle:
+    """On Gaussian data the velocity is affine, so the cascade's output is
+    Gaussian with a closed-form mean and covariance. Arms drawn through
+    `evalsuite.sample_cascade_set` with that velocity as the net must
+    match it.
+
+    The bound: for M draws of N(m, S), the sample mean misses m by
+    sqrt(tr S / M) and the sample covariance misses S by
+    sqrt((||S||_F^2 + (tr S)^2) / M) in Frobenius norm, root mean square.
+    Both errors must stay within 3 times that. The draws are seeded; on
+    them the largest ratio is 1.2. Re-injecting the fresh noise with weight
+    1 - alpha in place of sqrt(1 - alpha^2) puts the covariance error of
+    every alpha = 0.5 transition case at 7 to 8 times its scale.
+    """
+
+    DRAWS = 2000
+    PARTITIONS = {
+        1: sch.build_partition([], [8]),
+        2: sch.build_partition([sch.sigma_to_logsnr(0.6)], [4, 8]),
+        3: sch.build_partition([sch.sigma_to_logsnr(0.8), sch.sigma_to_logsnr(0.45)], [2, 4, 8]),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("stages, n_steps", [(1, 2), (1, 4), (2, 2), (2, 4), (3, 3), (3, 5)])
+    def test_sample_moments_match_closed_form(self, monkeypatch, stages, n_steps, alpha):
+        models = pooled_gaussian_models()
+        monkeypatch.setattr(cascade.nets, "forward",
+                            lambda net, x, sigma, class_ids=None: models[x.shape[-1]].velocity(x, sigma))
+        trace = cascade.schedule_trace(self.PARTITIONS[stages], n_steps)
+        arm = ev.Arm("gaussian", random_net(class_count=0), trace, alpha)
+        x = ev.sample_cascade_set(arm, self.DRAWS, 0, SeededRng(31)).flat()
+        mean, cov = gaussian_cascade_moments(models, trace, alpha)
+        mean_scale = np.sqrt(np.trace(cov) / self.DRAWS)
+        cov_scale = np.sqrt((np.linalg.norm(cov) ** 2 + np.trace(cov) ** 2) / self.DRAWS)
+        assert np.linalg.norm(x.mean(axis=0) - mean) <= 3.0 * mean_scale
+        assert np.linalg.norm(np.cov(x.T) - cov) <= 3.0 * cov_scale
 
 
 class TestCutShort:

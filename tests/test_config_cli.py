@@ -464,15 +464,22 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not (out / "samples").exists()
 
-    def test_sample_writes_one_trace(self, tmp_path):
-        # every sample of the batch runs the same schedule, so one trace describes them all
+    @pytest.mark.parametrize("flags", [[], ["--many-step", "6"]], ids=["cascade", "many-step"])
+    def test_sample_writes_one_trace(self, tmp_path, flags):
+        # every sample of the batch runs the same schedule, so one trace describes them all;
+        # many-step mode is the one-stage cascade at the final resolution, and its trace
+        # replaces the one a cascade run left in the same directory
         spec = nets.NetSpec(channels=(1, 4, 1), class_count=3)
         ckpt = tmp_path / "net.ckpt"
         nets.save_checkpoint(ckpt, nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
         out = tmp_path / "run"
-        assert main(["sample", "--out", str(out), "--checkpoint", str(ckpt), "--count", "3"]) == 0
+        common = ["sample", "--out", str(out), "--checkpoint", str(ckpt), "--count", "3"]
+        assert main(common) == 0
+        assert main([*common, *flags]) == 0
         d = cfgmod.preset("toy-default").distill
-        cascade.schedule_trace(d.partition(), d.n_steps).write_csv(tmp_path / "expected.csv")
+        partition, n_steps = (d.partition(), d.n_steps) if not flags else (
+            schedule.build_partition([], [d.resolutions[-1]]), 6)
+        cascade.schedule_trace(partition, n_steps).write_csv(tmp_path / "expected.csv")
         samples = out / "samples"
         assert (samples / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
         assert not list(samples.glob("trace-*.csv"))

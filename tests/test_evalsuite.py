@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from crossres import cascade, config as cfgmod, evalsuite as ev, net as nets
+from crossres import cascade, config as cfgmod, diffusion, evalsuite as ev, net as nets, schedule as sch
 from crossres.grid import SeededRng
 from numerics import relative_error
 
@@ -131,7 +131,7 @@ class TestSampleCascadeSet:
         self.net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(17)))
 
     def draw(self, n, rng, tag):
-        return ev.sample_cascade_set(self.net, self.trace, 0.5, n, 3, rng, tag)
+        return ev.sample_cascade_set(ev.Arm(tag, self.net, self.trace, 0.5), n, 3, rng)
 
     def test_image_i_is_the_cascade_of_index_i(self):
         # 70 images: more than one of the net's chunks, and not a multiple of them
@@ -148,3 +148,21 @@ class TestSampleCascadeSet:
         a = self.draw(5, SeededRng(19), "student-cascade")
         b = self.draw(5, SeededRng(19), "naive-cascade")
         assert np.array_equal(a.images, b.images)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_one_stage_arm_is_euler_sample(self, alpha):
+        # a one-stage trace has no transition, so the arm's alpha never enters
+        trace = cascade.schedule_trace(sch.build_partition([], [16]), 6)
+        rng = SeededRng(20)
+        got = ev.sample_cascade_set(ev.Arm("teacher-euler", self.net, trace, alpha), 7, 3, rng)
+        seeds = [rng.derive(f"arm:{i}").seed for i in range(7)]
+        want = diffusion.euler_sample(self.net, ev.round_robin(7, 3), 16, 6, seeds)
+        assert np.array_equal(got.images, want)
+
+    @pytest.mark.parametrize("rm_disabled", [False, True])
+    def test_headline_arms(self, rm_disabled):
+        # only the student runs at the configured alpha; both baselines re-noise at 0
+        arms = ev.headline_arms(self.net, self.net, self.net if rm_disabled else None, self.trace, 0.7)
+        want = [("student-cascade", 0.7), ("naive-cascade", 0.0)] + [("rm-disabled-cascade", 0.0)] * rm_disabled
+        assert [(a.tag, a.alpha) for a in arms] == want
+        assert all(a.trace is self.trace for a in arms)
