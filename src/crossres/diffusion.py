@@ -115,11 +115,13 @@ def tensor_stats(arr: np.ndarray) -> str:
     )
 
 
-def abort_if_bad(value: float, what: str, where: str, ref: np.ndarray) -> None:
-    """The divergence check of both trainings: a non-finite `value` raises
-    a RuntimeError naming `what`, `where` and the statistics of `ref`."""
-    if not np.isfinite(value):
-        raise RuntimeError(f"non-finite {what} at {where}: {value}; tensor stats {tensor_stats(ref)}")
+def abort_if_bad(value, what: str, where: str, ref: np.ndarray) -> None:
+    """The divergence check of both trainings: a `value`, a loss or the
+    parameters an optimizer update made, with a non-finite entry raises a
+    RuntimeError naming `what`, `where` and the statistics of `ref`."""
+    if not np.isfinite(value).all():
+        shown = f"{value}; " if np.ndim(value) == 0 else ""
+        raise RuntimeError(f"non-finite {what} at {where}: {shown}tensor stats {tensor_stats(ref)}")
 
 
 def training_loop(record_type: type, steps: Iterator, log_path=None) -> list:
@@ -168,8 +170,10 @@ def train_teacher(
                 idx = phase_rng.choice(len(images), size=min(config.batch_size, len(images)), replace=True)
                 sample_rngs = [phase_rng.derive(f"{phase}:{step}:{k}") for k in range(len(idx))]
                 loss, grads = teacher_loss(model.net, images[idx], [int(c) for c in classes[idx]], sample_rngs)
-                abort_if_bad(loss, "teacher loss", f"step {step} phase {phase}", model.net.params)
+                where = f"step {step} phase {phase}"
+                abort_if_bad(loss, "teacher loss", where, model.net.params)
                 model.net.params, _ = opt.step(model.net.params, grads)
+                abort_if_bad(model.net.params, "parameters after the teacher update", where, model.net.params)
                 yield TeacherStepRecord(phase, step, loss)
             model.trained_resolutions.append(images.shape[-1])
 

@@ -363,6 +363,7 @@ def train_step(
     )
     abort_if_bad(fake_loss, "fake-score loss", where, x_high)
     state.fake.params, _ = state.opt_fake.step(state.fake.params, fake_grads)
+    abort_if_bad(state.fake.params, "parameters after the fake score update", where, state.fake.params)
 
     # generator update against the just-updated fake score
     gen_loss, upstream = generator_loss(
@@ -372,6 +373,7 @@ def train_step(
     gen_grads, d_state = backward_transform(state.generator, tape, class_ids, upstream)
     gen_grads += cascade_chain_backward(state.generator, run, sel, class_ids, d_state)
     state.generator.params, _ = state.opt_generator.step(state.generator.params, gen_grads)
+    abort_if_bad(state.generator.params, "parameters after the generator update", where, state.generator.params)
 
     record = TrainStepRecord(
         step=state.step,

@@ -19,6 +19,13 @@ activations laid out channel-major (C, n, H, W). A conv with several
 input channels is a shifted GEMM over one zero-padded buffer of the whole
 chunk; a conv with one input channel uses a 9-row im2col. The ops after a
 conv run in place on its contiguous product.
+
+A net computes in the dtype of its parameters, float32 or float64: inputs
+and upstream gradients are cast to it on entry, and every buffer, output
+and gradient of the net has it. `init_params` returns float32, the lab's
+dtype, since one core runs float32 GEMMs about twice as fast; callers keep
+their states and losses in float64, and the tests' finite-difference and
+oracle checks build float64 nets, which compute exactly as before.
 """
 from __future__ import annotations
 
@@ -30,7 +37,13 @@ import numpy as np
 from .grid import SeededRng, read_framed, write_framed
 
 CHECKPOINT_MAGIC = b"XRDN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# the payload's little-endian dtype by the header's "dtype"; these are the
+# dtypes a net computes in
+CHECKPOINT_DTYPES = {"float32": "<f4", "float64": "<f8"}
+# per dtype, the largest x whose exp(x) is finite: the SiLU bounds its
+# exponent by it, so exp never overflows, and nothing changes where it did not
+_EXP_LIMIT = {np.dtype(np.float32): np.float32(88.72283), np.dtype(np.float64): np.float64(709.782712893384)}
 
 
 @dataclass(frozen=True)
@@ -103,7 +116,9 @@ class DenoiserNet:
 
     def __setattr__(self, name: str, value) -> None:
         if name == "params":
-            value = np.asarray(value, dtype=np.float64).ravel()
+            value = np.asarray(value).ravel()  # kept in the dtype it comes in
+            if value.dtype.name not in CHECKPOINT_DTYPES:
+                raise ValueError(f"params must be float32 or float64, got {value.dtype}")
             expected = param_count(self.spec)
             if value.size != expected:
                 raise ValueError(f"params has {value.size} entries, spec needs {expected}")
@@ -129,7 +144,8 @@ class DenoiserNet:
 
 
 def init_params(spec: NetSpec, rng: SeededRng) -> np.ndarray:
-    """Fan-in scaled Gaussian init; the last conv is shrunk by 0.1."""
+    """Fan-in scaled Gaussian init; the last conv is shrunk by 0.1. Drawn in
+    float64 and returned rounded to float32, the lab's dtype."""
     params = np.zeros(param_count(spec), dtype=np.float64)
     net = DenoiserNet(spec, params)
     for l in range(spec.num_layers):
@@ -145,7 +161,7 @@ def init_params(spec: NetSpec, rng: SeededRng) -> np.ndarray:
     if spec.class_count > 0:
         emb = net.view("class_embed")
         emb[...] = rng.normal(emb.shape) * 0.1
-    return net.params
+    return net.params.astype(np.float32)
 
 
 # A batch runs through the net CHUNK_PIXELS // (H * W) images at a time (4 at
@@ -170,11 +186,12 @@ def _angular_frequencies(dim: int) -> np.ndarray:
     return freqs
 
 
-def time_features(sigma, dim: int) -> np.ndarray:
+def _time_features(sigma, dim: int, dtype: np.dtype) -> np.ndarray:
     """Sinusoidal features of sigma at geometric frequencies 1, 2, 4, ...;
-    one row per entry of an array of sigmas, sines then cosines."""
+    one row per entry of an array of sigmas, sines then cosines. The phases
+    are float64; the features are rounded to `dtype`."""
     phase = _angular_frequencies(dim) * np.asarray(sigma, dtype=np.float64)[..., None]
-    out = np.empty(phase.shape[:-1] + (dim,), dtype=np.float64)
+    out = np.empty(phase.shape[:-1] + (dim,), dtype=dtype)
     np.sin(phase, out=out[..., : dim // 2])
     np.cos(phase, out=out[..., dim // 2 :])
     return out
@@ -203,7 +220,7 @@ def _pad(h: np.ndarray) -> np.ndarray:
     n (H+2)(W+2) stay in bounds."""
     c, n, hh, ww = h.shape
     flat = n * (hh + 2) * (ww + 2)
-    xp = np.zeros((c, flat + 2 * ww + 6), dtype=np.float64)
+    xp = np.zeros((c, flat + 2 * ww + 6), dtype=h.dtype)
     xp[:, :flat].reshape(c, n, hh + 2, ww + 2)[:, :, 1:-1, 1:-1] = h
     return xp
 
@@ -224,10 +241,10 @@ def _shifted_gemm(xp: np.ndarray, weight: np.ndarray, n: int, h: int, w: int) ->
     taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
     if c_out < c_in:
         products = taps.reshape(9 * c_out, c_in) @ xp
-        cols, f8 = xp.shape[1], xp.itemsize
+        cols, item = xp.shape[1], xp.itemsize
         # the row block of tap (a, b), read from its offset a (W+2) + b on
-        shifted = np.ndarray((3, 3, c_out, flat), np.float64, products, 0,
-                             ((3 * c_out * cols + w + 2) * f8, (c_out * cols + 1) * f8, cols * f8, f8))
+        shifted = np.ndarray((3, 3, c_out, flat), products.dtype, products, 0,
+                             ((3 * c_out * cols + w + 2) * item, (c_out * cols + 1) * item, cols * item, item))
         return np.add.reduce(shifted, axis=(0, 1), initial=-0.0)
     taps = taps.reshape(9, c_out, c_in)
     offsets = _tap_offsets(w)
@@ -242,11 +259,11 @@ def _im2col(h: np.ndarray) -> np.ndarray:
     (a, b) of channel c at every pixel, copied in one pass from a window
     view of the zero-bordered input."""
     c, n, hh, ww = h.shape
-    hp = np.zeros((c, n, hh + 2, ww + 2), dtype=np.float64)
+    hp = np.zeros((c, n, hh + 2, ww + 2), dtype=h.dtype)
     hp[:, :, 1:-1, 1:-1] = h
     s = hp.strides
-    windows = np.ndarray((c, 3, 3, n, hh, ww), np.float64, hp, 0, (s[0], s[2], s[3], s[1], s[2], s[3]))
-    cols = np.empty((c, 3, 3, n, hh, ww), dtype=np.float64)
+    windows = np.ndarray((c, 3, 3, n, hh, ww), hp.dtype, hp, 0, (s[0], s[2], s[3], s[1], s[2], s[3]))
+    cols = np.empty((c, 3, 3, n, hh, ww), dtype=h.dtype)
     cols[...] = windows
     return cols.reshape(c * 9, n * hh * ww)
 
@@ -294,18 +311,18 @@ def _conv_backward(d: np.ndarray, saved: np.ndarray, weight: np.ndarray,
     dp = d_saved if d_saved is not None and c_out > 1 else _pad(d)
     flat, centre = n * (hh + 2) * (ww + 2), ww + 3
     d_flat = dp[:, centre : centre + flat]
-    dw = np.empty((c_out, c_in, 9), dtype=np.float64)
+    dw = np.empty((c_out, c_in, 9), dtype=d.dtype)
     for k, off in enumerate(_tap_offsets(ww)):
         dw[:, :, k] = d_flat @ saved[:, off : off + flat].T
     return dw.reshape(weight.shape), d_in
 
 
 def _batch_inputs(net: DenoiserNet, x, sigma, class_ids) -> tuple[np.ndarray, np.ndarray, list]:
-    """Check a batch: x (N, C, H, W), one sigma in [0, 1] per image (a
-    scalar serves all), class ids as None or a length-N sequence whose
-    entries are all None or all set."""
+    """Check a batch: x (N, C, H, W), cast to the net's dtype, one sigma in
+    [0, 1] per image (a scalar serves all), class ids as None or a length-N
+    sequence whose entries are all None or all set."""
     spec = net.spec
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.params.dtype)
     if x.ndim != 4 or x.shape[1] != spec.channels[0] or x.shape[0] == 0:
         raise ValueError(f"expected a non-empty (N, {spec.channels[0]}, H, W) batch, got shape {x.shape}")
     n = x.shape[0]
@@ -343,7 +360,7 @@ def _forward_chunk(net: DenoiserNet, x: np.ndarray, sigma: np.ndarray, class_ids
     spec, views = net.spec, net._views
     n, _, hh, ww = x.shape
     last = spec.num_layers - 1
-    feats = time_features(sigma, spec.time_embed_dim)
+    feats = _time_features(sigma, spec.time_embed_dim, x.dtype)
     ids = None if class_ids[0] is None else class_ids  # the batch is checked: all set or none
     cache = {"saved": [], "pre": [], "dact": [], "scale": [], "feats": feats, "ids": ids}
     saved = _conv_input(x.transpose(1, 0, 2, 3))
@@ -367,6 +384,7 @@ def _forward_chunk(net: DenoiserNet, x: np.ndarray, sigma: np.ndarray, class_ids
         z *= (1.0 + scale)[:, :, None]
         z += offset[:, :, None]
         sig = np.negative(z)
+        np.minimum(sig, _EXP_LIMIT[z.dtype], out=sig)
         np.exp(sig, out=sig)
         sig += 1.0
         np.reciprocal(sig, out=sig)  # the logistic sigmoid of z
@@ -424,7 +442,7 @@ def forward(
     The cache holds every chunk of the batch.
     """
     x, sigma, class_ids = _batch_inputs(net, x, sigma, class_ids)
-    out = np.empty((x.shape[0], net.spec.channels[-1]) + x.shape[2:], dtype=np.float64)
+    out = np.empty((x.shape[0], net.spec.channels[-1]) + x.shape[2:], dtype=x.dtype)
     caches = []
     for sl in chunks(x):
         caches.append(_forward_chunk(net, x[sl], sigma[sl], class_ids[sl], keep_cache,
@@ -450,7 +468,7 @@ def backward(
     per image); `loss_and_grad` skips the input gradient, which is then None.
     """
     x, sigma, class_ids = _batch_inputs(net, x, sigma, class_ids)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=x.dtype)
     out_shape = (x.shape[0], net.spec.channels[-1]) + x.shape[2:]
     if upstream.shape != out_shape:
         raise ValueError(f"upstream shape {upstream.shape} != output shape {out_shape}")
@@ -487,8 +505,10 @@ def loss_and_grad(net: DenoiserNet, x: np.ndarray, sigma, class_ids, loss_of) ->
 
 
 def clip_global_norm(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale grads to global norm clip_norm if above it; else return grads itself."""
-    norm = float(np.linalg.norm(grads))
+    """Scale grads to global norm clip_norm if above it; else return grads
+    itself. The norm is taken in float64, where no finite float32 gradient
+    overflows it."""
+    norm = float(np.linalg.norm(grads.astype(np.float64, copy=False)))
     if norm > clip_norm > 0:
         return grads * (clip_norm / norm)
     return grads
@@ -504,7 +524,8 @@ class AdamW:
     """Adaptive-moment optimizer as the training recipe runs it: no first
     moment (beta1 = 0, so the step direction is the gradient itself), no
     weight decay, a bias-corrected second moment, and global gradient-norm
-    clipping applied before the moment update.
+    clipping applied before the moment update. The second moment and the
+    update take the parameters' dtype.
     """
 
     lr: float
@@ -532,28 +553,39 @@ class AdamW:
 
 
 def save_checkpoint(path, net: DenoiserNet) -> None:
-    """A framed file: architecture header, then raw little-endian float64."""
+    """A framed file: architecture header, then the raw parameters,
+    little-endian, in the net's dtype, which the header names."""
+    dtype = net.params.dtype.name
     header = {
         "channels": list(net.spec.channels),
         "time_embed_dim": net.spec.time_embed_dim,
         "class_count": net.spec.class_count,
         "param_count": int(net.params.size),
+        "dtype": dtype,
     }
-    write_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, net.params.astype("<f8").tobytes())
+    payload = net.params.astype(CHECKPOINT_DTYPES[dtype]).tobytes()
+    write_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, payload)
+
+
+def _payload_dtype(header: dict) -> np.dtype:
+    if header["dtype"] not in CHECKPOINT_DTYPES:
+        raise ValueError(f"dtype {header['dtype']!r} is not one of {sorted(CHECKPOINT_DTYPES)}")
+    return np.dtype(CHECKPOINT_DTYPES[header["dtype"]])
 
 
 def load_checkpoint(path) -> DenoiserNet:
-    """Read a `save_checkpoint` file; rejects foreign, truncated or padded
-    files, and non-finite parameters."""
+    """Read a `save_checkpoint` file into a net of its dtype; rejects
+    foreign, truncated or padded files, other versions and dtypes, and
+    non-finite parameters."""
     header, payload = read_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
-                                  lambda h: 8 * int(h["param_count"]))
+                                  lambda h: _payload_dtype(h).itemsize * int(h["param_count"]))
     try:
         spec = NetSpec(
             channels=tuple(header["channels"]),
             time_embed_dim=header["time_embed_dim"],
             class_count=header["class_count"],
         )
-        net = DenoiserNet(spec, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+        net = DenoiserNet(spec, np.frombuffer(payload, dtype=_payload_dtype(header)).astype(header["dtype"]))
     except (ValueError, KeyError, TypeError) as err:
         raise ValueError(f"{path}: unreadable checkpoint header ({type(err).__name__}: {err})") from err
     bad = int(np.count_nonzero(~np.isfinite(net.params)))

@@ -69,7 +69,7 @@ class TestCriterion02SpeedupAccounting:
 class TestCriterion03NumericalCorrectness:
     def test_denoiser_gradients(self):
         spec = nets.NetSpec(channels=(1, 8, 8, 1), time_embed_dim=6, class_count=3)
-        net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(11)))
+        net = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(11)).astype(np.float64))
         assert net.params.size <= 10_000
         report = gradient_check(net, tolerance=1e-4, rng=SeededRng(12), n_param_probes=250)
         assert report.passed, f"denoiser FD error {report.max_rel_error:.2e}"
@@ -77,9 +77,8 @@ class TestCriterion03NumericalCorrectness:
 
     def test_full_chain_gradient(self):
         spec = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=2)
-        gen = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(13)))
-        teacher = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(14)))
-        fake = nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(15)))
+        gen, teacher, fake = (nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(seed)).astype(np.float64))
+                              for seed in (13, 14, 15))
         p = sch.build_partition([sch.sigma_to_logsnr(0.6)], [8, 16])
         stage, sigma_stage, sigma_target = distill.sample_stage_and_sigma(p, "full", SeededRng(16))
         class_ids = [0]

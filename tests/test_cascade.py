@@ -13,9 +13,9 @@ def desk_partition(split_sigma=0.6, resolutions=(8, 16), flow_shift=1.0):
     return sch.build_partition([sch.sigma_to_logsnr(split_sigma)], list(resolutions), flow_shift)
 
 
-def random_net(seed=0, class_count=3):
+def random_net(seed=0, class_count=3, dtype=np.float32):
     spec = nets.NetSpec(channels=(1, 5, 1), time_embed_dim=4, class_count=class_count)
-    return nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(seed)))
+    return nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(seed)).astype(dtype))
 
 
 class TestMixNoise:
@@ -215,7 +215,7 @@ class TestBatch:
         # Each sample keeps its own noise stream; the batched net sums in
         # another order, so the samples agree to rounding.
         p = desk_partition()
-        net = random_net(26)
+        net = random_net(26, dtype=np.float64)
         class_ids, seeds = [k % 3 for k in range(5)], [30 + k for k in range(5)]
         run = cascade.run_cascade(net, cascade.schedule_trace(p, 4), 0.5, class_ids, seeds)
         assert run.final.shape == (5, 1, 16, 16)

@@ -285,8 +285,13 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "crossres", "distill", "--out", str(out), "--config",
                                str(cfg_file)], env=env, capture_output=True, text=True)
         assert proc.returncode == 1
-        # the error line is all of stderr: no traceback, no numpy warning
-        assert re.fullmatch(r"error: non-finite \S.* at step 1 phase warmup stage 1: [^\n]*\n", proc.stderr)
+        # the error line is all of stderr: no traceback, no numpy warning;
+        # the float32 generator overflows in its first update
+        assert re.fullmatch(r"error: non-finite parameters after the generator update at step 0 phase warmup "
+                            r"stage 1: tensor stats [^\n]*\n", proc.stderr), proc.stderr
+        # the log holds no row: no step finished
+        with open(out / "distill-log-final.csv", newline="") as f:
+            assert [row[0] for row in csv.reader(f)] == ["step"]
 
     def test_diverged_teacher_names_step_phase_and_keeps_its_log(self, tmp_path, micro_config):
         out = tmp_path / "run"
@@ -298,7 +303,8 @@ class TestCli:
                                str(cfg_file)], env=env, capture_output=True, text=True)
         assert proc.returncode == 1
         # the error line is all of stderr: no traceback, no numpy warning
-        failed = re.fullmatch(r"error: non-finite teacher loss at step (\d+) phase low: [^\n]*\n", proc.stderr)
+        failed = re.fullmatch(r"error: non-finite parameters after the teacher update at step (0) phase low: "
+                              r"[^\n]*\n", proc.stderr)
         assert failed, proc.stderr
         # the log holds every step that finished before the failing one
         with open(out / "teacher-log.csv", newline="") as f:

@@ -2,6 +2,7 @@
 stage sampling, and the training smoke test."""
 import csv
 import itertools
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,8 +16,8 @@ from numerics import relative_error
 SPEC = nets.NetSpec(channels=(1, 4, 1), time_embed_dim=4, class_count=2)
 
 
-def tiny_net(seed=0, spec=SPEC):
-    return nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(seed)))
+def tiny_net(seed=0, spec=SPEC, dtype=np.float32):
+    return nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(seed)).astype(dtype))
 
 
 def desk_config(**overrides):
@@ -136,7 +137,7 @@ class TestFakeScoreLoss:
         assert np.allclose(grads, 0.0, atol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
-        fake = tiny_net(12)
+        fake = tiny_net(12, dtype=np.float64)
         rng = SeededRng(13)
         x = rng.normal((3, 1, 8, 8))
         target = rng.normal((3, 1, 8, 8))
@@ -343,9 +344,7 @@ class TestChainGradient:
         # cascade's transition, whose adjoint depends on alpha_inference.
         cfg = desk_config(alpha_inference=alpha_inference)
         p = cfg.partition()
-        teacher = tiny_net(33)
-        fake = tiny_net(34)
-        gen = tiny_net(35)
+        teacher, fake, gen = (tiny_net(seed, dtype=np.float64) for seed in (33, 34, 35))
         class_ids = [1, 0]
         seed = seed_on_stage(p, stage, 36)
         drawn, sigma_stage, sigma_target = distill.sample_stage_and_sigma(p, "full", SeededRng(seed))
@@ -413,6 +412,17 @@ class TestTrainStep:
             if rec.step < cfg.warmup_steps:
                 assert rec.phase == "warmup" and rec.stage == 1
         assert any(rec.stage == 2 for rec in records if rec.step >= cfg.warmup_steps)
+
+    @pytest.mark.parametrize("key, optimizer", [("lr_generator", "generator"), ("lr_fake", "fake score")])
+    def test_diverging_update_names_its_optimizer(self, key, optimizer):
+        # at this rate a float32 net overflows in its first update; the check
+        # after the update names it, with no numpy warning on the way
+        teacher = TeacherModel(net=tiny_net(40), trained_resolutions=[8, 16])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=rf"non-finite parameters after the {optimizer} update at step 0 "
+                                                   r"phase warmup stage 1: tensor stats .*nonfinite=[1-9]"):
+                distill.train(teacher, desk_config(**{key: 1e300}), SeededRng(46))
 
     def test_non_finite_loss_names_step_phase_stage(self):
         cfg = desk_config()

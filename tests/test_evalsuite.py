@@ -136,6 +136,7 @@ class TestSampleCascadeSet:
     def test_image_i_is_the_cascade_of_index_i(self):
         # 70 images: more than one of the net's chunks, and not a multiple of them
         rng = SeededRng(18)
+        self.net = self.net.with_params(self.net.params.astype(np.float64))  # the bound is float64's
         s = self.draw(70, rng, "student-cascade")
         assert s.images.shape == (70, 1, 16, 16) and s.tag == "student-cascade"
         for i, image in enumerate(s.images):

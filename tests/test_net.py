@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crossres import net as nets
-from crossres.grid import SeededRng
+from crossres.grid import SeededRng, write_framed
 from numerics import (
     finite_difference_param_grad,
     gradient_check,
@@ -23,9 +23,10 @@ from numerics import (
 TINY = nets.NetSpec(channels=(1, 6, 6, 1), time_embed_dim=4, class_count=3)
 
 
-def make_net(spec=TINY, seed=0):
-    rng = SeededRng(seed)
-    return nets.DenoiserNet(spec, nets.init_params(spec, rng))
+def make_net(spec=TINY, seed=0, dtype=np.float64):
+    """A seeded net; float64 by default, the dtype of the oracles in
+    numerics.py and of the finite-difference checks."""
+    return nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(seed)).astype(dtype))
 
 
 class TestForward:
@@ -243,6 +244,121 @@ class TestMatchesReferenceChunks:
             net.params = np.zeros(3)
 
 
+class TestDtype:
+    """A net computes in its parameters' dtype. A stray float64 temporary in
+    a float32 net would silently give back the float32 speed-up."""
+
+    @staticmethod
+    def batch(seed):
+        # float64 inputs and upstream, as the cascade and the losses pass them
+        rng = SeededRng(seed)
+        x, up = rng.normal((5, 1, 16, 16)), rng.normal((5, 1, 16, 16))
+        return x, up, rng.uniform(0.0, 1.0, size=5), [0, 1, 2, 0, 1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_gradients_and_updates_take_the_params_dtype(self, dtype):
+        net = make_net(nets.NetSpec(), seed=50, dtype=dtype)
+        x, up, sigma, ids = self.batch(51)
+        out, cache = nets.forward(net, x, sigma, ids, keep_cache=True)
+        assert out.dtype == nets.forward(net, x, sigma, ids).dtype == dtype
+        for reuse in (None, cache):
+            gp, gx = nets.backward(net, x, sigma, ids, up, reuse)
+            assert gp.dtype == gx.dtype == dtype
+
+        def loss_of(sl, out):
+            resid = out - x[sl]  # a float64 loss, as the trainings compute it
+            return float(np.sum(resid * resid)), 2.0 * resid
+
+        _, grads = nets.loss_and_grad(net, x, sigma, ids, loss_of)
+        assert grads.dtype == dtype
+        opt = nets.AdamW(lr=1e-3)
+        for _ in range(2):
+            net.params, ok = opt.step(net.params, grads)
+            assert ok and net.params.dtype == opt.v.dtype == dtype
+
+    def test_no_float64_buffer_inside_a_float32_net(self, monkeypatch):
+        # outputs are written into buffers of the net's dtype, so they would
+        # hide a float64 temporary; the conv helpers' arrays and the forward
+        # cache show it
+        dtypes = set()
+
+        def note(*arrays):
+            dtypes.update(a.dtype for a in arrays if isinstance(a, np.ndarray))
+
+        for name in ("_conv_input", "_conv_product", "_conv_backward", "_backward_chunk"):
+            def spy(*args, _inner=getattr(nets, name)):
+                result = _inner(*args)
+                note(*args, *(result if isinstance(result, tuple) else (result,)))
+                return result
+
+            monkeypatch.setattr(nets, name, spy)
+        net = make_net(nets.NetSpec(), seed=55, dtype=np.float32)
+        x, up, sigma, ids = self.batch(56)
+        _, cache = nets.forward(net, x, sigma, ids, keep_cache=True)
+        nets.backward(net, x, sigma, ids, up)
+        nets.backward(net, x, sigma, ids, up, cache)
+        for chunk in cache:
+            note(chunk["feats"], *chunk["saved"], *chunk["pre"], *chunk["dact"], *chunk["scale"])
+        assert dtypes == {np.dtype(np.float32)}
+
+    def test_float32_net_tracks_its_float64_twin(self):
+        # float32 rounding (eps 1.2e-7) through three convs and two SiLUs reads
+        # about 2.3e-7 here; the bound is about 80 eps
+        net32 = make_net(nets.NetSpec(), seed=52, dtype=np.float32)
+        net64 = net32.with_params(net32.params.astype(np.float64))
+        x, up, sigma, ids = self.batch(53)
+        assert relative_error(nets.forward(net32, x, sigma, ids), nets.forward(net64, x, sigma, ids)) <= 1e-5
+        for got, want in zip(nets.backward(net32, x, sigma, ids, up), nets.backward(net64, x, sigma, ids, up)):
+            assert relative_error(got, want) <= 1e-5
+
+    def test_init_params_rounds_the_float64_draw(self):
+        spec = nets.NetSpec()
+        params = nets.init_params(spec, SeededRng(54))
+        assert params.dtype == np.float32
+        assert np.array_equal(params, make_net(spec, seed=54).params.astype(np.float32))
+
+    @pytest.mark.parametrize("params", [np.zeros(nets.param_count(TINY), dtype=np.float16),
+                                        np.zeros(nets.param_count(TINY), dtype=np.int64)], ids=["float16", "int64"])
+    def test_other_dtypes_are_rejected(self, params):
+        with pytest.raises(ValueError, match=f"params must be float32 or float64, got {params.dtype}"):
+            nets.DenoiserNet(TINY, params)
+
+
+class TestSilu:
+    @staticmethod
+    def silu_net(z, dtype):
+        """A net whose one hidden pixel value is z everywhere and whose output
+        is the SiLU of it: conv0 is the bias z, conv1 the centre tap 1."""
+        spec = nets.NetSpec(channels=(1, 1, 1), time_embed_dim=2, class_count=0)
+        net = nets.DenoiserNet(spec, np.zeros(nets.param_count(spec), dtype=dtype))
+        net.view("conv0.bias")[0] = z
+        net.view("conv1.weight")[0, 0, 1, 1] = 1.0
+        return net
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("z", [-1e4, -100.0, -89.0, 0.0, 89.0, 1e4])
+    def test_cannot_overflow(self, z, dtype):
+        net = self.silu_net(z, dtype)
+        x = np.zeros((1, 1, 4, 4))
+        with np.errstate(over="raise", invalid="raise"):
+            out = nets.forward(net, x, 0.5)
+            grads, _ = nets.backward(net, x, 0.5, None, np.ones_like(x))
+        sig = 0.5 * (1.0 + np.tanh(0.5 * np.float64(dtype(z))))  # the logistic sigmoid, free of overflow
+        silu, dsilu = z * sig, sig * (1.0 + z * (1.0 - sig))
+        # below -limit the SiLU reads z / (1 + exp(limit)), |z| / 3e38 at most
+        tol = dict(rtol=8 * np.finfo(dtype).eps, atol=1e-30)
+        assert np.allclose(out, silu, **tol)
+        assert np.allclose(net.with_params(grads).view("conv0.bias")[0], 16 * dsilu, **tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exponent_bound_is_the_largest_finite_exp(self, dtype):
+        # so the bound changes nothing where exp did not overflow
+        limit = nets._EXP_LIMIT[np.dtype(dtype)]
+        assert limit.dtype == dtype
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.exp(limit)) and np.isinf(np.exp(np.nextafter(limit, dtype(np.inf))))
+
+
 def sliding_window_conv3x3(x, weight):
     """The reference per-image conv: an im2col built as a reshape of a
     sliding-window view of the padded input, times the flattened kernel."""
@@ -332,6 +448,13 @@ class TestOptimizer:
         pb, _ = b.step(np.zeros(2), g / 10.0)
         assert np.allclose(pa, pb, atol=1e-15)
 
+    def test_float32_norm_does_not_overflow(self):
+        # the norm of these float32 gradients overflows float32, not float64
+        g = np.full(4, 1e20, dtype=np.float32)
+        clipped = nets.clip_global_norm(g, 1.0)
+        assert clipped.dtype == np.float32
+        assert np.allclose(clipped, 0.5, rtol=1e-6)
+
     def test_three_step_recurrence_matches_hand_oracle(self):
         lr, b2, eps = 0.1, 0.999, 1e-8
         opt = nets.AdamW(lr=lr, clip_norm=1e9)
@@ -391,23 +514,46 @@ class TestOptimizer:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        n = make_net(seed=15)
-        path = tmp_path / "net.ckpt"
-        nets.save_checkpoint(path, n)
-        loaded = nets.load_checkpoint(path)
-        assert loaded.spec == n.spec
-        assert np.array_equal(loaded.params, n.params)
+        # bit for bit, in either dtype
+        for dtype in (np.float32, np.float64):
+            n = make_net(seed=15, dtype=dtype)
+            path = tmp_path / f"{np.dtype(dtype).name}.ckpt"
+            nets.save_checkpoint(path, n)
+            loaded = nets.load_checkpoint(path)
+            assert loaded.spec == n.spec
+            assert loaded.params.dtype == dtype and bit_equal(loaded.params, n.params)
 
     def test_format_is_pinned(self, tmp_path):
-        # magic, u32 version 1, u32 header length, JSON header, <f8 params
+        # magic, u32 version 2, u32 header length, JSON header, <f4 params
         spec = nets.NetSpec(channels=(1, 3, 1), time_embed_dim=4, class_count=2)
         path = tmp_path / "pinned.ckpt"
         nets.save_checkpoint(path, nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(7))))
         raw = path.read_bytes()
-        assert raw[:12] == b"XRDN" + struct.pack("<II", 1, 81)
-        assert raw[12:93] == b'{"channels": [1, 3, 1], "time_embed_dim": 4, "class_count": 2, "param_count": 94}'
-        assert len(raw) == 93 + 8 * 94
-        assert hashlib.sha256(raw).hexdigest() == "7b3e2d5ef4614e67d60097aa7967184b8e9e1438b0ae43ee4c01c5c7c6d85b86"
+        header = b'{"channels": [1, 3, 1], "time_embed_dim": 4, "class_count": 2, "param_count": 94, "dtype": "float32"}'
+        assert raw[:12] == b"XRDN" + struct.pack("<II", 2, len(header))
+        assert raw[12 : 12 + len(header)] == header
+        assert len(raw) == 12 + len(header) + 4 * 94
+        assert hashlib.sha256(raw).hexdigest() == "18918f833da4ef76e4c1adf2c47f2589306c52850ec736fc24e8e3860f8fb46f"
+
+    def test_refuses_version_1(self, tmp_path):
+        # the float64 format before the header named its dtype
+        spec = nets.NetSpec(channels=(1, 3, 1), time_embed_dim=4, class_count=2)
+        path = tmp_path / "v1.ckpt"
+        header = {"channels": [1, 3, 1], "time_embed_dim": 4, "class_count": 2, "param_count": 94}
+        write_framed(path, nets.CHECKPOINT_MAGIC, 1, header, np.zeros(94, "<f8").tobytes())
+        with pytest.raises(ValueError) as err:
+            nets.load_checkpoint(path)
+        assert str(err.value) == f"{path}: unsupported checkpoint version 1"
+
+    @pytest.mark.parametrize("dtype", ["float16", "int64", None])
+    def test_refuses_other_dtypes(self, tmp_path, dtype):
+        path = tmp_path / "other.ckpt"
+        header = {"channels": [1, 3, 1], "time_embed_dim": 4, "class_count": 2, "param_count": 94, "dtype": dtype}
+        write_framed(path, nets.CHECKPOINT_MAGIC, 2, header, np.zeros(94, "<f8").tobytes())
+        with pytest.raises(ValueError) as err:
+            nets.load_checkpoint(path)
+        assert str(err.value) == (f"{path}: unreadable checkpoint header (ValueError: dtype {dtype!r} "
+                                  "is not one of ['float32', 'float64'])")
 
     def test_refuses_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
