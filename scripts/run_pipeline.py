@@ -14,6 +14,7 @@ import time
 
 # importing crossres (before numpy) pins BLAS to one thread and settles the heap
 from crossres.cli import main as cli
+from crossres.config import parse_overrides
 
 
 FAST_OVERRIDES = """
@@ -43,9 +44,14 @@ def run(argv=None) -> int:
     with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as cfg_file:
         cfg_file.write(FAST_OVERRIDES)
     try:
-        return _run_steps([*common, "--config", cfg_file.name])
+        code = _run_steps([*common, "--config", cfg_file.name])
     finally:
         os.unlink(cfg_file.name)
+    if code == 0:
+        n = parse_overrides(FAST_OVERRIDES)["eval.n_per_set"]
+        print(f"\nnote: --fast scores {n} images per arm: its eval checks structure only and "
+              f"cannot rank the arms")
+    return code
 
 
 def _run_steps(common: list[str]) -> int:

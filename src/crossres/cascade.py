@@ -186,8 +186,10 @@ def schedule_trace(partition: TrajectoryPartition, n_steps: int) -> InferenceTra
 
     Every step's stage, noise level, resolution and transition flag are
     fixed before any state exists, so a cascade is checked before its first forward.
-    This is the one place a schedule is built; a caller builds it once and
-    hands it to every `run_cascade` of the run.
+    This is the one place a schedule is built. An evaluation and `crossres
+    sample` build it once for all their cascades; `distill.train_step`,
+    whose benchmark-pinned signature takes the partition, builds it on
+    every step.
     """
     trace = InferenceTrace(inference_schedule(n_steps, partition))
     trace.validate(partition)

@@ -2,6 +2,7 @@
 
 Subcommands: gen-data, train-teacher, distill, sample, eval, schedule,
 cost. Each but cost resolves a RunConfig (preset + config file + flags).
+Each command that takes --out finds its files through `config.RunDirectory`.
 gen-data, train-teacher and distill write into the run directory and
 leave a config copy and manifest there; sample and eval write under it;
 schedule prints its table (--csv also writes it). All randomness derives
@@ -37,22 +38,6 @@ def _resolve_config(args) -> cfgmod.RunConfig:
     return cfg
 
 
-def _root_rng(cfg: cfgmod.RunConfig) -> SeededRng:
-    return SeededRng(cfg.seed)
-
-
-def _dataset_path(args) -> Path:
-    return Path(args.out) / "dataset.bin"
-
-
-def _teacher_path(args) -> Path:
-    return Path(args.out) / "teacher.ckpt"
-
-
-def _generator_path(args) -> Path:
-    return Path(args.out) / "distill" / "generator-final.ckpt"
-
-
 def _load(loader, path: Path, hint: str):
     """loader(path); a missing or damaged file is a PrerequisiteError naming it."""
     if not path.exists():
@@ -70,46 +55,44 @@ def _print_optimizer(name: str, opt: nets.AdamW) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
-    run = cfgmod.RunDirectory(args.out, cfg)
-    data.gen_dataset(cfg.data, _root_rng(cfg).derive("dataset"), run.file("dataset.bin"))
-    run.record_time("gen-data")
-    run.finalize()
-    print(f"dataset written to {run.file('dataset.bin')}")
+    run = cfgmod.RunDirectory(args.out)
+    run.start(cfg)
+    data.gen_dataset(cfg.data, SeededRng(cfg.seed).derive("dataset"), run.dataset)
+    run.finish("gen-data")
+    print(f"dataset written to {run.dataset}")
     return 0
 
 
 def cmd_train_teacher(args) -> int:
     cfg = _resolve_config(args)
-    ds = _load(data.load_dataset, _dataset_path(args), "gen-data")
-    run = cfgmod.RunDirectory(args.out, cfg)
+    run = cfgmod.RunDirectory(args.out)
+    ds = _load(data.load_dataset, run.dataset, "gen-data")
+    run.start(cfg)
     model, _ = diffusion.train_teacher(
-        ds, cfg.teacher, _root_rng(cfg).derive("teacher"), log_path=run.file("teacher-log.csv"),
+        ds, cfg.teacher, SeededRng(cfg.seed).derive("teacher"), log_path=run.teacher_log,
     )
-    nets.save_checkpoint(run.file("teacher.ckpt"), model.net)
-    run.record_time("train-teacher")
-    run.finalize()
-    print(f"teacher checkpoint at {run.file('teacher.ckpt')}")
+    nets.save_checkpoint(run.teacher, model.net)
+    run.finish("train-teacher")
+    print(f"teacher checkpoint at {run.teacher}")
     _print_optimizer("teacher", model.opt)
     return 0
 
 
 def cmd_distill(args) -> int:
     cfg = _resolve_config(args)
-    teacher_net = _load(nets.load_checkpoint, _teacher_path(args), "train-teacher")
-    teacher = diffusion.TeacherModel(net=teacher_net)
-    run = cfgmod.RunDirectory(args.out, cfg)
-    ckpt_dir = run.file("distill")
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    run = cfgmod.RunDirectory(args.out)
+    teacher = diffusion.TeacherModel(net=_load(nets.load_checkpoint, run.teacher, "train-teacher"))
+    run.start(cfg)
+    run.distill.mkdir(exist_ok=True)
     arm = "rm-disabled" if args.rm_disabled else "final"
     dcfg = cfg.distill if not args.rm_disabled else distill.rm_disabled_config(cfg.distill)
     state, _ = distill.train(
-        teacher, dcfg, _root_rng(cfg).derive("distill"), log_path=run.file(f"distill-log-{arm}.csv"),
+        teacher, dcfg, SeededRng(cfg.seed).derive("distill"), log_path=run.distill_log(arm),
     )
-    nets.save_checkpoint(ckpt_dir / f"generator-{arm}.ckpt", state.generator)
-    nets.save_checkpoint(ckpt_dir / f"fake-{arm}.ckpt", state.fake)
-    run.record_time("distill")
-    run.finalize()
-    print(f"distilled checkpoints in {ckpt_dir}")
+    nets.save_checkpoint(run.generator(arm), state.generator)
+    nets.save_checkpoint(run.fake(arm), state.fake)
+    run.finish("distill")
+    print(f"distilled checkpoints in {run.distill}")
     _print_optimizer("generator", state.opt_generator)
     _print_optimizer("fake score", state.opt_fake)
     return 0
@@ -121,15 +104,14 @@ def cmd_sample(args) -> int:
         raise cfgmod.ConfigError(f"--count must be at least 1, got {args.count}")
     if args.many_step is not None and args.many_step < 1:
         raise cfgmod.ConfigError(f"--many-step must be at least 1, got {args.many_step}")
-    ckpt = Path(args.checkpoint) if args.checkpoint else _generator_path(args)
+    run = cfgmod.RunDirectory(args.out)
+    ckpt = Path(args.checkpoint) if args.checkpoint else run.generator()
     net = _load(nets.load_checkpoint, ckpt, "distill")
     n_classes = net.spec.class_count
     if args.class_id is not None and not 0 <= args.class_id < n_classes:
         raise cfgmod.ConfigError(
             f"--class-id must be in [0, {n_classes}) for {ckpt}, got {args.class_id}")
-    out_dir = Path(args.out) / "samples"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rng = _root_rng(cfg)
+    rng = SeededRng(cfg.seed)
     class_ids = ([args.class_id] * args.count if args.class_id is not None
                  else evalsuite.round_robin(args.count, n_classes))
     d = cfg.distill
@@ -140,35 +122,38 @@ def cmd_sample(args) -> int:
     trace = cascade.schedule_trace(partition, n_steps)
     seeds = [rng.derive(f"{label}:{i}").seed for i in range(args.count)]
     images = cascade.run_cascade(net, trace, d.alpha_inference, class_ids, seeds).final
-    trace.write_csv(out_dir / "trace.csv")  # every sample of the batch shares it
+    run.samples.mkdir(parents=True, exist_ok=True)
+    for stale in run.samples.glob("sample-*.pgm*"):  # an earlier run's images and their range sidecars
+        stale.unlink()
+    trace.write_csv(run.samples / "trace.csv")  # every sample of the batch shares it
     for i, img in enumerate(images):
-        write_pgm(out_dir / f"sample-{i:03d}.pgm", img, lo=-0.25, hi=1.25)
-    write_csv(out_dir / "stats.csv", ["index", "class_id", "mean", "variance"],
+        write_pgm(run.samples / f"sample-{i:03d}.pgm", img, lo=-0.25, hi=1.25)
+    write_csv(run.samples / "stats.csv", ["index", "class_id", "mean", "variance"],
               ((i, c, img.mean(), img.var()) for i, (c, img) in enumerate(zip(class_ids, images))))
-    print(f"{args.count} samples in {out_dir}")
+    print(f"{args.count} samples in {run.samples}")
     return 0
 
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    teacher = _load(nets.load_checkpoint, _teacher_path(args), "train-teacher")
-    student = _load(nets.load_checkpoint, _generator_path(args), "distill")
-    rm_path = Path(args.out) / "distill" / "generator-rm-disabled.ckpt"
+    run = cfgmod.RunDirectory(args.out)
+    teacher = _load(nets.load_checkpoint, run.teacher, "train-teacher")
+    student = _load(nets.load_checkpoint, run.generator(), "distill")
+    rm_path = run.generator("rm-disabled")
     rm_net = _load(nets.load_checkpoint, rm_path, "distill --rm-disabled") if rm_path.exists() else None
-    ds_path = _dataset_path(args)
-    ds = _load(data.load_dataset, ds_path, "gen-data") if ds_path.exists() else None
+    ds = _load(data.load_dataset, run.dataset, "gen-data") if run.dataset.exists() else None
     d = cfg.distill
     arms = evalsuite.headline_arms(
         student, teacher, rm_net, cascade.schedule_trace(d.partition(), d.n_steps), d.alpha_inference
     )
     report = evalsuite.evaluate_run(
-        teacher, arms, ds, cfg.eval, _root_rng(cfg).derive("eval"), Path(args.out) / "eval"
+        teacher, arms, ds, cfg.eval, SeededRng(cfg.seed).derive("eval"), run.eval
     )
     for method, metric, value in report.rows:
         if metric == "mmd_to_reference" and method != "reference-null":
             print(f"{method}: mmd_to_reference = {value:.6f}")
     print(f"null width = {report.null_width:.6f}")
-    print(f"report at {Path(args.out) / 'eval' / 'report.csv'}")
+    print(f"report at {run.eval / 'report.csv'}")
     return 0
 
 

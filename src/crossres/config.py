@@ -3,9 +3,10 @@ format, and the reproducibility manifest.
 
 A config file is plain text, one ``section.key = value`` per line with
 ``#`` comments. Unknown keys are rejected with their full path.
-gen-data, train-teacher and distill serialize the effective config into
-the run directory along with a manifest (config hash, package version,
-file inventory, wall times), so a run directory is self-describing.
+`RunDirectory` names every file of a run directory. gen-data,
+train-teacher and distill serialize the effective config into it along
+with a manifest (config hash, package version, file inventory, wall
+time), so a run directory is self-describing.
 """
 from __future__ import annotations
 
@@ -208,44 +209,44 @@ def validate_config(cfg: RunConfig) -> None:
                           f"{_format_value(d.thresholds)}: {err}") from err
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    package_version: str
-    files: dict[str, int] = field(default_factory=dict)  # name -> bytes
-    timings: dict[str, float] = field(default_factory=dict)
-
-    def to_text(self) -> str:
-        lines = [
-            f"config_hash = {self.config_hash}",
-            f"package_version = {self.package_version}",
-        ]
-        for name in sorted(self.files):
-            lines.append(f"file.{name} = {self.files[name]}")
-        for name, seconds in self.timings.items():
-            lines.append(f"seconds.{name} = {seconds:.3f}")
-        return "\n".join(lines) + "\n"
-
-
 class RunDirectory:
-    """A self-describing output directory: config copy + manifest."""
+    """The run layout: every path a command reads or writes. Building one
+    writes nothing; `start(cfg)` writes `config.txt` and starts the clock,
+    and `finish(label)` writes `manifest.txt` (config hash, package
+    version, the size of every file under the run, the command's time)."""
 
-    def __init__(self, path, cfg: RunConfig):
+    def __init__(self, path):
         self.path = Path(path)
+        self.dataset = self.path / "dataset.bin"
+        self.teacher = self.path / "teacher.ckpt"
+        self.teacher_log = self.path / "teacher-log.csv"
+        self.distill = self.path / "distill"
+        self.samples = self.path / "samples"
+        self.eval = self.path / "eval"
+        self.config = self.path / "config.txt"
+        self.manifest = self.path / "manifest.txt"
+
+    # a distill arm is "final" or, for `distill --rm-disabled`, "rm-disabled"
+    def generator(self, arm: str = "final") -> Path:
+        return self.distill / f"generator-{arm}.ckpt"
+
+    def fake(self, arm: str = "final") -> Path:
+        return self.distill / f"fake-{arm}.ckpt"
+
+    def distill_log(self, arm: str = "final") -> Path:
+        return self.path / f"distill-log-{arm}.csv"
+
+    def start(self, cfg: RunConfig) -> None:
         self.path.mkdir(parents=True, exist_ok=True)
-        self.cfg = cfg
-        self.manifest = RunManifest(config_hash(cfg), __version__)
-        (self.path / "config.txt").write_text(serialize_config(cfg))
+        self.config.write_text(serialize_config(cfg))
+        self._config_hash = config_hash(cfg)
         self._t0 = time.time()
 
-    def file(self, name: str) -> Path:
-        return self.path / name
-
-    def record_time(self, label: str) -> None:
-        self.manifest.timings[label] = time.time() - self._t0
-
-    def finalize(self) -> None:
-        for p in sorted(self.path.iterdir()):
-            if p.is_file() and p.name != "manifest.txt":
-                self.manifest.files[p.name] = p.stat().st_size
-        (self.path / "manifest.txt").write_text(self.manifest.to_text())
+    def finish(self, label: str) -> None:
+        seconds = time.time() - self._t0
+        files = sorted((p.relative_to(self.path).as_posix(), p.stat().st_size)
+                       for p in self.path.rglob("*") if p.is_file() and p != self.manifest)
+        lines = [f"config_hash = {self._config_hash}", f"package_version = {__version__}"]
+        lines += [f"file.{name} = {size}" for name, size in files]
+        lines.append(f"seconds.{label} = {seconds:.3f}")
+        self.manifest.write_text("\n".join(lines) + "\n")

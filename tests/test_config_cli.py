@@ -1,6 +1,7 @@
 """RunConfig parsing/serialization, presets, the CLI surface, and the
 pipeline script."""
 import csv
+import hashlib
 import importlib.util
 import os
 import platform
@@ -106,14 +107,19 @@ class TestConfig:
         assert cfgmod.config_hash(a) != cfgmod.config_hash(b)
 
     def test_manifest_hash_matches_serialized_config(self, tmp_path):
-        import hashlib
-
         cfg = cfgmod.toy_default()
-        run = cfgmod.RunDirectory(tmp_path / "run", cfg)
-        run.finalize()
+        run = cfgmod.RunDirectory(tmp_path / "run")
+        assert not run.path.exists()  # naming the layout writes nothing
+        run.start(cfg)
+        run.distill.mkdir()
+        run.generator().write_bytes(b"abc")
+        run.finish("test")
         config_bytes = (tmp_path / "run" / "config.txt").read_bytes()
         manifest = (tmp_path / "run" / "manifest.txt").read_text()
         assert f"config_hash = {hashlib.sha256(config_bytes).hexdigest()}" in manifest
+        # every file under the run, by its relative POSIX path
+        assert "\nfile.distill/generator-final.ckpt = 3\n" in manifest
+        assert re.search(r"^seconds\.test = \d+\.\d{3}$", manifest, re.M)
 
 
 REMOVED_DATA_KEYS = (
@@ -424,15 +430,30 @@ class TestCli:
         for method in ("student-cascade", "naive-cascade", "rm-disabled-cascade"):
             assert re.search(rf"^{method}: mmd_to_reference = -?\d+\.\d{{6}}$", eval_text, re.M), method
         run = tmp_path / "run"
-        assert (run / "dataset.bin").exists()
-        assert (run / "teacher.ckpt").exists()
-        assert (run / "distill" / "generator-final.ckpt").exists()
-        assert (run / "distill" / "generator-rm-disabled.ckpt").exists()
-        assert (run / "samples" / "sample-000.pgm").exists()
-        assert (run / "samples" / "trace.csv").exists()
-        assert (run / "eval" / "report.csv").exists()
-        assert (run / "manifest.txt").exists()
-        assert (run / "config.txt").exists()
+        files = {p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()}
+        pgms = ["samples/sample-000", "samples/sample-001", "eval/reference", "eval/student-cascade",
+                "eval/naive-cascade", "eval/rm-disabled-cascade"]
+        assert files == {
+            "config.txt", "manifest.txt", "dataset.bin", "teacher.ckpt", "teacher-log.csv",
+            "distill-log-final.csv", "distill-log-rm-disabled.csv",
+            "distill/generator-final.ckpt", "distill/fake-final.ckpt",
+            "distill/generator-rm-disabled.ckpt", "distill/fake-rm-disabled.ckpt",
+            "samples/trace.csv", "samples/stats.csv", "eval/report.csv",
+            *(f"{name}.pgm" for name in pgms), *(f"{name}.pgm.range.txt" for name in pgms),
+        }
+        # RunDirectory names every top-level and distill/ file; the rest lie in samples/ and eval/
+        layout = cfgmod.RunDirectory(run)
+        named = {layout.dataset, layout.teacher, layout.teacher_log, layout.config, layout.manifest,
+                 *(path(arm) for arm in ("final", "rm-disabled")
+                   for path in (layout.generator, layout.fake, layout.distill_log))}
+        placed = {run / f for f in files if (run / f).parent in (run, layout.distill)}
+        assert placed == named
+        assert {(run / f).parent for f in files} == {run, layout.distill, layout.samples, layout.eval}
+        # the last manifest (distill --rm-disabled) lists every file then under the run, by size
+        listed = dict(re.findall(r"^file\.(\S+) = (\d+)$", layout.manifest.read_text(), re.M))
+        assert listed == {f: str((run / f).stat().st_size) for f in files
+                          if f != "manifest.txt" and (run / f).parent not in (layout.samples, layout.eval)}
+        assert "distill/generator-rm-disabled.ckpt" in listed and "distill/fake-final.ckpt" in listed
 
     def test_gen_data_idempotent_bytes(self, tmp_path, micro_config):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -490,6 +511,21 @@ class TestCli:
         assert (samples / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
         assert not list(samples.glob("trace-*.csv"))
 
+    def test_sample_replaces_an_earlier_run(self, tmp_path):
+        # samples/ holds one run: a smaller second run leaves none of the first run's images
+        spec = nets.NetSpec(channels=(1, 4, 1), class_count=3)
+        ckpt = tmp_path / "net.ckpt"
+        nets.save_checkpoint(ckpt, nets.DenoiserNet(spec, nets.init_params(spec, SeededRng(0))))
+        out = tmp_path / "run"
+        common = ["sample", "--out", str(out), "--checkpoint", str(ckpt)]
+        assert main([*common, "--count", "3"]) == 0
+        assert main([*common, "--count", "2"]) == 0
+        assert sorted(p.name for p in (out / "samples").iterdir()) == [
+            "sample-000.pgm", "sample-000.pgm.range.txt", "sample-001.pgm", "sample-001.pgm.range.txt",
+            "stats.csv", "trace.csv"]
+        with open(out / "samples" / "stats.csv", newline="") as f:
+            assert [row["index"] for row in csv.DictReader(f)] == ["0", "1"]
+
     def test_schedule_csv_is_the_sample_trace(self, tmp_path):
         # one layout for the schedule's rows: ScheduleStep's fields, in order
         spec = nets.NetSpec(channels=(1, 4, 1), class_count=3)
@@ -540,6 +576,35 @@ class TestRunPipelineScript:
         monkeypatch.setattr(script, "cli", stub_cli)
         assert script.run(["--fast", "--out", str(tmp_path / "run")]) == code
         assert seen and not any(p.exists() for p in seen)
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "full"])
+    def test_fast_run_says_its_eval_cannot_rank_the_arms(self, tmp_path, monkeypatch, capsys, fast):
+        script = _load_run_pipeline()
+        monkeypatch.setattr(script, "cli", lambda argv: 0)
+        assert script.run([*(["--fast"] if fast else []), "--out", str(tmp_path / "run")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        note = "note: --fast scores 32 images per arm: its eval checks structure only and cannot rank the arms"
+        if fast:
+            assert lines[-1] == note
+        else:
+            assert not any("cannot rank" in line for line in lines)
+
+
+class TestArtifactDigests:
+    def test_sorted_digests_skip_the_manifest(self, tmp_path, capsys):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digests.py"
+        spec = importlib.util.spec_from_file_location("artifact_digests", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        run = tmp_path / "run"
+        (run / "distill").mkdir(parents=True)
+        for rel, body in [("teacher.ckpt", b"t"), ("distill/generator-final.ckpt", b"g"),
+                          ("manifest.txt", b"wall times")]:
+            (run / rel).write_bytes(body)
+        assert script.run([str(run)]) == 0
+        sha = {body: hashlib.sha256(body).hexdigest() for body in (b"t", b"g")}
+        assert capsys.readouterr().out == (f"{sha[b'g']}  distill/generator-final.ckpt\n"
+                                           f"{sha[b't']}  teacher.ckpt\n")
 
 
 class TestBlasThreadPin:
